@@ -97,7 +97,11 @@ class LogDataset:
 
 class Walker:
     """Shared immutable walk state: admissibility precomputations over the
-    stored paths and infection map."""
+    stored paths and infection map.  `clean_completable` holds the non-seed
+    paths whose every callee offers such a path, so a normal walk through
+    them finishes without touching a seed; `emitting` holds those of them
+    that can produce an event on some clean walk.  Both are computed by
+    `PathStore.least_fixpoint`, the mechanism infection propagation uses."""
 
     def __init__(self, model: ProgramModel, store: PathStore,
                  infection: InfectionMap, call_graph: CallGraph,
@@ -115,53 +119,14 @@ class Walker:
             p.id for p in store.all_paths()
             if self.status[p.id] is not Status.CLEAN
         }
-        self.anomalous_methods = {
-            mid for mid, paths in store.by_method.items()
-            if any(p.id in self.anomalous_eps for p in paths)
-        }
-        self.clean_completable = self._clean_completable()
-        self.emitting = self._emitting()
-
-    def _clean_completable(self) -> set[int]:
-        """Least fixpoint: non-seed paths whose every callee offers a
-        clean-completable path, so a normal walk through them always
-        finishes without touching a seed."""
-        ok_paths: set[int] = set()
-        ok_methods: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for p in self.store.all_paths():
-                if p.id in ok_paths or self.status[p.id] is Status.SEED:
-                    continue
-                if all(s.callee in ok_methods for s in p.steps
-                       if isinstance(s, CallStep)):
-                    ok_paths.add(p.id)
-                    if p.method not in ok_methods:
-                        ok_methods.add(p.method)
-                    changed = True
-        return ok_paths
-
-    def _emitting(self) -> set[int]:
-        """Least fixpoint over clean-completable paths: those that can
-        produce at least one event on some clean walk."""
-        emitting: set[int] = set()
-        emitting_methods: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for p in self.store.all_paths():
-                if p.id in emitting or p.id not in self.clean_completable:
-                    continue
-                if any(isinstance(s, LogStep) for s in p.steps) or any(
-                    isinstance(s, CallStep) and s.callee in emitting_methods
-                    for s in p.steps
-                ):
-                    emitting.add(p.id)
-                    if p.method not in emitting_methods:
-                        emitting_methods.add(p.method)
-                    changed = True
-        return emitting
+        self.clean_completable = store.least_fixpoint({
+            p.id: len({s.callee for s in p.steps if isinstance(s, CallStep)})
+            for p in store.all_paths() if self.status[p.id] is not Status.SEED
+        })
+        self.emitting = store.least_fixpoint({
+            p.id: 0 if any(isinstance(s, LogStep) for s in p.steps) else 1
+            for p in store.all_paths() if p.id in self.clean_completable
+        })
 
     # entry admissibility per mode
     def normal_entry_ok(self, mid: MethodId) -> bool:

@@ -12,7 +12,8 @@ candidate paths per event) and are ignored on import.
 Propagation computes the least fixpoint of "may reach a seed through
 invocations": a path is INFECTED when it calls into a method owning a
 SEED or INFECTED path; everything else is CLEAN and can never reach a
-seed.
+seed.  The fixpoint is `PathStore.least_fixpoint`, the one mechanism
+shared with the walker's precomputations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import LogsynthError
 from .model import EventId, Log, ProgramModel
-from .pathfinding import CallStep, LogStep, PathStore
+from .pathfinding import LogStep, PathStore
 
 
 class AnnotationError(LogsynthError):
@@ -44,17 +45,6 @@ class Status(enum.Enum):
 @dataclass
 class InfectionMap:
     status: dict[int, Status]
-
-    def of(self, path_id: int) -> Status:
-        return self.status[path_id]
-
-    def methods_with_anomaly(self, store: PathStore) -> set[int]:
-        """Methods owning at least one SEED or INFECTED path."""
-        out = set()
-        for mid, paths in store.by_method.items():
-            if any(self.status[p.id] is not Status.CLEAN for p in paths):
-                out.add(mid)
-        return out
 
 
 def export_worksheet(store: PathStore, model: ProgramModel, path) -> None:
@@ -143,27 +133,14 @@ def validate_annotations(ann: AnnotationSet, store: PathStore) -> None:
 
 def propagate(store: PathStore, ann: AnnotationSet) -> InfectionMap:
     """Least fixpoint of seed reachability through call steps."""
-    status = {p.id: Status.CLEAN for p in store.all_paths()}
-    for pid in ann.seed_anomaly:
-        status[pid] = Status.SEED
-
-    anomalous_methods = {
-        mid for mid, paths in store.by_method.items()
-        if any(status[p.id] is Status.SEED for p in paths)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for p in store.all_paths():
-            if status[p.id] is not Status.CLEAN:
-                continue
-            if any(isinstance(s, CallStep) and s.callee in anomalous_methods
-                   for s in p.steps):
-                status[p.id] = Status.INFECTED
-                if p.method not in anomalous_methods:
-                    anomalous_methods.add(p.method)
-                changed = True
-    return InfectionMap(status=status)
+    seeds = ann.seed_anomaly
+    reach = store.least_fixpoint(
+        {p.id: 0 if p.id in seeds else 1 for p in store.all_paths()})
+    return InfectionMap(status={
+        p.id: Status.SEED if p.id in seeds
+        else Status.INFECTED if p.id in reach else Status.CLEAN
+        for p in store.all_paths()
+    })
 
 
 def dumps_annotations(ann: AnnotationSet) -> str:

@@ -24,7 +24,7 @@ assigns them in, so save/load round-trips are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import LogsynthError
 
@@ -236,23 +236,26 @@ def derive_loop_heads(graph: ExecutionGraph) -> set[ActivityId]:
     return heads
 
 
-def natural_loop(graph: ExecutionGraph, head: ActivityId) -> set[ActivityId]:
-    """Nodes of the natural loop of `head`: the head plus everything that
+def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
+    """Per loop head, its natural loop: the head plus everything that
     reaches one of its back-edge sources without passing through it."""
-    dom = dominators(graph)
+    dom = dominators(graph) if graph.loop_heads else {}
     preds: dict[int, list[int]] = {}
     for frm, to, _ in graph.edges:
         preds.setdefault(to, []).append(frm)
-    loop = {head}
-    stack = [frm for frm, to, _ in graph.edges
-             if to == head and frm in dom and head in dom[frm]]
-    while stack:
-        n = stack.pop()
-        if n in loop:
-            continue
-        loop.add(n)
-        stack.extend(preds.get(n, ()))
-    return loop
+    loops = {}
+    for head in graph.loop_heads:
+        loop = {head}
+        stack = [frm for frm, to, _ in graph.edges
+                 if to == head and frm in dom and head in dom[frm]]
+        while stack:
+            n = stack.pop()
+            if n in loop:
+                continue
+            loop.add(n)
+            stack.extend(preds.get(n, ()))
+        loops[head] = loop
+    return loops
 
 
 # ── Methods and the whole-program model ──────────────────────────────
@@ -654,7 +657,3 @@ def loads_model(text: str) -> ProgramModel:
 def load_model(path) -> ProgramModel:
     with open(path, encoding="utf-8") as fh:
         return loads_model(fh.read())
-
-
-def with_statement(stmt: LoggingStatement, **kw) -> LoggingStatement:
-    return replace(stmt, **kw)

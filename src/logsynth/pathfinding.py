@@ -35,7 +35,8 @@ from .model import (
     MethodId,
     MethodNode,
     ProgramModel,
-    natural_loop,
+    Var,
+    natural_loops,
 )
 from .pruning import PrunedCallGraph
 
@@ -80,7 +81,6 @@ class LogPath:
     id: int
     method: MethodId
     steps: tuple[Step, ...]
-    constraints: frozenset[tuple[str, bool]] = frozenset()
     skips_loop: bool = False
     guard_trace: tuple[TraceEvent, ...] = field(
         default=(), compare=False, repr=False
@@ -97,18 +97,46 @@ class PathStore:
     by_method: dict[MethodId, list[LogPath]]
     events: dict[EventId, LogEvent]
 
+    def __post_init__(self):
+        self._paths = tuple(p for mid in sorted(self.by_method)
+                            for p in self.by_method[mid])
+        self._by_id = {p.id: p for p in self._paths}
+        # callee method -> the paths calling it, once per distinct callee
+        self._callers: dict[MethodId, list[int]] = {}
+        for p in self._paths:
+            for callee in dict.fromkeys(s.callee for s in p.steps
+                                        if isinstance(s, CallStep)):
+                self._callers.setdefault(callee, []).append(p.id)
+
     def path(self, ep_id: int) -> LogPath:
-        return self._index()[ep_id]
+        return self._by_id[ep_id]
 
-    def all_paths(self) -> list[LogPath]:
-        return [p for mid in sorted(self.by_method) for p in self.by_method[mid]]
+    def all_paths(self) -> tuple[LogPath, ...]:
+        return self._paths
 
-    def _index(self) -> dict[int, LogPath]:
-        cached = getattr(self, "_path_index", None)
-        if cached is None:
-            cached = {p.id: p for p in self.all_paths()}
-            object.__setattr__(self, "_path_index", cached)
-        return cached
+    def least_fixpoint(self, need: dict[int, int]) -> set[int]:
+        """The least set of path ids in which a path `p` is a member once
+        `need[p]` of its distinct callee methods own a member.  Paths with
+        need 0 start in it; paths absent from `need` never join; a callee
+        called several times by one path counts once.  Each method is
+        settled once and each (path, distinct callee) pair visited once,
+        so the cost is linear in the number of call steps."""
+        missing = dict(need)
+        members = {pid for pid, n in need.items() if n == 0}
+        work = [self._by_id[pid].method for pid in members]
+        settled: set[MethodId] = set()
+        while work:
+            mid = work.pop()
+            if mid in settled:
+                continue
+            settled.add(mid)
+            for pid in self._callers.get(mid, ()):
+                if pid in missing:
+                    missing[pid] -= 1
+                    if missing[pid] == 0:  # only ever once: counts fall
+                        members.add(pid)
+                        work.append(self._by_id[pid].method)
+        return members
 
 
 # ── Feasibility ──────────────────────────────────────────────────────
@@ -176,9 +204,7 @@ def _iter_walks(cfg: ExecutionGraph, start: int, goal: int, *,
 
 
 def _trace_of(cfg: ExecutionGraph, visits,
-              loops: dict[int, set[int]] | None = None) -> tuple[TraceEvent, ...]:
-    if loops is None:
-        loops = _loop_shapes(cfg)
+              loops: dict[int, set[int]]) -> tuple[TraceEvent, ...]:
     trace: list[TraceEvent] = []
     prev = None
     for node, guard in visits:
@@ -204,12 +230,11 @@ def _trace_of(cfg: ExecutionGraph, visits,
 # ── Restoring logging statements ─────────────────────────────────────
 
 def _resolve_var(cfg: ExecutionGraph, node: int, var: str,
-                 limits: PathLimits) -> str | None:
+                 limits: PathLimits, loops: dict[int, set[int]]) -> str | None:
     """The unique constant a variable holds at every feasible arrival at
     `node`, or None when unassigned somewhere or not unique."""
     entry = cfg.entry_id()
     budget = limits.max_paths_per_method
-    loops = _loop_shapes(cfg)
     values: set[str] = set()
     seen = 0
     feasible = 0
@@ -248,12 +273,14 @@ def restore_statement(stmt: LoggingStatement, method: MethodNode,
             break
     if node is None:
         raise ValueError(f"statement {stmt.id} not found in method {method.name}")
+    loops = (natural_loops(method.cfg)
+             if any(isinstance(p, Var) for p in stmt.parts) else {})
     pieces: list[str] = []
     for part in stmt.parts:
         if isinstance(part, Literal):
             pieces.append(part.text)
         else:
-            resolved = _resolve_var(method.cfg, node, part.name, limits)
+            resolved = _resolve_var(method.cfg, node, part.name, limits, loops)
             pieces.append(resolved if resolved is not None else PLACEHOLDER)
     return LogEvent(
         event_id=event_id,
@@ -277,11 +304,6 @@ def strategy_for(method: MethodNode, cg_prime: PrunedCallGraph) -> int:
             f"method {method.name} is kept but neither logs nor calls kept methods"
         )
     return 3
-
-
-def _loop_shapes(cfg: ExecutionGraph):
-    """Per loop head: its natural-loop node set."""
-    return {h: natural_loop(cfg, h) for h in cfg.loop_heads}
 
 
 def _regions_and_skips(cfg: ExecutionGraph, visits, loops):
@@ -322,7 +344,7 @@ def enumerate_logeps(
     in deterministic order.  Ids are placeholders (-1) until the store
     assigns them."""
     cfg = method.cfg
-    loops = _loop_shapes(cfg)
+    loops = natural_loops(cfg)
     entry, exit_ = cfg.entry_id(), cfg.exit_id()
     out: list[LogPath] = []
     seen: set[tuple] = set()
@@ -379,9 +401,6 @@ def enumerate_logeps(
                     steps.append(LogStep(payload, m))
                 else:
                     steps.append(CallStep(chosen[j], m))
-            constraints = frozenset(
-                (ev[1], ev[2]) for ev in trace if ev[0] == "guard"
-            )
             key = (tuple(steps), skipped, trace)
             if key in seen:
                 continue
@@ -390,7 +409,6 @@ def enumerate_logeps(
                 id=-1,
                 method=method.id,
                 steps=tuple(steps),
-                constraints=constraints,
                 skips_loop=skipped,
                 guard_trace=trace,
             ))
@@ -468,10 +486,10 @@ def build_store(
     stmt_to_event: dict[int, int] = {}
     event_plan: dict[int, list[tuple[int, LoggingStatement]]] = {}
     next_event = 0
+    reachable = {mid: model.methods[mid].cfg.reachable_from_entry()
+                 for mid in cg_prime.kept}
     for mid, aid, stmt in model.statements():
-        if mid not in cg_prime.kept:
-            continue
-        if aid not in model.methods[mid].cfg.reachable_from_entry():
+        if mid not in cg_prime.kept or aid not in reachable[mid]:
             continue
         stmt_to_event[stmt.id] = next_event
         event_plan.setdefault(mid, []).append((next_event, stmt))

@@ -3,8 +3,9 @@
 Each of these mirrors a contract, not an implementation: reachability by
 per-node search, Kosaraju instead of Tarjan, breadth-first path listing
 with truth-assignment feasibility instead of the production DFS with a
-flow-sensitive filter, and exhaustive walk-space enumeration instead of
-random walking.
+flow-sensitive filter, exhaustive walk-space enumeration instead of
+random walking, and repeated full sweeps instead of the worklist
+fixpoint.
 """
 
 from __future__ import annotations
@@ -262,6 +263,24 @@ def production_path_set(store, method_id: int) -> set[tuple]:
         )
         out.add((steps, p.skips_loop))
     return out
+
+
+# ── Fixpoint oracle: naive sweeps over every path ────────────────────
+
+def sweep_fixpoint(store, admits) -> set[int]:
+    """The least set of path ids closed under `admits(path, owners)`,
+    where `owners` are the methods owning a member: sweep every path
+    until a whole sweep adds nothing."""
+    members: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        owners = {store.path(pid).method for pid in members}
+        for p in store.all_paths():
+            if p.id not in members and admits(p, owners):
+                members.add(p.id)
+                changed = True
+    return members
 
 
 # ── Walk-space oracle for generation ─────────────────────────────────
