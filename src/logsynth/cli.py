@@ -155,7 +155,11 @@ def _cmd_generate(args) -> int:
     infection = propagate(analysis.store, ann)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("LOGSYNTH_SEED", "0"))
+        raw = os.environ.get("LOGSYNTH_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError(f"LOGSYNTH_SEED must be an integer, got {raw!r}") from None
     params = GenParams(
         size=args.size,
         anomaly_rate=args.anomaly_rate,

@@ -7,14 +7,17 @@ normal walks pick only paths from which a seed-free completion is known
 to exist, so no backtracking livelock is possible.  Loop-marked regions
 replay 1..max_loop_reps times with fresh choices per repetition, and
 calls into recursion cycles are bounded by max_recursion_depth
-re-entries.
+re-entries.  Nothing is rebuilt per step: a path's loop regions are
+decoded on its first visit (`LogPath.regions`), and each method's
+candidate paths per walk state are built once in `Walker.__init__`.
 
 Every successful walk records its choice trace (path picks and loop
 repetition draws); `replay` re-derives the event list from a trace,
 which is how label soundness and walk legality are checked.
 
 Sequence i is generated from its own RNG derived from (seed, i), so the
-dataset bytes do not depend on how many workers ran.
+dataset bytes do not depend on how many workers ran; `ordered_map`
+hands each pool worker the built walker once.
 """
 
 from __future__ import annotations
@@ -22,18 +25,19 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import LogsynthError
 from .labeling import AnnotationSet, InfectionMap, Status, dumps_annotations
 from .model import EventId, LogEvent, MethodId, ProgramModel, dumps_model
-from .pathfinding import CallStep, LogPath, LogStep, Mark, PathStore
+from .parallel import ordered_map
+from .pathfinding import CallStep, LogPath, LogStep, PathStore
 from .probing import CallGraph
 from .pruning import PrunedCallGraph
 
 _ROOT_TRIES = 8  # retries per entry path before giving up on it
+_NO_PATHS: tuple[tuple[LogPath, ...], ...] = ((), (), ())  # a method without paths
 
 
 class ConfigError(LogsynthError):
@@ -101,7 +105,9 @@ class Walker:
     paths whose every callee offers such a path, so a normal walk through
     them finishes without touching a seed; `emitting` holds those of them
     that can produce an event on some clean walk.  Both are computed by
-    `PathStore.least_fixpoint`, the mechanism infection propagation uses."""
+    `PathStore.least_fixpoint`, the mechanism infection propagation uses.
+    `candidates[m]` holds method m's admissible paths for a normal walk,
+    an anomaly walk before a seed is hit, and one after, in that order."""
 
     def __init__(self, model: ProgramModel, store: PathStore,
                  infection: InfectionMap, call_graph: CallGraph,
@@ -115,10 +121,6 @@ class Walker:
             call_graph.scc_of[m] for m in call_graph.nodes
             if call_graph.in_cycle(m)
         }
-        self.anomalous_eps = {
-            p.id for p in store.all_paths()
-            if self.status[p.id] is not Status.CLEAN
-        }
         self.clean_completable = store.least_fixpoint({
             p.id: len({s.callee for s in p.steps if isinstance(s, CallStep)})
             for p in store.all_paths() if self.status[p.id] is not Status.SEED
@@ -127,23 +129,21 @@ class Walker:
             p.id: 0 if any(isinstance(s, LogStep) for s in p.steps) else 1
             for p in store.all_paths() if p.id in self.clean_completable
         })
+        self.candidates: dict[MethodId, tuple[tuple[LogPath, ...], ...]] = {}
+        for mid, paths in store.by_method.items():
+            looping = tuple(p for p in paths if not p.skips_loop)
+            self.candidates[mid] = (
+                tuple(p for p in paths if p.id in self.clean_completable),
+                tuple(p for p in looping if self.status[p.id] is not Status.CLEAN),
+                looping,
+            )
 
     # entry admissibility per mode
     def normal_entry_ok(self, mid: MethodId) -> bool:
         return any(p.id in self.emitting for p in self.store.by_method.get(mid, []))
 
     def anomaly_entry_ok(self, mid: MethodId) -> bool:
-        return any(p.id in self.anomalous_eps and not p.skips_loop
-                   for p in self.store.by_method.get(mid, []))
-
-    def _candidates(self, mid: MethodId, mode: Label, hit: bool) -> list[LogPath]:
-        paths = self.store.by_method.get(mid, [])
-        if mode is Label.NORMAL:
-            return [p for p in paths if p.id in self.clean_completable]
-        if not hit:
-            return [p for p in paths
-                    if p.id in self.anomalous_eps and not p.skips_loop]
-        return [p for p in paths if not p.skips_loop]
+        return bool(self.candidates.get(mid, _NO_PATHS)[1])
 
     def walk(self, entry: MethodId, mode: Label, rng: random.Random
              ) -> tuple[tuple[EventId, ...], tuple]:
@@ -155,9 +155,8 @@ class Walker:
             )
         state = _WalkState()
         entry_scc = self.scc_of[entry]
-        roots = self._candidates(entry, mode, False)
-        order = rng.sample(roots, len(roots)) if roots else []
-        for root in order:
+        roots = self.candidates.get(entry, _NO_PATHS)[mode is Label.ANOMALY]
+        for root in rng.sample(roots, len(roots)):
             for _ in range(_ROOT_TRIES):
                 state.reset()
                 if entry_scc in self.cycle_sccs:
@@ -171,13 +170,7 @@ class Walker:
             f"({mode.value}) exhausted every choice"
         )
 
-    def _visit(self, mid: MethodId, mode: Label, state: "_WalkState",
-               rng: random.Random) -> bool:
-        cands = self._candidates(mid, mode, state.hit)
-        for path in rng.sample(cands, len(cands)):
-            if self._try_path(mid, path, mode, state, rng):
-                return True
-        return False
+    # A call level costs three frames: _call -> _try_path -> _run_forest.
 
     def _try_path(self, mid: MethodId, path: LogPath, mode: Label,
                   state: "_WalkState", rng: random.Random) -> bool:
@@ -185,7 +178,7 @@ class Walker:
         if self.status[path.id] is Status.SEED:
             state.hit = True
         state.trace.append(("ep", mid, path.id))
-        if self._run_forest(_parse_regions(path.steps), mode, state, rng):
+        if self._run_forest(path.regions, mode, state, rng):
             return True
         state.restore(mark)
         return False
@@ -193,17 +186,16 @@ class Walker:
     def _run_forest(self, forest, mode: Label, state: "_WalkState",
                     rng: random.Random) -> bool:
         for node in forest:
-            if node[0] == "step":
-                step = node[1]
-                if isinstance(step, LogStep):
-                    state.events.append(step.event)
-                elif not self._call(step.callee, mode, state, rng):
+            if isinstance(node, LogStep):
+                state.events.append(node.event)
+            elif isinstance(node, CallStep):
+                if not self._call(node.callee, mode, state, rng):
                     return False
             else:  # loop region: replay with fresh choices per repetition
                 reps = rng.randint(1, self.params.max_loop_reps)
                 state.trace.append(("reps", reps))
                 for _ in range(reps):
-                    if not self._run_forest(node[1], mode, state, rng):
+                    if not self._run_forest(node, mode, state, rng):
                         return False
         return True
 
@@ -215,7 +207,15 @@ class Walker:
             if state.scc_active.get(scc, 0) > self.params.max_recursion_depth:
                 return False
             state.scc_active[scc] = state.scc_active.get(scc, 0) + 1
-        ok = self._visit(callee, mode, state, rng)
+        # index 0 normal, 1 anomaly before a seed, 2 after (normal walks
+        # never take a seed path, so their `hit` stays False)
+        cands = self.candidates.get(callee, _NO_PATHS)[
+            (mode is Label.ANOMALY) + state.hit]
+        ok = False
+        for path in rng.sample(cands, len(cands)):
+            if self._try_path(callee, path, mode, state, rng):
+                ok = True
+                break
         if cyclic:
             state.scc_active[scc] -= 1
         return ok
@@ -240,24 +240,26 @@ class Walker:
         path = self.store.path(pid)
         if path.method != mid:
             raise LogsynthError(f"path {pid} does not belong to method {mid}")
-        self._replay_forest(_parse_regions(path.steps), cursor, events)
+        self._replay_forest(path.regions, cursor, events)
 
     def _replay_forest(self, forest, cursor: "_TraceCursor",
                        events: list[EventId]) -> None:
         for node in forest:
-            if node[0] == "step":
-                step = node[1]
-                if isinstance(step, LogStep):
-                    events.append(step.event)
-                else:
-                    self._replay_method(step.callee, cursor, events)
+            if isinstance(node, LogStep):
+                events.append(node.event)
+            elif isinstance(node, CallStep):
+                self._replay_method(node.callee, cursor, events)
             else:
                 _, reps = cursor.take("reps")
                 for _ in range(reps):
-                    self._replay_forest(node[1], cursor, events)
+                    self._replay_forest(node, cursor, events)
 
 
 class _WalkState:
+    """The walk in progress.  A snapshot leaves out `scc_active`: every
+    `_call` undoes its own increment, so on restore it already holds the
+    snapshot's counts."""
+
     def __init__(self):
         self.events: list[int] = []
         self.trace: list[tuple] = []
@@ -271,14 +273,12 @@ class _WalkState:
         self.hit = False
 
     def snapshot(self):
-        return (len(self.events), len(self.trace), dict(self.scc_active), self.hit)
+        return (len(self.events), len(self.trace), self.hit)
 
     def restore(self, mark):
-        ev, tr, scc, hit = mark
+        ev, tr, self.hit = mark
         del self.events[ev:]
         del self.trace[tr:]
-        self.scc_active = scc
-        self.hit = hit
 
 
 class _TraceCursor:
@@ -295,31 +295,6 @@ class _TraceCursor:
 
     def done(self):
         return self.pos == len(self.trace)
-
-
-def _parse_regions(steps: tuple) -> list:
-    """Group marked steps into a forest of ("step", s) leaves and
-    ("region", children) loop nodes.  Unbalanced marks (possible when
-    nested loop boundaries coincide) degrade to plain steps."""
-    root: list = []
-    stack: list[list] = [root]
-    for s in steps:
-        mark = s.loop_mark
-        if mark in (Mark.START, Mark.BOTH):
-            region: list = []
-            stack[-1].append(("region", region))
-            stack.append(region)
-        stack[-1].append(("step", s))
-        if mark in (Mark.END, Mark.BOTH) and len(stack) > 1:
-            stack.pop()
-    while len(stack) > 1:  # regions never closed: dissolve, no repetition
-        region = stack.pop()
-        parent = stack[-1]
-        for i, node in enumerate(parent):
-            if node[0] == "region" and node[1] is region:
-                parent[i:i + 1] = region
-                break
-    return root
 
 
 # ── Sequence and dataset generation ──────────────────────────────────
@@ -389,11 +364,12 @@ def _plan_labels(params: GenParams) -> list[Label | None]:
     return labels
 
 
-def _make_sequence(walker: Walker, seq_id: int, planned: Label | None,
-                   params: GenParams, normal_entries: list[int],
-                   anomaly_entries: list[int]) -> tuple[LogSequence, tuple]:
+def _make_sequence(context, job: tuple[int, Label | None]
+                   ) -> tuple[LogSequence, tuple]:
+    walker, normal_entries, anomaly_entries = context
+    seq_id, label = job
+    params = walker.params
     rng = sequence_rng(params.seed, seq_id)
-    label = planned
     if label is None:
         label = Label.ANOMALY if rng.random() < params.anomaly_rate else Label.NORMAL
     pool = anomaly_entries if label is Label.ANOMALY else normal_entries
@@ -404,28 +380,6 @@ def _make_sequence(walker: Walker, seq_id: int, planned: Label | None,
     entry = rng.choice(pool)
     events, trace = walker.walk(entry, label, rng)
     return LogSequence(seq_id=seq_id, label=label, events=events, entry=entry), trace
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(model, store, infection, call_graph, params,
-               normal_entries, anomaly_entries):
-    _POOL_STATE["walker"] = Walker(model, store, infection, call_graph, params)
-    _POOL_STATE["args"] = (params, normal_entries, anomaly_entries)
-
-
-def _pool_run(chunk):
-    walker = _POOL_STATE["walker"]
-    params, normal_entries, anomaly_entries = _POOL_STATE["args"]
-    out = []
-    for seq_id, planned in chunk:
-        label = None if planned is None else Label(planned)
-        seq, trace = _make_sequence(
-            walker, seq_id, label, params, normal_entries, anomaly_entries
-        )
-        out.append((seq, trace))
-    return out
 
 
 def generate_dataset(
@@ -465,29 +419,9 @@ def generate_dataset(
     if needs_normal and not normal_entries:
         raise ConfigError("no entry method admits a normal (seed-free) walk")
 
-    jobs = list(enumerate(labels))
-    results: list[tuple[LogSequence, tuple]] = []
-    if workers <= 1 or params.size < 2:
-        for seq_id, planned in jobs:
-            results.append(_make_sequence(
-                walker, seq_id, planned, params, normal_entries, anomaly_entries
-            ))
-    else:
-        chunk_size = max(1, params.size // (workers * 4))
-        chunks = [
-            [(sid, lab.value if lab else None) for sid, lab in jobs[i:i + chunk_size]]
-            for i in range(0, len(jobs), chunk_size)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(model, store, infection, call_graph, params,
-                      normal_entries, anomaly_entries),
-        ) as pool:
-            for part in pool.map(_pool_run, chunks):
-                results.extend(part)
-
-    results.sort(key=lambda r: r[0].seq_id)
+    results = ordered_map(_make_sequence,
+                          (walker, normal_entries, anomaly_entries),
+                          enumerate(labels), workers)
     sequences = [seq for seq, _ in results]
     traces = {seq.seq_id: tr for seq, tr in results} if keep_traces else None
     return LogDataset(

@@ -176,11 +176,16 @@ class ExecutionGraph:
             )
         return found[0]
 
-    def successors(self, node: ActivityId) -> list[tuple[ActivityId, Guard | None]]:
-        """Out-edges of a node in a deterministic order (true guard first)."""
-        out = [(to, g) for (frm, to, g) in self.edges if frm == node]
-        out.sort(key=lambda e: (0 if (e[1] is not None and e[1].value) else 1,
-                                e[0], format_guard(e[1]) if e[1] else ""))
+    def out_edges(self) -> dict[ActivityId, list[tuple[ActivityId, Guard | None]]]:
+        """Each node's out-edges in a deterministic order (true guard
+        first), built in one pass; nodes without out-edges are absent."""
+        out: dict[ActivityId, list[tuple[ActivityId, Guard | None]]] = {}
+        for frm, to, g in self.edges:
+            out.setdefault(frm, []).append((to, g))
+        for succ in out.values():
+            if len(succ) > 1:
+                succ.sort(key=lambda e: (0 if (e[1] is not None and e[1].value) else 1,
+                                         e[0], format_guard(e[1]) if e[1] else ""))
         return out
 
     def reachable_from_entry(self) -> set[ActivityId]:
@@ -358,9 +363,10 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
             raise ModelFormatError(
                 f"{where}: guarded edge {frm}->{to} leaves a non-branch activity"
             )
+    succ = cfg.out_edges()
     for aid, act in cfg.nodes.items():
         if isinstance(act, Branch):
-            out = [(to, g) for (frm, to, g) in cfg.edges if frm == aid]
+            out = succ.get(aid, [])
             if len(out) != 2 or any(g is None for _, g in out):
                 raise ModelFormatError(
                     f"{where}: branch {aid} must have exactly 2 guarded out-edges"
@@ -375,7 +381,7 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
                     f"{where}: branch {aid} condition does not match its out-guards"
                 )
         elif isinstance(act, Exit):
-            if any(frm == aid for frm, _, _ in cfg.edges):
+            if aid in succ:
                 raise ModelFormatError(f"{where}: EXIT activity {aid} has out-edges")
     reach = cfg.reachable_from_entry()
     if exit_ not in reach:

@@ -21,7 +21,9 @@ import enum
 import itertools
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
+from .errors import LogsynthError
 from .model import (
     AssignAct,
     Call,
@@ -38,6 +40,7 @@ from .model import (
     Var,
     natural_loops,
 )
+from .parallel import ordered_map
 from .pruning import PrunedCallGraph
 
 log = logging.getLogger(__name__)
@@ -86,10 +89,33 @@ class LogPath:
         default=(), compare=False, repr=False
     )
 
+    @cached_property
+    def regions(self) -> tuple:
+        """The steps as a forest, decoded on first use and kept: a loop
+        region is a tuple of its nodes, any other node is a step.
+        Unbalanced marks (possible when nested loop boundaries coincide)
+        degrade to plain steps."""
+        stack: list[list] = [[]]
+        for s in self.steps:
+            if s.loop_mark in (Mark.START, Mark.BOTH):
+                stack.append([])
+            stack[-1].append(s)
+            if s.loop_mark in (Mark.END, Mark.BOTH) and len(stack) > 1:
+                region = tuple(stack.pop())
+                stack[-1].append(region)
+        while len(stack) > 1:  # regions never closed: dissolve, no repetition
+            region = stack.pop()
+            stack[-1].extend(region)
+        return tuple(stack[0])
+
 
 @dataclass(frozen=True)
 class PathLimits:
     max_paths_per_method: int = 4096
+
+    def __post_init__(self):
+        if self.max_paths_per_method < 1:
+            raise LogsynthError("max paths per method must be >= 1")
 
 
 @dataclass
@@ -175,7 +201,7 @@ def _iter_walks(cfg: ExecutionGraph, start: int, goal: int, *,
     complete walks to goal.  Deterministic: successors are explored
     true-guard-first.
     """
-    succ = {n: cfg.successors(n) for n in cfg.nodes}
+    succ = cfg.out_edges()
     path: list[tuple[int, Guard | None]] = [(start, None)]
     used: set[tuple[int, int, str]] = set()
     count = 0
@@ -188,7 +214,7 @@ def _iter_walks(cfg: ExecutionGraph, start: int, goal: int, *,
         if node == target:
             count += 1
             yield tuple(path)
-        for to, guard in succ[node]:
+        for to, guard in succ.get(node, ()):
             if cap is not None and count >= cap:
                 return
             key = (node, to, "" if guard is None else f"{guard.var}:{guard.value}")
@@ -446,31 +472,14 @@ def _method_paths(method: MethodNode, cg_prime: PrunedCallGraph,
     return final
 
 
-def _method_events(method: MethodNode, limits: PathLimits,
-                   assignments: list[tuple[int, LoggingStatement]]
-                   ) -> list[LogEvent]:
-    return [restore_statement(stmt, method, eid, limits)
-            for eid, stmt in assignments]
-
-
-_POOL: dict = {}
-
-
-def _pool_init(model, cg_prime, limits, stmt_to_event, event_plan):
-    _POOL.update(model=model, cg_prime=cg_prime, limits=limits,
-                 stmt_to_event=stmt_to_event, event_plan=event_plan)
-
-
-def _pool_task(mids: list[int]):
-    out = []
-    for mid in mids:
-        method = _POOL["model"].methods[mid]
-        events = _method_events(method, _POOL["limits"],
-                                _POOL["event_plan"].get(mid, []))
-        paths = _method_paths(method, _POOL["cg_prime"], _POOL["limits"],
-                              _POOL["stmt_to_event"])
-        out.append((mid, events, paths))
-    return out
+def _method_result(context, mid: MethodId
+                   ) -> tuple[list[LogEvent], list[LogPath]]:
+    """One kept method's restored events and final paths (ids -1)."""
+    model, cg_prime, limits, stmt_to_event, event_plan = context
+    method = model.methods[mid]
+    events = [restore_statement(stmt, method, eid, limits)
+              for eid, stmt in event_plan.get(mid, [])]
+    return events, _method_paths(method, cg_prime, limits, stmt_to_event)
 
 
 def build_store(
@@ -496,32 +505,15 @@ def build_store(
         next_event += 1
 
     kept = sorted(cg_prime.kept)
-    results: dict[int, tuple[list[LogEvent], list[LogPath]]] = {}
-    if workers <= 1 or len(kept) < 4:
-        for mid in kept:
-            method = model.methods[mid]
-            results[mid] = (
-                _method_events(method, limits, event_plan.get(mid, [])),
-                _method_paths(method, cg_prime, limits, stmt_to_event),
-            )
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(kept) // (workers * 4))
-        batches = [kept[i:i + chunk] for i in range(0, len(kept), chunk)]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init,
-            initargs=(model, cg_prime, limits, stmt_to_event, event_plan),
-        ) as pool:
-            for part in pool.map(_pool_task, batches):
-                for mid, events, paths in part:
-                    results[mid] = (events, paths)
+    results = ordered_map(
+        _method_result, (model, cg_prime, limits, stmt_to_event, event_plan),
+        kept, workers,
+    )
 
     all_events: dict[int, LogEvent] = {}
     by_method: dict[int, list[LogPath]] = {}
     next_id = 0
-    for mid in kept:
-        events, paths = results[mid]
+    for mid, (events, paths) in zip(kept, results):
         for ev in events:
             all_events[ev.event_id] = ev
         final = []

@@ -81,6 +81,28 @@ def test_missing_model_file_exits_cleanly(tmp_path, capsys):
     assert "error:" in err and "nope.txt" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_max_paths_is_an_error(tmp_path, capsys, value):
+    out = tmp_path / "art"
+    code, _, err = run(capsys, "analyze", FIXTURE, "--out", str(out),
+                       "--max-paths", value)
+    assert code == 1
+    assert "error: max paths per method must be >= 1" in err
+    assert not (out / "paths.txt").exists()
+
+
+def test_non_integer_seed_env_is_an_error(tmp_path, capsys, artifacts,
+                                          monkeypatch):
+    art, ann = artifacts
+    monkeypatch.setenv("LOGSYNTH_SEED", "4.5")
+    code, _, err = run(
+        capsys, "generate", "--model", str(art / "model.txt"),
+        "--annotations", str(ann), "--size", "5", "--out", str(tmp_path / "ds"),
+    )
+    assert code == 1
+    assert "error: LOGSYNTH_SEED must be an integer, got '4.5'" in err
+
+
 def test_prune_dump(capsys):
     code, out, _ = run(capsys, "prune", FIXTURE, "--dump")
     assert code == 0

@@ -483,6 +483,24 @@ def test_label_soundness_via_traces(datanode_analysis, datanode_infection):
         assert hit_seed == (seq.label is Label.ANOMALY)
 
 
+def test_deep_call_chain_generates_in_process():
+    # 250 levels of three walker frames each fit under the default
+    # recursion limit beside the test runner's own frames
+    depth = 250
+    source = "\n".join([f"void m{i}(){{ m{i + 1}(); }}" for i in range(depth)]
+                       + [f'void m{depth}(){{ log(info, "bottom"); }}'])
+    analysis = analyze_model(parse_program(source))
+    infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+    params = _params(size=2)
+    ds = generate_dataset(
+        params, analysis.model, infection, analysis.store, analysis.pruned,
+        analysis.call_graph, keep_traces=True,
+    )
+    assert [s.events for s in ds.sequences] == [(0,), (0,)]
+    walker = _walker(analysis, infection, params)
+    assert walker.replay(0, ds.traces[0]) == (0,)
+
+
 # ── Parameter validation ─────────────────────────────────────────────
 
 @pytest.mark.parametrize("kw", [
