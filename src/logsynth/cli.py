@@ -106,7 +106,9 @@ def _analysis_from(args):
 
 def _workers(args) -> int:
     n = getattr(args, "workers", 0)
-    return n if n and n > 0 else (os.cpu_count() or 1)
+    if n < 0:
+        raise ConfigError("--workers must be >= 0 (0 means one per CPU)")
+    return n or os.cpu_count() or 1
 
 
 def _cmd_analyze(args) -> int:

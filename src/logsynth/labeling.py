@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import LogsynthError
-from .model import EventId, Log, ProgramModel
+from .model import EventId, ProgramModel
 from .pathfinding import LogStep, PathStore
 
 
@@ -58,17 +58,11 @@ def export_worksheet(store: PathStore, model: ProgramModel, path) -> None:
 
     lines = ["# mark alerting events by appending ' ALERT' to their EVT line,",
              "# then add 'SEED <path-id>' lines for anomaly paths"]
-    stmt_home = {}
-    for mid, _aid, stmt in model.statements():
-        stmt_home[stmt.id] = mid
+    stmt_home = {stmt.id: (mid, stmt) for mid, _aid, stmt in model.statements()}
     for eid in sorted(store.events):
         ev = store.events[eid]
-        mid = stmt_home[ev.origin]
+        mid, stmt = stmt_home[ev.origin]
         method = model.methods[mid]
-        stmt = next(
-            act.stmt for act in method.cfg.nodes.values()
-            if isinstance(act, Log) and act.stmt.id == ev.origin
-        )
         if stmt.line is not None:
             lines.append(f"# {method.name} line {stmt.line}")
         for p in paths_by_event.get(eid, []):

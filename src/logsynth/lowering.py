@@ -25,7 +25,6 @@ from .model import (
     MethodNode,
     ProgramModel,
     Var,
-    derive_loop_heads,
     validate_model,
 )
 
@@ -119,12 +118,7 @@ class _CfgBuilder:
     def finish(self, dangling: list[tuple[int, Guard | None]]) -> ExecutionGraph:
         exit_id = self._add(Exit())
         self._connect(dangling + self.returns, exit_id)
-        graph = ExecutionGraph(self.nodes, self.edges, set())
-        # derived rather than recorded per `while`, so loops that cannot
-        # cycle (unreachable, or bodies that always return) are plain
-        # branches, matching what a model-file load reconstructs
-        graph.loop_heads = derive_loop_heads(graph)
-        return graph
+        return ExecutionGraph(self.nodes, self.edges)
 
 
 class _Counter:

@@ -19,7 +19,9 @@ ambiguous dispatch).
 
 Statement ids are not stored: they are re-derived on load in
 (method-id, activity-id) order, which is also the order the frontend
-assigns them in, so save/load round-trips are exact.
+assigns them in, so save/load round-trips are exact.  Loop heads are
+neither stored nor derived on load: `natural_loops` finds them in the
+graph where a pass needs them.
 """
 
 from __future__ import annotations
@@ -160,7 +162,11 @@ _KIND_NAMES = {
 class ExecutionGraph:
     nodes: dict[ActivityId, Activity]
     edges: set[tuple[ActivityId, ActivityId, Guard | None]]
-    loop_heads: set[ActivityId] = field(default_factory=set)
+
+    @property
+    def loop_heads(self) -> set[ActivityId]:
+        """The heads of `natural_loops`, derived on every read."""
+        return set(natural_loops(self))
 
     def entry_id(self) -> ActivityId:
         return self._only(Entry)
@@ -204,61 +210,63 @@ class ExecutionGraph:
         return seen
 
 
-def dominators(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
-    """Dominator sets over entry-reachable nodes (iterative dataflow)."""
-    entry = graph.entry_id()
-    reach = graph.reachable_from_entry()
-    preds: dict[int, list[int]] = {n: [] for n in reach}
-    for frm, to, _ in graph.edges:
-        if frm in reach and to in reach:
-            preds[to].append(frm)
-    dom = {n: set(reach) for n in reach}
-    dom[entry] = {entry}
-    order = sorted(reach)
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            if n == entry:
-                continue
-            ps = preds[n]
-            new = set.intersection(*(dom[p] for p in ps)) if ps else set()
-            new.add(n)
-            if new != dom[n]:
-                dom[n] = new
-                changed = True
-    return dom
-
-
-def derive_loop_heads(graph: ExecutionGraph) -> set[ActivityId]:
-    """Loop heads: branch nodes that dominate the source of one of their
-    in-edges (i.e. targets of a back edge)."""
-    dom = dominators(graph)
-    heads: set[ActivityId] = set()
-    for frm, to, _ in graph.edges:
-        if frm in dom and isinstance(graph.nodes.get(to), Branch) and to in dom[frm]:
-            heads.add(to)
-    return heads
-
-
 def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
     """Per loop head, its natural loop: the head plus everything that
-    reaches one of its back-edge sources without passing through it."""
-    dom = dominators(graph) if graph.loop_heads else {}
+    reaches one of its back-edge sources without passing through it.
+
+    A loop head is a branch that dominates the source of one of its
+    in-edges (the edge is then a back edge).  Such an edge returns to a
+    node on the stack of any depth-first search from entry, so only those
+    edges are candidates; a candidate head dominates a source exactly when
+    entry cannot reach the source once the head is removed.  Heads are
+    derived, never recorded per `while`, so a loop that cannot cycle
+    (unreachable, or a body that always returns) is a plain branch.
+    Memory is linear in the graph; time is linear per candidate head."""
+    entry = graph.entry_id()
+    succ: dict[int, list[int]] = {}
     preds: dict[int, list[int]] = {}
     for frm, to, _ in graph.edges:
+        succ.setdefault(frm, []).append(to)
         preds.setdefault(to, []).append(frm)
+
+    candidates: dict[ActivityId, list[ActivityId]] = {}  # head -> sources
+    seen = {entry}
+    on_stack = {entry}
+    stack = [(entry, iter(succ.get(entry, ())))]
+    while stack:
+        node, it = stack[-1]
+        for to in it:
+            if to in on_stack:
+                if isinstance(graph.nodes.get(to), Branch):
+                    candidates.setdefault(to, []).append(node)
+            elif to not in seen:
+                seen.add(to)
+                on_stack.add(to)
+                stack.append((to, iter(succ.get(to, ()))))
+                break
+        else:
+            stack.pop()
+            on_stack.discard(node)
+
     loops = {}
-    for head in graph.loop_heads:
+    for head in sorted(candidates):
+        alive = {entry}
+        work = [entry]
+        while work:
+            for m in succ.get(work.pop(), ()):
+                if m != head and m not in alive:
+                    alive.add(m)
+                    work.append(m)
+        sources = [u for u in candidates[head] if u not in alive]
+        if not sources:
+            continue
         loop = {head}
-        stack = [frm for frm, to, _ in graph.edges
-                 if to == head and frm in dom and head in dom[frm]]
-        while stack:
-            n = stack.pop()
+        while sources:
+            n = sources.pop()
             if n in loop:
                 continue
             loop.add(n)
-            stack.extend(preds.get(n, ()))
+            sources.extend(preds.get(n, ()))
         loops[head] = loop
     return loops
 
@@ -386,10 +394,6 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
     reach = cfg.reachable_from_entry()
     if exit_ not in reach:
         raise ModelFormatError(f"{where}: EXIT not reachable from ENTRY")
-    derived = derive_loop_heads(cfg)
-    if not cfg.loop_heads <= derived:
-        extra = sorted(cfg.loop_heads - derived)
-        raise ModelFormatError(f"{where}: activities {extra} are not loop heads")
     if entry == exit_:  # pragma: no cover - impossible by construction
         raise ModelFormatError(f"{where}: ENTRY and EXIT coincide")
 
@@ -515,8 +519,8 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 def loads_model(text: str) -> ProgramModel:
-    """Parse model-file text, re-derive statement ids and loop heads, and
-    validate all invariants."""
+    """Parse model-file text, re-derive statement ids, and validate all
+    invariants."""
     methods_meta: dict[int, tuple[str, str | None]] = {}
     activities: dict[int, dict[int, tuple[str, str | None]]] = {}
     edges: dict[int, set[tuple[int, int, Guard | None]]] = {}
@@ -646,9 +650,8 @@ def loads_model(text: str) -> ProgramModel:
                 if payload is None:
                     raise ModelFormatError(f"method {mid} activity {aid}: BRANCH needs a payload")
                 nodes[aid] = Branch(parse_guard(payload))
-        cfg = ExecutionGraph(nodes=nodes, edges=edges[mid], loop_heads=set())
-        cfg.loop_heads = derive_loop_heads(cfg)
-        methods[mid] = MethodNode(id=mid, name=name, cfg=cfg)
+        methods[mid] = MethodNode(
+            id=mid, name=name, cfg=ExecutionGraph(nodes=nodes, edges=edges[mid]))
 
     model = ProgramModel(
         methods=methods,

@@ -25,6 +25,7 @@ from functools import cached_property
 
 from .errors import LogsynthError
 from .model import (
+    ActivityId,
     AssignAct,
     Call,
     EventId,
@@ -33,7 +34,6 @@ from .model import (
     Literal,
     Log,
     LogEvent,
-    LoggingStatement,
     MethodId,
     MethodNode,
     ProgramModel,
@@ -193,40 +193,34 @@ def filter_infeasible(paths: list[LogPath]) -> list[LogPath]:
 
 # ── Raw walks over one execution graph ───────────────────────────────
 
-def _iter_walks(cfg: ExecutionGraph, start: int, goal: int, *,
-                prefixes_to: int | None = None, cap: int | None = None):
-    """Yield edge-simple walks from start as tuples of (node, in-guard).
-
-    With prefixes_to set, yields every arrival at that node instead of
-    complete walks to goal.  Deterministic: successors are explored
-    true-guard-first.
-    """
+def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
+    """Yield, at every arrival at `target`, the edge-simple walk from
+    `start` as a tuple of (node, in-guard).  The search goes on past the
+    target, on an explicit stack, so walk length is bounded by the graph
+    and not by the interpreter's recursion limit.  Deterministic:
+    successors are explored true-guard-first."""
     succ = cfg.out_edges()
     path: list[tuple[int, Guard | None]] = [(start, None)]
-    used: set[tuple[int, int, str]] = set()
-    count = 0
-    target = prefixes_to if prefixes_to is not None else goal
-
-    def rec(node):
-        nonlocal count
-        if cap is not None and count >= cap:
-            return
-        if node == target:
-            count += 1
-            yield tuple(path)
-        for to, guard in succ.get(node, ()):
-            if cap is not None and count >= cap:
-                return
-            key = (node, to, "" if guard is None else f"{guard.var}:{guard.value}")
-            if key in used:
-                continue
-            used.add(key)
-            path.append((to, guard))
-            yield from rec(to)
+    used: set[tuple[int, int]] = set()  # (node, out-edge index)
+    # per frame: its untried out-edges and the used edge that entered it
+    stack = [(enumerate(succ.get(start, ())), None)]
+    while stack:
+        node = path[-1][0]
+        edges, into = stack[-1]
+        for i, (to, guard) in edges:
+            if (node, i) not in used:
+                break
+        else:
+            stack.pop()
             path.pop()
-            used.discard(key)
-
-    yield from rec(start)
+            used.discard(into)
+            continue
+        key = (node, i)
+        used.add(key)
+        path.append((to, guard))
+        if to == target:
+            yield tuple(path)
+        stack.append((enumerate(succ.get(to, ())), key))
 
 
 def _trace_of(cfg: ExecutionGraph, visits,
@@ -264,7 +258,7 @@ def _resolve_var(cfg: ExecutionGraph, node: int, var: str,
     values: set[str] = set()
     seen = 0
     feasible = 0
-    for visits in _iter_walks(cfg, entry, -1, prefixes_to=node, cap=budget + 1):
+    for visits in _iter_walks(cfg, entry, node):
         seen += 1
         if seen > budget:
             return None  # truncated: cannot prove uniqueness
@@ -286,19 +280,13 @@ def _resolve_var(cfg: ExecutionGraph, node: int, var: str,
     return next(iter(values))
 
 
-def restore_statement(stmt: LoggingStatement, method: MethodNode,
+def restore_statement(method: MethodNode, node: ActivityId,
                       event_id: int = 0,
                       limits: PathLimits = PathLimits()) -> LogEvent:
-    """Build the statement's message template: literals are kept, and each
-    variable becomes its uniquely-dominating in-method constant or the
-    placeholder token."""
-    node = None
-    for aid, act in method.cfg.nodes.items():
-        if isinstance(act, Log) and act.stmt.id == stmt.id:
-            node = aid
-            break
-    if node is None:
-        raise ValueError(f"statement {stmt.id} not found in method {method.name}")
+    """Build the message template of the LOG activity `node`: literals
+    are kept, and each variable becomes its uniquely-dominating in-method
+    constant or the placeholder token."""
+    stmt = method.cfg.nodes[node].stmt
     loops = (natural_loops(method.cfg)
              if any(isinstance(p, Var) for p in stmt.parts) else {})
     pieces: list[str] = []
@@ -377,7 +365,7 @@ def enumerate_logeps(
     budget = limits.max_paths_per_method
     truncated = False
 
-    for visits in _iter_walks(cfg, entry, exit_, cap=budget + 1):
+    for visits in itertools.islice(_iter_walks(cfg, entry, exit_), budget + 1):
         if len(out) > budget:
             truncated = True
             break
@@ -477,8 +465,8 @@ def _method_result(context, mid: MethodId
     """One kept method's restored events and final paths (ids -1)."""
     model, cg_prime, limits, stmt_to_event, event_plan = context
     method = model.methods[mid]
-    events = [restore_statement(stmt, method, eid, limits)
-              for eid, stmt in event_plan.get(mid, [])]
+    events = [restore_statement(method, aid, eid, limits)
+              for eid, aid in event_plan.get(mid, [])]
     return events, _method_paths(method, cg_prime, limits, stmt_to_event)
 
 
@@ -493,7 +481,7 @@ def build_store(
     paths.  Per-method work is independent; the worker count never
     changes the result."""
     stmt_to_event: dict[int, int] = {}
-    event_plan: dict[int, list[tuple[int, LoggingStatement]]] = {}
+    event_plan: dict[int, list[tuple[int, ActivityId]]] = {}
     next_event = 0
     reachable = {mid: model.methods[mid].cfg.reachable_from_entry()
                  for mid in cg_prime.kept}
@@ -501,7 +489,7 @@ def build_store(
         if mid not in cg_prime.kept or aid not in reachable[mid]:
             continue
         stmt_to_event[stmt.id] = next_event
-        event_plan.setdefault(mid, []).append((next_event, stmt))
+        event_plan.setdefault(mid, []).append((next_event, aid))
         next_event += 1
 
     kept = sorted(cg_prime.kept)

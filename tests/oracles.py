@@ -146,11 +146,27 @@ def assignment_feasible(cfg: ExecutionGraph, visits) -> bool:
     return not variables
 
 
+def _sweep(start: int, nxt: dict[int, list[int]], banned: int | None) -> set[int]:
+    """Nodes reached from `start` along `nxt` without entering `banned`."""
+    if start == banned:
+        return set()
+    seen = {start}
+    stack = [start]
+    while stack:
+        n = stack.pop()
+        for m in nxt.get(n, ()):
+            if m != banned and m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
+
+
 def _cycle_set(cfg: ExecutionGraph, head: int) -> set[int]:
     """The head's natural loop, from first principles: `head` dominates a
-    node exactly when deleting `head` disconnects it from entry, and the
-    loop is everything that can reach a dominated back-edge source
-    without crossing the head."""
+    node exactly when deleting `head` disconnects it from entry (so the
+    node is reachable while `head` is present), and the loop is
+    everything that can reach a dominated back-edge source without
+    crossing the head."""
     entry = cfg.entry_id()
     succ: dict[int, list[int]] = {}
     pred: dict[int, list[int]] = {}
@@ -158,28 +174,31 @@ def _cycle_set(cfg: ExecutionGraph, head: int) -> set[int]:
         succ.setdefault(frm, []).append(to)
         pred.setdefault(to, []).append(frm)
 
-    def sweep(start: int, nxt: dict[int, list[int]], banned: int) -> set[int]:
-        if start == banned:
-            return set()
-        seen = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for m in nxt.get(n, ()):
-                if m != banned and m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
-
-    alive_without_head = sweep(entry, succ, banned=head)
+    reach = _sweep(entry, succ, banned=None)
+    alive_without_head = _sweep(entry, succ, banned=head)
     back_sources = [
         frm for frm, to, _ in cfg.edges
-        if to == head and frm not in alive_without_head
+        if to == head and frm in reach and frm not in alive_without_head
     ]
     loop = {head}
     for u in back_sources:
-        loop |= {u} | sweep(u, pred, banned=head)
+        loop |= {u} | _sweep(u, pred, banned=head)
     return loop
+
+
+def loops_by_removal(cfg: ExecutionGraph) -> dict[int, set[int]]:
+    """Every loop head with its natural loop, from first principles: a
+    branch is a head when removing it disconnects from entry some
+    reachable source of an edge into it."""
+    entry = cfg.entry_id()
+    succ: dict[int, list[int]] = {}
+    for frm, to, _ in cfg.edges:
+        succ.setdefault(frm, []).append(to)
+    reach = _sweep(entry, succ, banned=None)
+    heads = {to for frm, to, _ in cfg.edges
+             if isinstance(cfg.nodes[to], Branch) and frm in reach
+             and frm not in _sweep(entry, succ, banned=to)}
+    return {h: _cycle_set(cfg, h) for h in heads}
 
 
 def project_walk(cfg: ExecutionGraph, visits, kept: set[int],

@@ -91,6 +91,15 @@ def test_non_positive_max_paths_is_an_error(tmp_path, capsys, value):
     assert not (out / "paths.txt").exists()
 
 
+def test_negative_workers_is_an_error(tmp_path, capsys):
+    out = tmp_path / "art"
+    code, _, err = run(capsys, "analyze", FIXTURE, "--out", str(out),
+                       "--workers", "-3")
+    assert code == 1
+    assert "error: --workers must be >= 0" in err
+    assert not (out / "paths.txt").exists()
+
+
 def test_non_integer_seed_env_is_an_error(tmp_path, capsys, artifacts,
                                           monkeypatch):
     art, ann = artifacts

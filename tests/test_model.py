@@ -7,17 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsynth.model import (
+    AssignAct,
+    Branch,
     Call,
     Entry,
+    ExecutionGraph,
     Exit,
+    Guard,
     ModelFormatError,
     dumps_model,
     loads_model,
     load_model,
+    natural_loops,
     save_model,
 )
 
 from .modelgen import call_graph_model, minimal_model_text, parse_program, structured_program
+from .oracles import loops_by_removal
 
 
 def test_golden_model_round_trips(datanode_model, tmp_path):
@@ -183,3 +189,58 @@ def test_thousand_method_model_round_trips():
     again = loads_model(text)
     assert again == model
     assert dumps_model(again) == text
+
+
+# ── Loop analysis ────────────────────────────────────────────────────
+
+def _random_graph(rng: random.Random) -> ExecutionGraph:
+    """A graph in none of lowering's shapes: irreducible cycles,
+    self-loops, parallel guarded edges and unreachable nodes all occur."""
+    n = rng.randint(1, 12)
+    nodes = {0: Entry(), n + 1: Exit()}
+    for aid in range(1, n + 1):
+        nodes[aid] = (Branch(Guard("c", True)) if rng.random() < 0.6
+                      else AssignAct("c", "v"))
+    edges = set()
+    for _ in range(rng.randint(n, 3 * n)):
+        frm, to = rng.randrange(n + 1), rng.randrange(1, n + 2)
+        if isinstance(nodes[frm], Branch):
+            value = rng.random() < 0.5
+            edges.add((frm, to, Guard("c", value)))
+            if rng.random() < 0.2:
+                edges.add((frm, to, Guard("c", not value)))
+        else:
+            edges.add((frm, to, None))
+    return ExecutionGraph(nodes, edges)
+
+
+def test_natural_loops_match_removal_oracle_on_random_graphs():
+    shapes = {"loops": 0, "self-loop heads": 0, "unreachable": 0}
+    for seed in range(400):
+        cfg = _random_graph(random.Random(seed))
+        loops = natural_loops(cfg)
+        assert loops == loops_by_removal(cfg), seed
+        shapes["loops"] += bool(loops)
+        shapes["self-loop heads"] += any((h, h) == e[:2] for h in loops
+                                         for e in cfg.edges)
+        shapes["unreachable"] += len(cfg.reachable_from_entry()) < len(cfg.nodes)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_natural_loops_skip_irreducible_cycles():
+    # entry branches into a two-node cycle at both nodes: neither node
+    # dominates the other, so the cycle has no head; the self-loop does
+    nodes = {0: Entry(), 1: Branch(Guard("c", True)), 2: Branch(Guard("d", True)),
+             3: Branch(Guard("e", True)), 4: Exit()}
+    edges = {(0, 1, None), (1, 2, Guard("c", True)), (1, 3, Guard("c", False)),
+             (2, 3, Guard("d", True)), (2, 4, Guard("d", False)),
+             (3, 2, Guard("e", True)), (3, 3, Guard("e", False))}
+    cfg = ExecutionGraph(nodes, edges)
+    assert natural_loops(cfg) == loops_by_removal(cfg) == {3: {3}}
+
+
+def test_natural_loops_match_removal_oracle_on_structured_programs():
+    for seed in range(40):
+        model = parse_program(structured_program(random.Random(seed), 5))
+        for m in model.methods.values():
+            assert natural_loops(m.cfg) == loops_by_removal(m.cfg), (seed, m.name)

@@ -17,10 +17,12 @@ from logsynth.pathfinding import (
     strategy_for,
     satisfiable,
 )
+from logsynth.generation import GenParams, generate_dataset
+from logsynth.labeling import AnnotationSet, export_worksheet, propagate
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph, mark_log_methods
 from logsynth.pruning import prune
-from logsynth.model import Log
+from logsynth.model import Log, dumps_model, loads_model
 
 from .conftest import (
     EP_A_CALLB,
@@ -41,56 +43,57 @@ def _analysis(source: str):
 
 
 def _stmt(model, method_name: str, index: int = 0):
+    """The method and the activity id of its `index`-th LOG statement."""
     method = model.method_by_name(method_name)
-    logs = [act.stmt for aid, act in sorted(method.cfg.nodes.items())
+    logs = [aid for aid, act in sorted(method.cfg.nodes.items())
             if isinstance(act, Log)]
-    return logs[index], method
+    return method, logs[index]
 
 
 # ── Statement restoration ────────────────────────────────────────────
 
 def test_restore_resolves_unique_constant(datanode_model):
-    stmt, method = _stmt(datanode_model, "methodD", 1)
-    event = restore_statement(stmt, method)
+    method, aid = _stmt(datanode_model, "methodD", 1)
+    event = restore_statement(method, aid)
     assert event.template == "Join on responder thread, timed out."
     assert event.level == "warn"
 
 
 def test_restore_replaces_unassigned_variable(datanode_model):
-    stmt, method = _stmt(datanode_model, "methodA")
-    assert restore_statement(stmt, method).template == "Receiving block <*>"
+    method, aid = _stmt(datanode_model, "methodA")
+    assert restore_statement(method, aid).template == "Receiving block <*>"
 
 
 def test_restore_pure_literal_is_identity():
     model = parse_program('void m(){ log(error, "plain " + "text"); }')
-    stmt, method = _stmt(model, "m")
-    assert restore_statement(stmt, method).template == "plain text"
+    method, aid = _stmt(model, "m")
+    assert restore_statement(method, aid).template == "plain text"
 
 
 def test_restore_conflicting_assignments_use_placeholder():
     model = parse_program(
         'void m(){ x = "a"; if(c){ x = "b"; } log(info, x); }'
     )
-    stmt, method = _stmt(model, "m")
+    method, aid = _stmt(model, "m")
     # two feasible arrivals disagree ("a" vs "b"): no dominating constant
-    assert restore_statement(stmt, method).template == "<*>"
+    assert restore_statement(method, aid).template == "<*>"
 
 
 def test_restore_agreeing_rewrites_resolve():
     model = parse_program(
         'void m(){ if(c){ x = "same"; } else { x = "same"; } log(info, x); }'
     )
-    stmt, method = _stmt(model, "m")
-    assert restore_statement(stmt, method).template == "same"
+    method, aid = _stmt(model, "m")
+    assert restore_statement(method, aid).template == "same"
 
 
 def test_restore_sees_through_infeasible_paths():
     model = parse_program(
         'void m(){ x = "a"; if(true){ x = "b"; } log(info, x); }'
     )
-    stmt, method = _stmt(model, "m")
+    method, aid = _stmt(model, "m")
     # the else arm is impossible, so "b" dominates every real arrival
-    assert restore_statement(stmt, method).template == "b"
+    assert restore_statement(method, aid).template == "b"
 
 
 # ── Strategy classification ──────────────────────────────────────────
@@ -327,9 +330,9 @@ def test_return_inside_loop_gets_no_marks():
 
 def test_restore_loop_local_assignment_is_ambiguous():
     model = parse_program('void m(){ while(c){ x = "a"; } log(info, x); }')
-    stmt, method = _stmt(model, "m")
+    method, aid = _stmt(model, "m")
     # the zero-iteration arrival leaves x unassigned
-    assert restore_statement(stmt, method).template == "<*>"
+    assert restore_statement(method, aid).template == "<*>"
 
 
 def test_every_kept_method_has_a_store_slot():
@@ -358,3 +361,18 @@ def test_store_build_is_worker_independent(datanode_model):
     parallel = build_store(datanode_model, pruned, workers=3)
     assert sequential.events == parallel.events
     assert sequential.by_method == parallel.by_method
+
+
+def test_long_straight_method_runs_in_process(tmp_path):
+    # one walk of 5,000 statements is far deeper than the recursion limit
+    n = 5000
+    model, analysis = _analysis("void m(){ " + " ".join(
+        f'log(info, "step {i}");' for i in range(n)) + " }")
+    assert loads_model(dumps_model(model)) == model
+    infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+    ds = generate_dataset(GenParams(size=1, anomaly_rate=0.0), model, infection,
+                          analysis.store, analysis.pruned, analysis.call_graph)
+    assert ds.sequences[0].events == tuple(range(n))
+    export_worksheet(analysis.store, model, tmp_path / "worksheet.txt")
+    rows = (tmp_path / "worksheet.txt").read_text(encoding="utf-8").splitlines()
+    assert rows[-1] == f"EVT {n - 1} info m step {n - 1}"
