@@ -108,7 +108,8 @@ def _workers(args) -> int:
     n = getattr(args, "workers", 0)
     if n < 0:
         raise ConfigError("--workers must be >= 0 (0 means one per CPU)")
-    return n or os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    return min(n or cpus, cpus)
 
 
 def _cmd_analyze(args) -> int:

@@ -118,7 +118,7 @@ class _CfgBuilder:
     def finish(self, dangling: list[tuple[int, Guard | None]]) -> ExecutionGraph:
         exit_id = self._add(Exit())
         self._connect(dangling + self.returns, exit_id)
-        return ExecutionGraph(self.nodes, self.edges)
+        return ExecutionGraph(self.nodes, frozenset(self.edges))
 
 
 class _Counter:

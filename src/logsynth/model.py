@@ -20,13 +20,14 @@ ambiguous dispatch).
 Statement ids are not stored: they are re-derived on load in
 (method-id, activity-id) order, which is also the order the frontend
 assigns them in, so save/load round-trips are exact.  Loop heads are
-neither stored nor derived on load: `natural_loops` finds them in the
-graph where a pass needs them.
+not stored either: an execution graph is immutable once built, and
+derives its entry, exit and natural loops once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import LogsynthError
 
@@ -158,21 +159,23 @@ _KIND_NAMES = {
 
 # ── Execution graph ──────────────────────────────────────────────────
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionGraph:
     nodes: dict[ActivityId, Activity]
-    edges: set[tuple[ActivityId, ActivityId, Guard | None]]
+    edges: frozenset[tuple[ActivityId, ActivityId, Guard | None]]
 
-    @property
-    def loop_heads(self) -> set[ActivityId]:
-        """The heads of `natural_loops`, derived on every read."""
-        return set(natural_loops(self))
-
-    def entry_id(self) -> ActivityId:
+    @cached_property
+    def entry(self) -> ActivityId:
         return self._only(Entry)
 
-    def exit_id(self) -> ActivityId:
+    @cached_property
+    def exit(self) -> ActivityId:
         return self._only(Exit)
+
+    @cached_property
+    def loops(self) -> dict[ActivityId, set[ActivityId]]:
+        """`natural_loops(self)`, derived on first use and kept."""
+        return natural_loops(self)
 
     def _only(self, kind) -> ActivityId:
         found = [a for a, act in self.nodes.items() if isinstance(act, kind)]
@@ -194,20 +197,32 @@ class ExecutionGraph:
                                          e[0], format_guard(e[1]) if e[1] else ""))
         return out
 
+    def in_edges(self) -> dict[ActivityId, list[tuple[ActivityId, Guard | None]]]:
+        """Each node's in-edges as (source, guard), in no fixed order;
+        nodes without in-edges are absent."""
+        into: dict[ActivityId, list[tuple[ActivityId, Guard | None]]] = {}
+        for frm, to, g in self.edges:
+            into.setdefault(to, []).append((frm, g))
+        return into
+
     def reachable_from_entry(self) -> set[ActivityId]:
-        start = self.entry_id()
-        seen = {start}
-        stack = [start]
-        succ: dict[int, list[int]] = {}
-        for frm, to, _ in self.edges:
-            succ.setdefault(frm, []).append(to)
-        while stack:
-            n = stack.pop()
-            for m in succ.get(n, ()):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
+        return sweep(self.out_edges(), [self.entry])
+
+
+def sweep(edges: dict[ActivityId, list[tuple[ActivityId, Guard | None]]],
+          starts, seen: set[ActivityId] | None = None) -> set[ActivityId]:
+    """`seen` (empty by default) grown by `starts` and every node they
+    reach along `edges`, an `out_edges` or `in_edges` map, without
+    passing through a node already in `seen`."""
+    seen = set() if seen is None else seen
+    work = [n for n in starts if n not in seen]
+    seen.update(work)
+    while work:
+        for m, _ in edges.get(work.pop(), ()):
+            if m not in seen:
+                seen.add(m)
+                work.append(m)
+    return seen
 
 
 def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
@@ -222,12 +237,8 @@ def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
     derived, never recorded per `while`, so a loop that cannot cycle
     (unreachable, or a body that always returns) is a plain branch.
     Memory is linear in the graph; time is linear per candidate head."""
-    entry = graph.entry_id()
-    succ: dict[int, list[int]] = {}
-    preds: dict[int, list[int]] = {}
-    for frm, to, _ in graph.edges:
-        succ.setdefault(frm, []).append(to)
-        preds.setdefault(to, []).append(frm)
+    entry = graph.entry
+    succ = graph.out_edges()
 
     candidates: dict[ActivityId, list[ActivityId]] = {}  # head -> sources
     seen = {entry}
@@ -235,7 +246,7 @@ def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
     stack = [(entry, iter(succ.get(entry, ())))]
     while stack:
         node, it = stack[-1]
-        for to in it:
+        for to, _ in it:
             if to in on_stack:
                 if isinstance(graph.nodes.get(to), Branch):
                     candidates.setdefault(to, []).append(node)
@@ -249,25 +260,13 @@ def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
             on_stack.discard(node)
 
     loops = {}
+    preds = graph.in_edges() if candidates else {}
     for head in sorted(candidates):
-        alive = {entry}
-        work = [entry]
-        while work:
-            for m in succ.get(work.pop(), ()):
-                if m != head and m not in alive:
-                    alive.add(m)
-                    work.append(m)
+        alive = sweep(succ, [entry], {head})
+        alive.discard(head)
         sources = [u for u in candidates[head] if u not in alive]
-        if not sources:
-            continue
-        loop = {head}
-        while sources:
-            n = sources.pop()
-            if n in loop:
-                continue
-            loop.add(n)
-            sources.extend(preds.get(n, ()))
-        loops[head] = loop
+        if sources:
+            loops[head] = sweep(preds, sources, {head})
     return loops
 
 
@@ -362,8 +361,7 @@ def validate_model(model: ProgramModel) -> None:
 
 def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
     where = f"method {mid}"
-    entry = cfg.entry_id()
-    exit_ = cfg.exit_id()
+    entry, exit_ = cfg.entry, cfg.exit
     for frm, to, guard in cfg.edges:
         if frm not in cfg.nodes or to not in cfg.nodes:
             raise ModelFormatError(f"{where}: edge {frm}->{to} references missing activity")
@@ -391,8 +389,7 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
         elif isinstance(act, Exit):
             if aid in succ:
                 raise ModelFormatError(f"{where}: EXIT activity {aid} has out-edges")
-    reach = cfg.reachable_from_entry()
-    if exit_ not in reach:
+    if exit_ not in sweep(succ, [entry]):
         raise ModelFormatError(f"{where}: EXIT not reachable from ENTRY")
     if entry == exit_:  # pragma: no cover - impossible by construction
         raise ModelFormatError(f"{where}: ENTRY and EXIT coincide")
@@ -651,7 +648,7 @@ def loads_model(text: str) -> ProgramModel:
                     raise ModelFormatError(f"method {mid} activity {aid}: BRANCH needs a payload")
                 nodes[aid] = Branch(parse_guard(payload))
         methods[mid] = MethodNode(
-            id=mid, name=name, cfg=ExecutionGraph(nodes=nodes, edges=edges[mid]))
+            id=mid, name=name, cfg=ExecutionGraph(nodes=nodes, edges=frozenset(edges[mid])))
 
     model = ProgramModel(
         methods=methods,

@@ -17,6 +17,7 @@ choice, but the generator only offers it to normal-mode walks.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import logging
@@ -38,7 +39,7 @@ from .model import (
     MethodNode,
     ProgramModel,
     Var,
-    natural_loops,
+    sweep,
 )
 from .parallel import ordered_map
 from .pruning import PrunedCallGraph
@@ -197,9 +198,12 @@ def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
     """Yield, at every arrival at `target`, the edge-simple walk from
     `start` as a tuple of (node, in-guard).  The search goes on past the
     target, on an explicit stack, so walk length is bounded by the graph
-    and not by the interpreter's recursion limit.  Deterministic:
-    successors are explored true-guard-first."""
+    and not by the interpreter's recursion limit.  It skips edges into
+    nodes that cannot reach `target` (one backward sweep): their subtrees
+    yield nothing, so the walks and their order are unchanged.
+    Deterministic: successors are explored true-guard-first."""
     succ = cfg.out_edges()
+    live = sweep(cfg.in_edges(), [target])
     path: list[tuple[int, Guard | None]] = [(start, None)]
     used: set[tuple[int, int]] = set()  # (node, out-edge index)
     # per frame: its untried out-edges and the used edge that entered it
@@ -208,7 +212,7 @@ def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
         node = path[-1][0]
         edges, into = stack[-1]
         for i, (to, guard) in edges:
-            if (node, i) not in used:
+            if to in live and (node, i) not in used:
                 break
         else:
             stack.pop()
@@ -223,8 +227,8 @@ def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
         stack.append((enumerate(succ.get(to, ())), key))
 
 
-def _trace_of(cfg: ExecutionGraph, visits,
-              loops: dict[int, set[int]]) -> tuple[TraceEvent, ...]:
+def _trace_of(cfg: ExecutionGraph, visits) -> tuple[TraceEvent, ...]:
+    loops = cfg.loops
     trace: list[TraceEvent] = []
     prev = None
     for node, guard in visits:
@@ -249,35 +253,34 @@ def _trace_of(cfg: ExecutionGraph, visits,
 
 # ── Restoring logging statements ─────────────────────────────────────
 
-def _resolve_var(cfg: ExecutionGraph, node: int, var: str,
-                 limits: PathLimits, loops: dict[int, set[int]]) -> str | None:
-    """The unique constant a variable holds at every feasible arrival at
-    `node`, or None when unassigned somewhere or not unique."""
-    entry = cfg.entry_id()
-    budget = limits.max_paths_per_method
-    values: set[str] = set()
-    seen = 0
-    feasible = 0
-    for visits in _iter_walks(cfg, entry, node):
-        seen += 1
-        if seen > budget:
-            return None  # truncated: cannot prove uniqueness
-        if not satisfiable(_trace_of(cfg, visits, loops)):
+def _constants_at(cfg: ExecutionGraph, node: int, names: set[str],
+                  limits: PathLimits) -> dict[str, str]:
+    """The unique constant each of `names` holds at every feasible arrival
+    at `node`, from one search.  A name is absent when some feasible
+    arrival leaves it unassigned, when two arrivals disagree, when no
+    arrival is feasible, or when more walks arrive than the budget."""
+    values: dict[str, str | None] = dict.fromkeys(names)
+    feasible = False
+    for seen, visits in enumerate(_iter_walks(cfg, cfg.entry, node), start=1):
+        if seen > limits.max_paths_per_method:
+            return {}  # truncated: cannot prove uniqueness
+        if not satisfiable(_trace_of(cfg, visits)):
             continue
-        feasible += 1
-        value = None
+        feasible = True
+        last: dict[str, str] = {}
         for n, _ in visits[:-1]:
             act = cfg.nodes[n]
-            if isinstance(act, AssignAct) and act.var == var:
-                value = act.literal
-        if value is None:
-            return None
-        values.add(value)
-        if len(values) > 1:
-            return None
-    if feasible == 0 or len(values) != 1:
-        return None
-    return next(iter(values))
+            if isinstance(act, AssignAct) and act.var in values:
+                last[act.var] = act.literal
+        for var, value in list(values.items()):
+            got = last.get(var)
+            if got is None or value not in (None, got):
+                del values[var]
+            else:
+                values[var] = got
+        if not values:
+            return {}
+    return values if feasible else {}
 
 
 def restore_statement(method: MethodNode, node: ActivityId,
@@ -287,19 +290,14 @@ def restore_statement(method: MethodNode, node: ActivityId,
     are kept, and each variable becomes its uniquely-dominating in-method
     constant or the placeholder token."""
     stmt = method.cfg.nodes[node].stmt
-    loops = (natural_loops(method.cfg)
-             if any(isinstance(p, Var) for p in stmt.parts) else {})
-    pieces: list[str] = []
-    for part in stmt.parts:
-        if isinstance(part, Literal):
-            pieces.append(part.text)
-        else:
-            resolved = _resolve_var(method.cfg, node, part.name, limits, loops)
-            pieces.append(resolved if resolved is not None else PLACEHOLDER)
+    names = {p.name for p in stmt.parts if isinstance(p, Var)}
+    consts = _constants_at(method.cfg, node, names, limits) if names else {}
     return LogEvent(
         event_id=event_id,
         level=stmt.level,
-        template="".join(pieces),
+        template="".join(p.text if isinstance(p, Literal)
+                         else consts.get(p.name, PLACEHOLDER)
+                         for p in stmt.parts),
         origin=stmt.id,
     )
 
@@ -320,9 +318,10 @@ def strategy_for(method: MethodNode, cg_prime: PrunedCallGraph) -> int:
     return 3
 
 
-def _regions_and_skips(cfg: ExecutionGraph, visits, loops):
+def _regions_and_skips(cfg: ExecutionGraph, visits):
     """Closed loop regions on one walk as (start, end) visit-index ranges,
     plus whether the walk skipped some loop entirely."""
+    loops = cfg.loops
     regions: list[tuple[int, int]] = []
     open_stack: list[tuple[int, int]] = []  # (head, content start index)
     body_taken: set[int] = set()
@@ -358,19 +357,17 @@ def enumerate_logeps(
     in deterministic order.  Ids are placeholders (-1) until the store
     assigns them."""
     cfg = method.cfg
-    loops = natural_loops(cfg)
-    entry, exit_ = cfg.entry_id(), cfg.exit_id()
     out: list[LogPath] = []
     seen: set[tuple] = set()
     budget = limits.max_paths_per_method
     truncated = False
 
-    for visits in itertools.islice(_iter_walks(cfg, entry, exit_), budget + 1):
+    for visits in itertools.islice(_iter_walks(cfg, cfg.entry, cfg.exit), budget + 1):
         if len(out) > budget:
             truncated = True
             break
-        regions, skipped = _regions_and_skips(cfg, visits, loops)
-        trace = _trace_of(cfg, visits, loops)
+        regions, skipped = _regions_and_skips(cfg, visits)
+        trace = _trace_of(cfg, visits)
 
         recorded: list[tuple[int, str, object]] = []  # (visit idx, kind, payload)
         for i, (node, _) in enumerate(visits):
@@ -383,16 +380,18 @@ def enumerate_logeps(
                 if kept:
                     recorded.append((i, "call", kept))
 
-        opens: dict[int, bool] = {}
-        closes: dict[int, bool] = {}
+        # a region marks the first and last recorded step inside it
+        at = [i for i, _, _ in recorded]
+        opens: set[int] = set()
+        closes: set[int] = set()
         for start, end in regions:
-            inside = [j for j, (i, _, _) in enumerate(recorded) if start <= i <= end]
-            if inside:
-                opens[inside[0]] = True
-                closes[inside[-1]] = True
+            first, last = bisect.bisect_left(at, start), bisect.bisect_right(at, end) - 1
+            if first <= last:
+                opens.add(first)
+                closes.add(last)
 
         def mark_of(j: int) -> Mark:
-            o, c = opens.get(j, False), closes.get(j, False)
+            o, c = j in opens, j in closes
             if o and c:
                 return Mark.BOTH
             if o:

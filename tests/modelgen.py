@@ -72,7 +72,7 @@ def call_graph_model(rng: random.Random, n_nodes: int,
             aid += 1
         nodes[aid] = Exit()
         edges.add((prev, aid, None))
-        cfg = ExecutionGraph(nodes=nodes, edges=edges)
+        cfg = ExecutionGraph(nodes=nodes, edges=frozenset(edges))
         methods[mid] = MethodNode(id=mid, name=f"m{mid}", cfg=cfg)
     model = ProgramModel(methods=methods, call_edges=call_edges)
     validate_model(model)

@@ -3,9 +3,10 @@
 Each of these mirrors a contract, not an implementation: reachability by
 per-node search, Kosaraju instead of Tarjan, breadth-first path listing
 with truth-assignment feasibility instead of the production DFS with a
-flow-sensitive filter, exhaustive walk-space enumeration instead of
-random walking, and repeated full sweeps instead of the worklist
-fixpoint.
+flow-sensitive filter, per-variable restoration over every listed walk
+instead of one pruned search per statement, exhaustive walk-space
+enumeration instead of random walking, and repeated full sweeps instead
+of the worklist fixpoint.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 
 from logsynth.generation import Label
 from logsynth.labeling import Status
-from logsynth.model import AssignAct, Branch, Call, ExecutionGraph, Log
+from logsynth.model import AssignAct, Branch, Call, ExecutionGraph, Log, Var
 from logsynth.pathfinding import LogStep, Mark
 
 
@@ -94,7 +95,7 @@ def kosaraju_sccs(nodes, edges) -> set[frozenset[int]]:
 def bfs_all_walks(cfg: ExecutionGraph) -> list[tuple]:
     """Every entry-to-exit walk that repeats no edge, listed by iterative
     breadth-first expansion of partial walks."""
-    entry, exit_ = cfg.entry_id(), cfg.exit_id()
+    entry, exit_ = cfg.entry, cfg.exit
     out_edges: dict[int, list] = {}
     for frm, to, g in cfg.edges:
         out_edges.setdefault(frm, []).append((to, g))
@@ -112,6 +113,45 @@ def bfs_all_walks(cfg: ExecutionGraph) -> list[tuple]:
                 continue
             queue.append((visits + ((to, g),), used | {key}))
     return done
+
+
+def restore_by_walks(cfg: ExecutionGraph, node: int
+                     ) -> tuple[dict[str, str | None], int]:
+    """Each variable the LOG activity `node` prints, with the constant it
+    holds there (or None), plus the number of arrivals.  Breadth-first
+    expansion lists every edge-simple walk from entry and keeps going
+    past `node`, so a walk that arrives twice counts twice.  A variable
+    resolves when every arrival that `assignment_feasible` admits sees
+    one and the same non-None last literal, and some arrival does."""
+    out_edges: dict[int, list] = {}
+    for frm, to, g in cfg.edges:
+        out_edges.setdefault(frm, []).append((to, g))
+    arrivals = []
+    queue = deque([(((cfg.entry, None),), frozenset())])
+    while queue:
+        visits, used = queue.popleft()
+        at = visits[-1][0]
+        if at == node:
+            arrivals.append(visits)
+        for to, g in out_edges.get(at, ()):
+            key = (at, to, None if g is None else (g.var, g.value))
+            if key not in used:
+                queue.append((visits + ((to, g),), used | {key}))
+
+    feasible = [v for v in arrivals if assignment_feasible(cfg, v)]
+    names = {p.name for p in cfg.nodes[node].stmt.parts if isinstance(p, Var)}
+    constants: dict[str, str | None] = {}
+    for name in names:
+        seen = set()
+        for visits in feasible:
+            last = None
+            for n, _ in visits[:-1]:
+                act = cfg.nodes[n]
+                if isinstance(act, AssignAct) and act.var == name:
+                    last = act.literal
+            seen.add(last)
+        constants[name] = seen.pop() if len(seen) == 1 and None not in seen else None
+    return constants, len(arrivals)
 
 
 def assignment_feasible(cfg: ExecutionGraph, visits) -> bool:
@@ -167,7 +207,7 @@ def _cycle_set(cfg: ExecutionGraph, head: int) -> set[int]:
     node is reachable while `head` is present), and the loop is
     everything that can reach a dominated back-edge source without
     crossing the head."""
-    entry = cfg.entry_id()
+    entry = cfg.entry
     succ: dict[int, list[int]] = {}
     pred: dict[int, list[int]] = {}
     for frm, to, _ in cfg.edges:
@@ -190,7 +230,7 @@ def loops_by_removal(cfg: ExecutionGraph) -> dict[int, set[int]]:
     """Every loop head with its natural loop, from first principles: a
     branch is a head when removing it disconnects from entry some
     reachable source of an edge into it."""
-    entry = cfg.entry_id()
+    entry = cfg.entry
     succ: dict[int, list[int]] = {}
     for frm, to, _ in cfg.edges:
         succ.setdefault(frm, []).append(to)
@@ -206,7 +246,7 @@ def project_walk(cfg: ExecutionGraph, visits, kept: set[int],
     """Project one walk onto (event/callee, mark) step tuples plus the
     skipped-loop flag, using consecutive head occurrences for regions.
     One variant is returned per callee choice at ambiguous call sites."""
-    cycle_sets = {h: _cycle_set(cfg, h) for h in cfg.loop_heads}
+    cycle_sets = loops_by_removal(cfg)
 
     recorded: list[tuple[int, str, object]] = []
     for i, (node, _) in enumerate(visits):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import os
 import random
 
 import pytest
 
-from logsynth.cli import main
+from logsynth.cli import _workers, main
 
 from .modelgen import structured_program
 
@@ -98,6 +99,11 @@ def test_negative_workers_is_an_error(tmp_path, capsys):
     assert code == 1
     assert "error: --workers must be >= 0" in err
     assert not (out / "paths.txt").exists()
+
+
+def test_workers_are_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert [_workers(argparse.Namespace(workers=n)) for n in (64, 0, 1)] == [2, 2, 1]
 
 
 def test_non_integer_seed_env_is_an_error(tmp_path, capsys, artifacts,

@@ -204,7 +204,7 @@ def test_while_loop_produces_back_edge():
         (2, 1, None),  # loop-body exit back to the head
         (1, 3, Guard("c", False)),
     }
-    assert cfg.loop_heads == {1}
+    assert set(cfg.loops) == {1}
 
 
 def test_unresolved_invoke_target_names_the_callee():

@@ -211,7 +211,7 @@ def _random_graph(rng: random.Random) -> ExecutionGraph:
                 edges.add((frm, to, Guard("c", not value)))
         else:
             edges.add((frm, to, None))
-    return ExecutionGraph(nodes, edges)
+    return ExecutionGraph(nodes, frozenset(edges))
 
 
 def test_natural_loops_match_removal_oracle_on_random_graphs():
@@ -235,7 +235,7 @@ def test_natural_loops_skip_irreducible_cycles():
     edges = {(0, 1, None), (1, 2, Guard("c", True)), (1, 3, Guard("c", False)),
              (2, 3, Guard("d", True)), (2, 4, Guard("d", False)),
              (3, 2, Guard("e", True)), (3, 3, Guard("e", False))}
-    cfg = ExecutionGraph(nodes, edges)
+    cfg = ExecutionGraph(nodes, frozenset(edges))
     assert natural_loops(cfg) == loops_by_removal(cfg) == {3: {3}}
 
 

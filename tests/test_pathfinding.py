@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from logsynth import model as model_mod
+from logsynth import pathfinding
 from logsynth.pathfinding import (
+    PLACEHOLDER,
     CallStep,
     LogStep,
     Mark,
@@ -22,7 +25,7 @@ from logsynth.labeling import AnnotationSet, export_worksheet, propagate
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph, mark_log_methods
 from logsynth.pruning import prune
-from logsynth.model import Log, dumps_model, loads_model
+from logsynth.model import Literal, Log, dumps_model, loads_model
 
 from .conftest import (
     EP_A_CALLB,
@@ -33,8 +36,13 @@ from .conftest import (
     EV_RECEIVING,
     EV_TIMED_OUT,
 )
-from .modelgen import parse_program, structured_method_program
-from .oracles import oracle_path_set, production_path_set
+from .modelgen import parse_program, structured_method_program, structured_program
+from .oracles import (
+    loops_by_removal,
+    oracle_path_set,
+    production_path_set,
+    restore_by_walks,
+)
 
 
 def _analysis(source: str):
@@ -94,6 +102,62 @@ def test_restore_sees_through_infeasible_paths():
     method, aid = _stmt(model, "m")
     # the else arm is impossible, so "b" dominates every real arrival
     assert restore_statement(method, aid).template == "b"
+
+
+def test_restore_past_the_walk_budget_is_a_placeholder():
+    model = parse_program('void m(){ x = "v"; ' + "".join(
+        f'if (c{i}) {{ y = "y"; }} ' for i in range(4)) + 'log(info, x); }')
+    method, aid = _stmt(model, "m")
+    # 16 walks arrive: a budget of 16 proves "v", a budget of 15 cannot
+    assert restore_statement(method, aid, limits=PathLimits(16)).template == "v"
+    assert restore_statement(method, aid, limits=PathLimits(15)).template == "<*>"
+
+
+def test_restore_searches_once_per_statement(monkeypatch):
+    model = parse_program(
+        'void m(){ a = "1"; b = "2"; c = ""; log(info, a + "-" + b + c + a); }'
+    )
+    method, aid = _stmt(model, "m")
+    searches = []
+    real = pathfinding._iter_walks
+
+    def counting(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pathfinding, "_iter_walks", counting)
+    assert restore_statement(method, aid).template == "1-21"
+    assert len(searches) == 1
+
+
+def test_restore_matches_walk_oracle():
+    # every method starts with `a = ""; b = "B";`, so both resolve unless
+    # a branch reassigns them; `c` never resolves
+    shapes = {"multi-variable": 0, "empty constant": 0, "resolved in a loop": 0,
+              "with return": 0}
+    budget = PathLimits().max_paths_per_method
+    for seed in range(60):
+        source = structured_program(random.Random(seed), 6).replace(
+            "() {\n", '() {\n    a = "";\n    b = "B";\n')
+        model, analysis = _analysis(source)
+        where = {stmt.id: (mid, aid) for mid, aid, stmt in model.statements()}
+        for event in analysis.store.events.values():
+            mid, aid = where[event.origin]
+            cfg = model.methods[mid].cfg
+            constants, arrivals = restore_by_walks(cfg, aid)
+            if arrivals > budget:
+                continue
+            expected = "".join(
+                p.text if isinstance(p, Literal)
+                else PLACEHOLDER if constants[p.name] is None else constants[p.name]
+                for p in cfg.nodes[aid].stmt.parts)
+            assert event.template == expected, (seed, mid, aid)
+            resolved = any(v is not None for v in constants.values())
+            shapes["multi-variable"] += len(constants) > 1
+            shapes["empty constant"] += "" in constants.values()
+            shapes["resolved in a loop"] += resolved and bool(loops_by_removal(cfg))
+            shapes["with return"] += resolved and "return;" in source
+    assert min(shapes.values()) >= 20, shapes
 
 
 # ── Strategy classification ──────────────────────────────────────────
@@ -352,6 +416,26 @@ def test_surviving_paths_are_satisfiable():
         )
         for p in analysis.store.all_paths():
             assert satisfiable(p.guard_trace)
+
+
+def test_build_store_derives_loops_once_per_method(monkeypatch):
+    model = parse_program(
+        'void m(){ x = "a"; while(c){ log(info, "in " + x); n(); } '
+        'log(info, x + y); } '
+        'void n(){ while(d){ log(info, "n"); } if(e){ log(info, "e"); } }'
+    )
+    pruned = prune(build_call_graph(model), mark_log_methods(model))
+    derived = []
+    real = model_mod.natural_loops
+
+    def counting(graph):
+        derived.append(id(graph))
+        return real(graph)
+
+    monkeypatch.setattr(model_mod, "natural_loops", counting)
+    build_store(model, pruned, workers=1)
+    assert sorted(derived) == sorted(id(model.methods[mid].cfg)
+                                     for mid in pruned.kept)
 
 
 def test_store_build_is_worker_independent(datanode_model):
