@@ -40,7 +40,9 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--logging-api", metavar="FILE",
                    help="file of external logging API names, one per line")
     p.add_argument("--max-paths", type=int, default=PathLimits().max_paths_per_method,
-                   help="per-method path cap (default %(default)s)")
+                   help="per-method cap on feasible, distinct paths and on the "
+                        "feasible walks searched for them or for one "
+                        "template (default %(default)s)")
 
 
 def _parser() -> argparse.ArgumentParser:

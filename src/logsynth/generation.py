@@ -365,8 +365,10 @@ def _plan_labels(params: GenParams) -> list[Label | None]:
 
 
 def _make_sequence(context, job: tuple[int, Label | None]
-                   ) -> tuple[LogSequence, tuple]:
-    walker, normal_entries, anomaly_entries = context
+                   ) -> tuple[LogSequence, tuple | None]:
+    """One sequence, plus its choice trace when the caller keeps traces
+    (a pool worker sends back only what is kept)."""
+    walker, normal_entries, anomaly_entries, keep_traces = context
     seq_id, label = job
     params = walker.params
     rng = sequence_rng(params.seed, seq_id)
@@ -379,7 +381,8 @@ def _make_sequence(context, job: tuple[int, Label | None]
         )
     entry = rng.choice(pool)
     events, trace = walker.walk(entry, label, rng)
-    return LogSequence(seq_id=seq_id, label=label, events=events, entry=entry), trace
+    return (LogSequence(seq_id=seq_id, label=label, events=events, entry=entry),
+            trace if keep_traces else None)
 
 
 def generate_dataset(
@@ -420,7 +423,7 @@ def generate_dataset(
         raise ConfigError("no entry method admits a normal (seed-free) walk")
 
     results = ordered_map(_make_sequence,
-                          (walker, normal_entries, anomaly_entries),
+                          (walker, normal_entries, anomaly_entries, keep_traces),
                           enumerate(labels), workers)
     sequences = [seq for seq, _ in results]
     traces = {seq.seq_id: tr for seq, tr in results} if keep_traces else None

@@ -164,26 +164,32 @@ class ExecutionGraph:
     nodes: dict[ActivityId, Activity]
     edges: frozenset[tuple[ActivityId, ActivityId, Guard | None]]
 
-    @cached_property
+    @property
     def entry(self) -> ActivityId:
-        return self._only(Entry)
+        return self._ends[0]
 
-    @cached_property
+    @property
     def exit(self) -> ActivityId:
-        return self._only(Exit)
+        return self._ends[1]
 
     @cached_property
     def loops(self) -> dict[ActivityId, set[ActivityId]]:
         """`natural_loops(self)`, derived on first use and kept."""
         return natural_loops(self)
 
-    def _only(self, kind) -> ActivityId:
-        found = [a for a, act in self.nodes.items() if isinstance(act, kind)]
-        if len(found) != 1:
-            raise ModelFormatError(
-                f"execution graph must have exactly one {_KIND_NAMES[kind]} node, found {len(found)}"
-            )
-        return found[0]
+    @cached_property
+    def _ends(self) -> tuple[ActivityId, ActivityId]:
+        """The ENTRY and EXIT nodes, found in one scan on first use."""
+        found: dict[type, list[ActivityId]] = {Entry: [], Exit: []}
+        for a, act in self.nodes.items():
+            if type(act) in found:
+                found[type(act)].append(a)
+        for kind, ids in found.items():
+            if len(ids) != 1:
+                raise ModelFormatError(
+                    f"execution graph must have exactly one {_KIND_NAMES[kind]} node, found {len(ids)}"
+                )
+        return found[Entry][0], found[Exit][0]
 
     def out_edges(self) -> dict[ActivityId, list[tuple[ActivityId, Guard | None]]]:
         """Each node's out-edges in a deterministic order (true guard

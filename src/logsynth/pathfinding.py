@@ -1,10 +1,14 @@
 """Phase 2b-2c: restore logging statements to message templates and
 record each kept method's log-related execution paths.
 
-Path space: every entry-to-exit walk of the method's execution graph
-that traverses no edge twice.  On structured graphs this is exactly
-"each loop runs zero or one time"; repetition is reintroduced at
-generation time from the loop marks.  Each walk is projected onto its
+Path space: every feasible entry-to-exit walk of the method's execution
+graph that traverses no edge twice.  On structured graphs this is
+exactly "each loop runs zero or one time"; repetition is reintroduced at
+generation time from the loop marks.  A walk is feasible when no guard
+contradicts an earlier one on the same variable without a reassignment
+or a loop-head re-evaluation in between, and no literal-false guard is
+taken; the search never extends a contradictory prefix, so infeasible
+walks are never enumerated.  Each walk is projected onto its
 logging activities and its calls to kept methods; a call site with
 several possible callees (ambiguous dispatch) expands into one variant
 per callee.  The first and last recorded step inside a loop body carry
@@ -21,7 +25,7 @@ import bisect
 import enum
 import itertools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import LogsynthError
@@ -31,7 +35,6 @@ from .model import (
     Call,
     EventId,
     ExecutionGraph,
-    Guard,
     Literal,
     Log,
     LogEvent,
@@ -73,10 +76,6 @@ class CallStep:
 
 Step = LogStep | CallStep
 
-# Guard/assignment events accumulated along a walk, in order:
-#   ("guard", var, bool) ("assign", var) ("lit", bool)
-TraceEvent = tuple
-
 
 @dataclass(frozen=True)
 class LogPath:
@@ -86,9 +85,6 @@ class LogPath:
     method: MethodId
     steps: tuple[Step, ...]
     skips_loop: bool = False
-    guard_trace: tuple[TraceEvent, ...] = field(
-        default=(), compare=False, repr=False
-    )
 
     @cached_property
     def regions(self) -> tuple:
@@ -166,89 +162,71 @@ class PathStore:
         return members
 
 
-# ── Feasibility ──────────────────────────────────────────────────────
-
-def satisfiable(trace: tuple[TraceEvent, ...]) -> bool:
-    """Decide a guard/assignment trace: a variable may not be required to
-    hold both polarities without an intervening reassignment, and a
-    literal-false guard is never taken."""
-    known: dict[str, bool] = {}
-    for ev in trace:
-        if ev[0] == "lit":
-            if not ev[1]:
-                return False
-        elif ev[0] == "guard":
-            _, var, val = ev
-            if known.get(var, val) != val:
-                return False
-            known[var] = val
-        else:  # assignment clears what we know about the variable
-            known.pop(ev[1], None)
-    return True
-
-
-def filter_infeasible(paths: list[LogPath]) -> list[LogPath]:
-    """Drop paths whose accumulated guards cannot all hold."""
-    return [p for p in paths if satisfiable(p.guard_trace)]
-
-
-# ── Raw walks over one execution graph ───────────────────────────────
+# ── Feasible walks over one execution graph ──────────────────────────
 
 def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
-    """Yield, at every arrival at `target`, the edge-simple walk from
-    `start` as a tuple of (node, in-guard).  The search goes on past the
-    target, on an explicit stack, so walk length is bounded by the graph
-    and not by the interpreter's recursion limit.  It skips edges into
-    nodes that cannot reach `target` (one backward sweep): their subtrees
-    yield nothing, so the walks and their order are unchanged.
-    Deterministic: successors are explored true-guard-first."""
+    """Yield, at every arrival at `target`, the feasible edge-simple walk
+    from `start` as a tuple of nodes.  The search goes on past the target,
+    on an explicit stack, so walk length is bounded by the graph and not
+    by the interpreter's recursion limit.  Successors are explored
+    true-guard-first (`out_edges` order).
+
+    Feasibility is decided during the search.  Each frame records what
+    taking its edge taught about guard variables (var -> polarity), and
+    popping the frame undoes it.  An edge is refused when its guard is
+    literal false or contradicts a known polarity.  After an edge is
+    taken, in this order: its guard's polarity becomes known; a back edge
+    into a loop head forgets the head's condition variable, which the
+    head evaluates afresh; and an assignment forgets its variable.  A
+    walk is infeasible as soon as one prefix is, so refusing the first
+    contradicting edge yields exactly the feasible walks, in the order of
+    the unpruned search.  Edges into nodes that cannot reach `target` (one
+    backward sweep) are skipped too: their subtrees yield nothing."""
     succ = cfg.out_edges()
     live = sweep(cfg.in_edges(), [target])
-    path: list[tuple[int, Guard | None]] = [(start, None)]
+    loops = cfg.loops
+    nodes = cfg.nodes
+    # a literal guard tests the variable None, which is always true
+    known: dict[str | None, bool] = {None: True}
+    path = [start]
     used: set[tuple[int, int]] = set()  # (node, out-edge index)
-    # per frame: its untried out-edges and the used edge that entered it
-    stack = [(enumerate(succ.get(start, ())), None)]
+    # per frame: its untried out-edges, the used edge that entered it, and
+    # the (var, previous polarity or None) pairs that undo its knowledge
+    stack = [(enumerate(succ.get(start, ())), None, [])]
     while stack:
-        node = path[-1][0]
-        edges, into = stack[-1]
+        node = path[-1]
+        edges, into, undo = stack[-1]
         for i, (to, guard) in edges:
-            if to in live and (node, i) not in used:
+            if (to in live and (node, i) not in used and
+                    (guard is None or known.get(guard.var, guard.value) == guard.value)):
                 break
         else:
             stack.pop()
             path.pop()
             used.discard(into)
+            for var, old in reversed(undo):
+                if old is None:
+                    del known[var]
+                else:
+                    known[var] = old
             continue
         key = (node, i)
         used.add(key)
-        path.append((to, guard))
+        path.append(to)
+        undo = []  # the new frame's
+        if guard is not None and guard.var not in known:
+            undo.append((guard.var, None))
+            known[guard.var] = guard.value
+        act = nodes[to]
+        if to in loops and node in loops[to]:
+            forget = act.cond.var
+            if forget is not None and forget in known:
+                undo.append((forget, known.pop(forget)))
+        if isinstance(act, AssignAct) and act.var in known:
+            undo.append((act.var, known.pop(act.var)))
         if to == target:
             yield tuple(path)
-        stack.append((enumerate(succ.get(to, ())), key))
-
-
-def _trace_of(cfg: ExecutionGraph, visits) -> tuple[TraceEvent, ...]:
-    loops = cfg.loops
-    trace: list[TraceEvent] = []
-    prev = None
-    for node, guard in visits:
-        # the in-edge guard was evaluated before moving, under the old values
-        if guard is not None:
-            if guard.var is None:
-                trace.append(("lit", guard.value))
-            else:
-                trace.append(("guard", guard.var, guard.value))
-        # a back edge returns to a loop head, where the loop condition is
-        # evaluated afresh: its previous polarity no longer binds
-        if prev is not None and node in loops and prev in loops[node]:
-            cond = cfg.nodes[node].cond
-            if cond.var is not None:
-                trace.append(("assign", cond.var))
-        act = cfg.nodes[node]
-        if isinstance(act, AssignAct):
-            trace.append(("assign", act.var))
-        prev = node
-    return tuple(trace)
+        stack.append((enumerate(succ.get(to, ())), key, undo))
 
 
 # ── Restoring logging statements ─────────────────────────────────────
@@ -258,17 +236,15 @@ def _constants_at(cfg: ExecutionGraph, node: int, names: set[str],
     """The unique constant each of `names` holds at every feasible arrival
     at `node`, from one search.  A name is absent when some feasible
     arrival leaves it unassigned, when two arrivals disagree, when no
-    arrival is feasible, or when more walks arrive than the budget."""
+    arrival is feasible, or when more feasible walks arrive than the
+    budget."""
     values: dict[str, str | None] = dict.fromkeys(names)
-    feasible = False
-    for seen, visits in enumerate(_iter_walks(cfg, cfg.entry, node), start=1):
-        if seen > limits.max_paths_per_method:
+    arrivals = 0
+    for arrivals, visits in enumerate(_iter_walks(cfg, cfg.entry, node), start=1):
+        if arrivals > limits.max_paths_per_method:
             return {}  # truncated: cannot prove uniqueness
-        if not satisfiable(_trace_of(cfg, visits)):
-            continue
-        feasible = True
         last: dict[str, str] = {}
-        for n, _ in visits[:-1]:
+        for n in visits[:-1]:
             act = cfg.nodes[n]
             if isinstance(act, AssignAct) and act.var in values:
                 last[act.var] = act.literal
@@ -280,7 +256,7 @@ def _constants_at(cfg: ExecutionGraph, node: int, names: set[str],
                 values[var] = got
         if not values:
             return {}
-    return values if feasible else {}
+    return values if arrivals else {}
 
 
 def restore_statement(method: MethodNode, node: ActivityId,
@@ -304,20 +280,6 @@ def restore_statement(method: MethodNode, node: ActivityId,
 
 # ── Enumerating log-related execution paths ──────────────────────────
 
-def strategy_for(method: MethodNode, cg_prime: PrunedCallGraph) -> int:
-    """1: logging non-leaf, 2: logging leaf, 3: non-logging non-leaf."""
-    if method.id not in cg_prime.kept:
-        raise ValueError(f"method {method.name} was pruned")
-    leaf = cg_prime.is_leaf(method.id)
-    if method.is_log_method:
-        return 2 if leaf else 1
-    if leaf:
-        raise ValueError(
-            f"method {method.name} is kept but neither logs nor calls kept methods"
-        )
-    return 3
-
-
 def _regions_and_skips(cfg: ExecutionGraph, visits):
     """Closed loop regions on one walk as (start, end) visit-index ranges,
     plus whether the walk skipped some loop entirely."""
@@ -327,8 +289,8 @@ def _regions_and_skips(cfg: ExecutionGraph, visits):
     body_taken: set[int] = set()
     exit_taken: set[int] = set()
     for i in range(1, len(visits)):
-        prev = visits[i - 1][0]
-        node = visits[i][0]
+        prev = visits[i - 1]
+        node = visits[i]
         if prev in loops:
             if node in loops[prev]:
                 body_taken.add(prev)
@@ -347,84 +309,82 @@ def _regions_and_skips(cfg: ExecutionGraph, visits):
     return regions, skipped
 
 
+_MARKS = (Mark.NONE, Mark.START, Mark.END, Mark.BOTH)  # by bits: 1 start, 2 end
+
+
 def enumerate_logeps(
     method: MethodNode,
     cg_prime: PrunedCallGraph,
     limits: PathLimits = PathLimits(),
     event_ids: dict[int, int] | None = None,
 ) -> list[LogPath]:
-    """All projected paths of one kept method, unfiltered, deduplicated,
-    in deterministic order.  Ids are placeholders (-1) until the store
-    assigns them."""
+    """The distinct projected paths of one kept method's feasible walks,
+    in deterministic order: each (steps, skips_loop) is represented by
+    the first walk that projects onto it.  The search stops, with a
+    truncation warning, at more feasible walks or more distinct paths
+    than `limits` allows; at most that many paths are kept.  Ids are
+    placeholders (-1) until the store assigns them."""
     cfg = method.cfg
+    # node -> (step kind, its choices): an event id, or the kept callees;
+    # a statement without an event is unreachable, so on no walk
+    shown: dict[int, tuple[type, tuple[int, ...]]] = {}
+    for node, act in cfg.nodes.items():
+        if isinstance(act, Log):
+            eid = act.stmt.id if event_ids is None else event_ids.get(act.stmt.id)
+            if eid is not None:
+                shown[node] = (LogStep, (eid,))
+        elif isinstance(act, Call):
+            kept = tuple(c for c in act.callees if c in cg_prime.kept)
+            if kept:
+                shown[node] = (CallStep, kept)
+    # each distinct step is built once and named by its index in `built`;
+    # a node offers one step code per choice, under each loop mark
+    built: list[Step] = []
+    index: dict[Step, int] = {}
+    offers: dict[tuple[int, int], tuple[int, ...]] = {}  # (node, mark) -> codes
+
+    def offer(node: int, mark: int) -> tuple[int, ...]:
+        if (node, mark) not in offers:
+            kind, xs = shown[node]
+            codes = []
+            for x in xs:
+                step = kind(x, _MARKS[mark])
+                if step not in index:
+                    index[step] = len(built)
+                    built.append(step)
+                codes.append(index[step])
+            offers[node, mark] = tuple(codes)
+        return offers[node, mark]
+
+    plain = {node: offer(node, 0) for node in shown}
     out: list[LogPath] = []
-    seen: set[tuple] = set()
+    seen: set[tuple[tuple[int, ...], bool]] = set()
     budget = limits.max_paths_per_method
     truncated = False
-
-    for visits in itertools.islice(_iter_walks(cfg, cfg.entry, cfg.exit), budget + 1):
-        if len(out) > budget:
+    for walks, visits in enumerate(_iter_walks(cfg, cfg.entry, cfg.exit), start=1):
+        if walks > budget:  # more feasible walks than the cap: stop searching
             truncated = True
             break
-        regions, skipped = _regions_and_skips(cfg, visits)
-        trace = _trace_of(cfg, visits)
-
-        recorded: list[tuple[int, str, object]] = []  # (visit idx, kind, payload)
-        for i, (node, _) in enumerate(visits):
-            act = cfg.nodes[node]
-            if isinstance(act, Log):
-                eid = act.stmt.id if event_ids is None else event_ids[act.stmt.id]
-                recorded.append((i, "log", eid))
-            elif isinstance(act, Call) and act.callees:
-                kept = tuple(c for c in act.callees if c in cg_prime.kept)
-                if kept:
-                    recorded.append((i, "call", kept))
-
+        regions, skipped = _regions_and_skips(cfg, visits) if cfg.loops else ((), False)
+        at = [i for i, node in enumerate(visits) if node in plain]
+        # one variant per callee choice at each ambiguous call site
+        options = [plain[visits[i]] for i in at]
         # a region marks the first and last recorded step inside it
-        at = [i for i, _, _ in recorded]
-        opens: set[int] = set()
-        closes: set[int] = set()
+        marks: dict[int, int] = {}
         for start, end in regions:
             first, last = bisect.bisect_left(at, start), bisect.bisect_right(at, end) - 1
             if first <= last:
-                opens.add(first)
-                closes.add(last)
-
-        def mark_of(j: int) -> Mark:
-            o, c = j in opens, j in closes
-            if o and c:
-                return Mark.BOTH
-            if o:
-                return Mark.START
-            if c:
-                return Mark.END
-            return Mark.NONE
-
-        # one variant per callee choice at each ambiguous call site
-        choice_sets = []
-        for j, (_, kind, payload) in enumerate(recorded):
-            if kind == "call":
-                choice_sets.append([(j, c) for c in payload])
-        for combo in itertools.product(*choice_sets) if choice_sets else [()]:
-            chosen = dict(combo)
-            steps: list[Step] = []
-            for j, (_, kind, payload) in enumerate(recorded):
-                m = mark_of(j)
-                if kind == "log":
-                    steps.append(LogStep(payload, m))
-                else:
-                    steps.append(CallStep(chosen[j], m))
-            key = (tuple(steps), skipped, trace)
-            if key in seen:
+                marks[first] = marks.get(first, 0) | 1
+                marks[last] = marks.get(last, 0) | 2
+        for j, mark in marks.items():
+            options[j] = offer(visits[at[j]], mark)
+        for codes in itertools.product(*options):
+            if (codes, skipped) in seen:
                 continue
-            seen.add(key)
-            out.append(LogPath(
-                id=-1,
-                method=method.id,
-                steps=tuple(steps),
-                skips_loop=skipped,
-                guard_trace=trace,
-            ))
+            seen.add((codes, skipped))
+            out.append(LogPath(id=-1, method=method.id,
+                               steps=tuple(built[c] for c in codes),
+                               skips_loop=skipped))
             if len(out) > budget:
                 truncated = True
                 break
@@ -442,23 +402,6 @@ def enumerate_logeps(
 
 # ── Assembling the store ─────────────────────────────────────────────
 
-def _method_paths(method: MethodNode, cg_prime: PrunedCallGraph,
-                  limits: PathLimits, stmt_to_event: dict[int, int]
-                  ) -> list[LogPath]:
-    """Enumerate, filter, and deduplicate one method's paths (ids -1)."""
-    raw = enumerate_logeps(method, cg_prime, limits, stmt_to_event)
-    feasible = filter_infeasible(raw)
-    final: list[LogPath] = []
-    taken: set[tuple] = set()
-    for p in feasible:
-        key = (p.steps, p.skips_loop)
-        if key in taken:
-            continue
-        taken.add(key)
-        final.append(p)
-    return final
-
-
 def _method_result(context, mid: MethodId
                    ) -> tuple[list[LogEvent], list[LogPath]]:
     """One kept method's restored events and final paths (ids -1)."""
@@ -466,7 +409,7 @@ def _method_result(context, mid: MethodId
     method = model.methods[mid]
     events = [restore_statement(method, aid, eid, limits)
               for eid, aid in event_plan.get(mid, [])]
-    return events, _method_paths(method, cg_prime, limits, stmt_to_event)
+    return events, enumerate_logeps(method, cg_prime, limits, stmt_to_event)
 
 
 def build_store(
@@ -476,7 +419,7 @@ def build_store(
     workers: int = 1,
 ) -> PathStore:
     """Restore every reachable logging statement of the kept methods into
-    an event table and enumerate, filter, and number each kept method's
+    an event table and enumerate and number each kept method's
     paths.  Per-method work is independent; the worker count never
     changes the result."""
     stmt_to_event: dict[int, int] = {}

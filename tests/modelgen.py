@@ -181,6 +181,26 @@ def structured_program(rng: random.Random, n_methods: int,
     return "\n".join(out)
 
 
+def with_ambiguous_calls(model: ProgramModel, rng: random.Random) -> ProgramModel:
+    """`model` with about half of its call sites given a second, different
+    callee (ambiguous dispatch), each with its call edge."""
+    methods = dict(model.methods)
+    call_edges = set(model.call_edges)
+    for mid, method in model.methods.items():
+        nodes = dict(method.cfg.nodes)
+        for aid, act in method.cfg.nodes.items():
+            if isinstance(act, Call) and act.callees and rng.random() < 0.5:
+                other = rng.choice([m for m in model.methods if m not in act.callees])
+                nodes[aid] = Call(callees=act.callees + (other,))
+                call_edges.add((mid, other, aid))
+        methods[mid] = MethodNode(id=mid, name=method.name,
+                                  cfg=ExecutionGraph(nodes=nodes, edges=method.cfg.edges))
+    out = ProgramModel(methods=methods, call_edges=call_edges,
+                       components=dict(model.components))
+    validate_model(out)
+    return out
+
+
 def parse_program(source: str) -> ProgramModel:
     return lower_to_model(parse_unit(SourceUnit("fuzz.mlog", source)))
 

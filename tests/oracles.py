@@ -1,9 +1,10 @@
 """Independent brute-force implementations used as test oracles.
 
 Each of these mirrors a contract, not an implementation: reachability by
-per-node search, Kosaraju instead of Tarjan, breadth-first path listing
-with truth-assignment feasibility instead of the production DFS with a
-flow-sensitive filter, per-variable restoration over every listed walk
+per-node search, Kosaraju instead of Tarjan, breadth-first and
+unpruned recursive depth-first path listing with truth-assignment
+feasibility instead of the production search that prunes contradictory
+guards as it goes, per-variable restoration over every listed walk
 instead of one pruned search per statement, exhaustive walk-space
 enumeration instead of random walking, and repeated full sweeps instead
 of the worklist fixpoint.
@@ -186,6 +187,88 @@ def assignment_feasible(cfg: ExecutionGraph, visits) -> bool:
     return not variables
 
 
+def satisfiable(trace) -> bool:
+    """Decide a guard/assignment trace, a sequence of ("guard", var, bool),
+    ("assign", var) and ("lit", bool) events: a variable may not be
+    required to hold both polarities without an intervening
+    reassignment, and a literal-false guard is never taken."""
+    known: dict[str, bool] = {}
+    for ev in trace:
+        if ev[0] == "lit":
+            if not ev[1]:
+                return False
+        elif ev[0] == "guard":
+            _, var, val = ev
+            if known.get(var, val) != val:
+                return False
+            known[var] = val
+        else:  # assignment clears what we know about the variable
+            known.pop(ev[1], None)
+    return True
+
+
+def guard_trace(cfg: ExecutionGraph, visits) -> tuple:
+    """The `satisfiable` trace of one walk of (node, in-guard) visits.  At
+    each visit: the in-edge guard, evaluated under the old values; then,
+    on a back edge into a loop head (heads and loops from
+    `loops_by_removal`), an assignment of the head's condition variable,
+    which the head evaluates afresh; then the visited assignment."""
+    loops = loops_by_removal(cfg)
+    trace = []
+    prev = None
+    for node, guard in visits:
+        if guard is not None:
+            trace.append(("lit", guard.value) if guard.var is None
+                         else ("guard", guard.var, guard.value))
+        if prev is not None and node in loops and prev in loops[node] \
+                and cfg.nodes[node].cond.var is not None:
+            trace.append(("assign", cfg.nodes[node].cond.var))
+        if isinstance(cfg.nodes[node], AssignAct):
+            trace.append(("assign", cfg.nodes[node].var))
+        prev = node
+    return tuple(trace)
+
+
+def dfs_all_walks(cfg: ExecutionGraph, target: int) -> list[tuple]:
+    """Every edge-simple walk from entry, recorded at each arrival at
+    `target` and continued past it, unpruned, by recursive depth-first
+    search in the documented edge order: true guard first, then target
+    id, then guard text."""
+    def order(edge):
+        to, g = edge
+        text = "" if g is None else ("T:" if g.value else "F:") + str(g.var)
+        return (0 if g is not None and g.value else 1, to, text)
+
+    out_edges: dict[int, list] = {}
+    for frm, to, g in cfg.edges:
+        out_edges.setdefault(frm, []).append((to, g))
+    walks = []
+
+    def extend(visits, used):
+        at = visits[-1][0]
+        if len(visits) > 1 and at == target:
+            walks.append(visits)
+        for to, g in sorted(out_edges.get(at, ()), key=order):
+            if (at, to, g) not in used:
+                extend(visits + ((to, g),), used | {(at, to, g)})
+
+    extend(((cfg.entry, None),), frozenset())
+    return walks
+
+
+def dfs_feasible_paths(cfg: ExecutionGraph, kept: set[int],
+                       stmt_to_event: dict[int, int]) -> list[tuple]:
+    """The feasible projected paths in discovery order: every entry-to-exit
+    walk from `dfs_all_walks` that `assignment_feasible` admits, projected
+    with `project_walk`, keeping the first occurrence of each
+    (steps, skipped) pair."""
+    out: dict[tuple, None] = {}
+    for visits in dfs_all_walks(cfg, cfg.exit):
+        if assignment_feasible(cfg, visits):
+            out.update(dict.fromkeys(project_walk(cfg, visits, kept, stmt_to_event)))
+    return list(out)
+
+
 def _sweep(start: int, nxt: dict[int, list[int]], banned: int | None) -> set[int]:
     """Nodes reached from `start` along `nxt` without entering `banned`."""
     if start == banned:
@@ -311,17 +394,20 @@ def oracle_path_set(cfg: ExecutionGraph, kept: set[int],
     return out
 
 
+def production_paths(store, method_id: int) -> list[tuple]:
+    """The production store's paths for one method in store order, shaped
+    like the oracle's."""
+    return [
+        (tuple(("log", s.event, s.loop_mark) if isinstance(s, LogStep)
+               else ("call", s.callee, s.loop_mark) for s in p.steps),
+         p.skips_loop)
+        for p in store.by_method[method_id]
+    ]
+
+
 def production_path_set(store, method_id: int) -> set[tuple]:
     """The production store's paths for one method, shaped like the oracle's."""
-    out = set()
-    for p in store.by_method[method_id]:
-        steps = tuple(
-            ("log", s.event, s.loop_mark) if isinstance(s, LogStep)
-            else ("call", s.callee, s.loop_mark)
-            for s in p.steps
-        )
-        out.add((steps, p.skips_loop))
-    return out
+    return set(production_paths(store, method_id))
 
 
 # ── Fixpoint oracle: naive sweeps over every path ────────────────────

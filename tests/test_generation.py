@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from logsynth import generation
 from logsynth.generation import (
     ConfigError,
     ExhaustionError,
@@ -469,6 +470,22 @@ def test_traces_replay_for_whole_dataset(datanode_analysis, datanode_infection):
         assert walker.replay(seq.entry, ds.traces[seq.seq_id]) == seq.events
 
 
+def test_pooled_traces_are_sent_only_when_kept(datanode_analysis, datanode_infection):
+    params = _params(size=40, anomaly_rate=0.2, seed=8, max_loop_reps=2)
+    runs = [generate_dataset(
+        params, datanode_analysis.model, datanode_infection,
+        datanode_analysis.store, datanode_analysis.pruned,
+        datanode_analysis.call_graph, workers=2, keep_traces=keep,
+    ) for keep in (False, True)]
+    assert runs[0].sequences == runs[1].sequences
+    assert runs[0].traces is None
+    walker = _walker(datanode_analysis, datanode_infection, params)
+    for seq in runs[1].sequences:
+        assert walker.replay(seq.entry, runs[1].traces[seq.seq_id]) == seq.events
+    context = (walker, [0], [0], False)
+    assert generation._make_sequence(context, (0, Label.NORMAL))[1] is None
+
+
 def test_label_soundness_via_traces(datanode_analysis, datanode_infection):
     params = _params(size=300, anomaly_rate=0.1, seed=13, max_loop_reps=2)
     ds = generate_dataset(
@@ -481,6 +498,25 @@ def test_label_soundness_via_traces(datanode_analysis, datanode_infection):
         chosen = [rec[2] for rec in ds.traces[seq.seq_id] if rec[0] == "ep"]
         hit_seed = any(status[pid] is Status.SEED for pid in chosen)
         assert hit_seed == (seq.label is Label.ANOMALY)
+
+
+@pytest.mark.xfail(strict=True, raises=ExhaustionError, reason=(
+    "admissibility hole: at max_recursion_depth 0 the walker counts the "
+    "first call inside a cycle (a -> b) as a re-entry, while the entry "
+    "fixpoints ignore the depth bound, so an admitted default entry "
+    "outside the cycle exhausts"))
+def test_default_entry_above_a_cycle_walks_at_depth_zero():
+    analysis = analyze_model(parse_program(
+        'void x(){ a(); } void a(){ b(); } '
+        'void b(){ log(info, "in b"); if (again) { a(); } }'))
+    infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+    params = _params(size=1, max_recursion_depth=0)
+    x = analysis.model.method_by_name("x").id
+    assert analysis.pruned.entry_candidates() == [x]
+    assert _walker(analysis, infection, params).normal_entry_ok(x)
+    ds = generate_dataset(params, analysis.model, infection, analysis.store,
+                          analysis.pruned, analysis.call_graph)
+    assert ds.sequences[0].events == (0,)
 
 
 def test_deep_call_chain_generates_in_process():

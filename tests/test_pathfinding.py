@@ -14,18 +14,15 @@ from logsynth.pathfinding import (
     PathLimits,
     build_store,
     enumerate_logeps,
-    filter_infeasible,
     format_store_dump,
     restore_statement,
-    strategy_for,
-    satisfiable,
 )
 from logsynth.generation import GenParams, generate_dataset
 from logsynth.labeling import AnnotationSet, export_worksheet, propagate
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph, mark_log_methods
 from logsynth.pruning import prune
-from logsynth.model import Literal, Log, dumps_model, loads_model
+from logsynth.model import AssignAct, Branch, Call, Literal, Log, dumps_model, loads_model
 
 from .conftest import (
     EP_A_CALLB,
@@ -36,12 +33,22 @@ from .conftest import (
     EV_RECEIVING,
     EV_TIMED_OUT,
 )
-from .modelgen import parse_program, structured_method_program, structured_program
+from .modelgen import (
+    parse_program,
+    structured_method_program,
+    structured_program,
+    with_ambiguous_calls,
+)
 from .oracles import (
+    dfs_all_walks,
+    dfs_feasible_paths,
+    guard_trace,
     loops_by_removal,
     oracle_path_set,
     production_path_set,
+    production_paths,
     restore_by_walks,
+    satisfiable,
 )
 
 
@@ -160,29 +167,31 @@ def test_restore_matches_walk_oracle():
     assert min(shapes.values()) >= 20, shapes
 
 
-# ── Strategy classification ──────────────────────────────────────────
+# ── Method classification ────────────────────────────────────────────
 
 def test_strategies_on_golden_fixture(datanode_analysis):
     model = datanode_analysis.model
     pruned = datanode_analysis.pruned
-    strategies = {
-        model.methods[mid].name: strategy_for(model.methods[mid], pruned)
+    kinds = {
+        model.methods[mid].name: (model.methods[mid].is_log_method,
+                                  pruned.is_leaf(mid))
         for mid in sorted(pruned.kept)
     }
-    assert strategies == {
-        "methodA": 1,  # logs and calls
-        "methodB": 2,  # logging leaf
-        "methodC": 3,  # calls only
-        "methodD": 2,
+    assert kinds == {
+        "methodA": (True, False),   # logs and calls
+        "methodB": (True, True),    # logging leaf
+        "methodC": (False, False),  # calls only
+        "methodD": (True, True),
     }
 
 
 def test_strategy_exclusivity_on_fuzzed_programs():
+    # a kept method logs, or calls a kept method, or both
     for seed in range(40):
         rng = random.Random(seed)
         model, analysis = _analysis(structured_method_program(rng, rng.randint(0, 6)))
         for mid in analysis.pruned.kept:
-            assert strategy_for(model.methods[mid], analysis.pruned) in (1, 2, 3)
+            assert model.methods[mid].is_log_method or not analysis.pruned.is_leaf(mid)
 
 
 # ── Enumeration ──────────────────────────────────────────────────────
@@ -309,17 +318,15 @@ def test_satisfiable_decision_procedure():
     assert satisfiable((("lit", True),))
 
 
-def test_filter_infeasible_is_a_pure_filter(datanode_analysis):
+def test_filter_infeasible_is_a_pure_filter():
     model = parse_program(
         'void m(){ if(x){ log(info, "A"); } if(x){ log(info, "B"); } }'
     )
     cg = build_call_graph(model)
     pruned = prune(cg, mark_log_methods(model))
-    raw = enumerate_logeps(model.methods[0], pruned)
-    assert len(raw) == 4
-    kept = filter_infeasible(raw)
-    assert len(kept) == 2
-    assert all(p in raw for p in kept)
+    # the two mixed walks contradict x: only the 2 feasible paths appear
+    paths = enumerate_logeps(model.methods[0], pruned)
+    assert [tuple(s.event for s in p.steps) for p in paths] == [(0, 1), ()]
 
 
 # ── Oracle equivalence and determinism ───────────────────────────────
@@ -344,6 +351,65 @@ def test_path_sets_match_bruteforce_oracle():
     assert compared >= 40
 
 
+def _pruning_corpus():
+    """150 seeded `main` methods with loops, literal guards, two or three
+    variables that are tested and reassigned, and ambiguous dispatch at
+    about half of the call sites, plus how many models have each shape."""
+    shapes = {"loop": 0, "ambiguous dispatch": 0, "variable tested twice": 0,
+              "literal guard": 0, "reassigned in a loop": 0}
+    corpus = []
+    for seed in range(150):
+        rng = random.Random(seed * 7 + 3)
+        model = with_ambiguous_calls(parse_program(structured_method_program(
+            rng, rng.randint(2, 9), var_pool_size=rng.randint(2, 3),
+            ensure_log=True)), rng)
+        analysis = analyze_model(model)
+        cfg = model.method_by_name("main").cfg
+        loops = loops_by_removal(cfg)
+        tested = [act.cond.var for act in cfg.nodes.values() if isinstance(act, Branch)]
+        kept = analysis.pruned.kept
+        shapes["loop"] += bool(loops)
+        shapes["ambiguous dispatch"] += any(
+            isinstance(act, Call) and sum(c in kept for c in act.callees) > 1
+            for act in cfg.nodes.values())
+        shapes["variable tested twice"] += any(
+            v is not None and tested.count(v) > 1 for v in tested)
+        shapes["literal guard"] += None in tested
+        shapes["reassigned in a loop"] += any(
+            isinstance(cfg.nodes[n], AssignAct) and cfg.nodes[n].var in tested
+            for body in loops.values() for n in body)
+        corpus.append((seed, model, analysis))
+    return corpus, shapes
+
+
+def test_enumeration_matches_ordered_dfs_oracle():
+    corpus, shapes = _pruning_corpus()
+    for seed, model, analysis in corpus:
+        main = model.method_by_name("main")
+        stmt_to_event = {ev.origin: eid for eid, ev in analysis.store.events.items()}
+        expected = dfs_feasible_paths(main.cfg, set(analysis.pruned.kept), stmt_to_event)
+        assert production_paths(analysis.store, main.id) == expected, seed
+    assert min(shapes.values()) >= 25, shapes
+
+
+def test_pruned_walks_are_the_satisfiable_walks():
+    # the pruned search, to the exit and to every statement, yields the
+    # unpruned search's walks that the trace decision procedure accepts
+    corpus, _ = _pruning_corpus()
+    pruned = 0  # models where some walk to the exit is infeasible
+    for seed, model, _ in corpus:
+        cfg = model.method_by_name("main").cfg
+        targets = [cfg.exit] + [n for n, act in cfg.nodes.items() if isinstance(act, Log)]
+        for target in targets:
+            walks = dfs_all_walks(cfg, target)
+            expected = [tuple(n for n, _ in visits) for visits in walks
+                        if satisfiable(guard_trace(cfg, visits))]
+            assert list(pathfinding._iter_walks(cfg, cfg.entry, target)) == expected, \
+                (seed, target)
+            pruned += target == cfg.exit and len(expected) < len(walks)
+    assert pruned >= 50, pruned
+
+
 def test_identical_model_gives_identical_dump(datanode_path):
     from logsynth.pipeline import load_input
 
@@ -363,6 +429,24 @@ def test_path_cap_truncates_with_warning(caplog):
     with caplog.at_level("WARNING"):
         limited = build_store(model, pruned, PathLimits(max_paths_per_method=8))
     assert len(limited.by_method[0]) == 8
+    assert any("truncated" in rec.message for rec in caplog.records)
+
+
+def test_path_cap_counts_feasible_walks(caplog):
+    # 16 walks, of which the 8 that test x one way only are feasible;
+    # every feasible walk projects onto one of 2 paths
+    model = parse_program(
+        'void m(){ if(x){ log(info, "A"); } if(c0){} if(c1){} '
+        'if(x){ log(info, "B"); } }')
+    pruned = prune(build_call_graph(model), mark_log_methods(model))
+    with caplog.at_level("WARNING"):
+        full = enumerate_logeps(model.methods[0], pruned, PathLimits(8))
+    assert [tuple(s.event for s in p.steps) for p in full] == [(0, 1), ()]
+    assert not caplog.records
+    with caplog.at_level("WARNING"):
+        cut = enumerate_logeps(model.methods[0], pruned, PathLimits(4))
+    # the second path's first walk is the 5th: past the cap, never seen
+    assert [tuple(s.event for s in p.steps) for p in cut] == [(0, 1)]
     assert any("truncated" in rec.message for rec in caplog.records)
 
 
@@ -411,11 +495,14 @@ def test_every_kept_method_has_a_store_slot():
 def test_surviving_paths_are_satisfiable():
     for seed in range(25):
         rng = random.Random(seed + 1300)
-        _, analysis = _analysis(
+        model, analysis = _analysis(
             structured_method_program(rng, rng.randint(0, 8))
         )
-        for p in analysis.store.all_paths():
-            assert satisfiable(p.guard_trace)
+        kept = set(analysis.pruned.kept)
+        stmt_to_event = {ev.origin: eid for eid, ev in analysis.store.events.items()}
+        for mid in kept:
+            feasible = oracle_path_set(model.methods[mid].cfg, kept, stmt_to_event)
+            assert production_path_set(analysis.store, mid) <= feasible, (seed, mid)
 
 
 def test_build_store_derives_loops_once_per_method(monkeypatch):
