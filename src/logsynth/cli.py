@@ -57,7 +57,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run probing, pruning, and path finding")
     _add_input_args(p)
     p.add_argument("--out", required=True, help="output directory for artifacts")
-    p.add_argument("--workers", type=int, default=0, help="analysis parallelism")
 
     p = sub.add_parser("prune", help="dump the pruning classification")
     _add_input_args(p)
@@ -103,11 +102,11 @@ def _analysis_from(args):
               if args.logging_api else LoggingApiConfig())
     model = load_input(args.sources, args.model)
     limits = PathLimits(max_paths_per_method=args.max_paths)
-    return analyze_model(model, config, limits, workers=_workers(args))
+    return analyze_model(model, config, limits)
 
 
 def _workers(args) -> int:
-    n = getattr(args, "workers", 0)
+    n = args.workers
     if n < 0:
         raise ConfigError("--workers must be >= 0 (0 means one per CPU)")
     cpus = os.cpu_count() or 1

@@ -303,22 +303,6 @@ def sequence_rng(seed: int, seq_id: int) -> random.Random:
     return random.Random(f"{seed}/{seq_id}")
 
 
-def generate_sequence(
-    entry: MethodId,
-    mode: Label,
-    infection: InfectionMap,
-    store: PathStore,
-    model: ProgramModel,
-    call_graph: CallGraph,
-    rng: random.Random,
-    params: GenParams,
-) -> tuple[LogSequence, tuple]:
-    """One labeled sequence plus its choice trace."""
-    walker = Walker(model, store, infection, call_graph, params)
-    events, trace = walker.walk(entry, mode, rng)
-    return LogSequence(seq_id=0, label=mode, events=events, entry=entry), trace
-
-
 def _resolve_entries(params: GenParams, model: ProgramModel,
                      cg_prime: PrunedCallGraph) -> list[MethodId]:
     if params.entries is not None:
@@ -481,41 +465,71 @@ def write_dataset(ds: LogDataset, outdir, model: ProgramModel,
 
 
 def read_dataset(outdir, model: ProgramModel) -> LogDataset:
-    """Inverse of write_dataset (manifest hashes are not re-checked)."""
+    """Inverse of write_dataset (manifest hashes are not re-checked).  A
+    missing manifest key, or a row that write_dataset could not have
+    written, raises a LogsynthError naming the file and line."""
     out = Path(outdir)
-    manifest = {}
-    for line in (out / "manifest.txt").read_text(encoding="utf-8").splitlines():
+    path = out / "manifest.txt"
+    manifest: dict[str, tuple[int, str]] = {}  # key -> (line, value)
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if "=" in line:
             key, _, value = line.partition("=")
-            manifest[key] = value
+            manifest[key] = (lineno, value)
+
+    def setting(key: str, parse=str):
+        if key not in manifest:
+            raise LogsynthError(f"{path}: missing '{key}=' line")
+        lineno, value = manifest[key]
+        try:
+            return parse(value)
+        except ValueError:
+            raise LogsynthError(f"{path}:{lineno}: invalid {key} {value!r}") from None
+
+    entries = setting("entries")
     params = GenParams(
-        size=int(manifest["size"]),
-        anomaly_rate=float(manifest["anomaly_rate"]),
-        component=manifest["component"] or None,
-        entries=tuple(manifest["entries"].split(",")) if manifest["entries"] else None,
-        seed=int(manifest["seed"]),
-        max_loop_reps=int(manifest["max_loop_reps"]),
-        max_recursion_depth=int(manifest["max_recursion_depth"]),
-        exact_rate=bool(int(manifest["exact_rate"])),
+        size=setting("size", int),
+        anomaly_rate=setting("anomaly_rate", float),
+        component=setting("component") or None,
+        entries=tuple(entries.split(",")) if entries else None,
+        seed=setting("seed", int),
+        max_loop_reps=setting("max_loop_reps", int),
+        max_recursion_depth=setting("max_recursion_depth", int),
+        exact_rate=bool(setting("exact_rate", int)),
     )
 
+    names = {m.name: mid for mid, m in model.methods.items()}
     sequences = []
-    lines = (out / "sequences.csv").read_text(encoding="utf-8").splitlines()
-    for row in lines[1:]:
-        sid, label, entry_name, events_field = row.split(",", 3)
-        events = tuple(int(e) for e in events_field.split()) if events_field else ()
+    path = out / "sequences.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, row in enumerate(lines[1:], 2):
+        where = f"{path}:{lineno}"
+        fields = row.split(",", 3)
+        if len(fields) != 4:
+            raise LogsynthError(f"{where}: expected seq_id,label,entry,events")
+        sid, label, entry_name, events_field = fields
+        if label not in ("0", "1"):
+            raise LogsynthError(f"{where}: label must be 0 or 1, got {label!r}")
+        if entry_name not in names:
+            raise LogsynthError(f"{where}: unknown entry method {entry_name!r}")
+        try:
+            seq_id, events = int(sid), tuple(map(int, events_field.split()))
+        except ValueError:
+            raise LogsynthError(f"{where}: seq_id and events must be integers") from None
         sequences.append(LogSequence(
-            seq_id=int(sid),
+            seq_id=seq_id,
             label=Label.ANOMALY if label == "1" else Label.NORMAL,
             events=events,
-            entry=model.method_by_name(entry_name).id,
+            entry=names[entry_name],
         ))
 
     events: dict[int, LogEvent] = {}
-    lines = (out / "templates.csv").read_text(encoding="utf-8").splitlines()
-    for row in lines[1:]:
-        eid_s, level, quoted = row.split(",", 2)
-        template = quoted[1:-1].replace('""', '"')
-        eid = int(eid_s)
-        events[eid] = LogEvent(eid, level, template)
+    path = out / "templates.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, row in enumerate(lines[1:], 2):
+        try:
+            eid_s, level, quoted = row.split(",", 2)
+            eid = int(eid_s)
+        except ValueError:
+            raise LogsynthError(f"{path}:{lineno}: expected event_id,level,template") from None
+        events[eid] = LogEvent(eid, level, quoted[1:-1].replace('""', '"'))
     return LogDataset(sequences=sequences, events=events, params=params)

@@ -191,9 +191,11 @@ class ExecutionGraph:
                 )
         return found[Entry][0], found[Exit][0]
 
-    def out_edges(self) -> dict[ActivityId, list[tuple[ActivityId, Guard | None]]]:
+    @cached_property
+    def out_edges(self) -> dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]]:
         """Each node's out-edges in a deterministic order (true guard
-        first), built in one pass; nodes without out-edges are absent."""
+        first), built in one pass on first use and kept; nodes without
+        out-edges are absent."""
         out: dict[ActivityId, list[tuple[ActivityId, Guard | None]]] = {}
         for frm, to, g in self.edges:
             out.setdefault(frm, []).append((to, g))
@@ -201,21 +203,22 @@ class ExecutionGraph:
             if len(succ) > 1:
                 succ.sort(key=lambda e: (0 if (e[1] is not None and e[1].value) else 1,
                                          e[0], format_guard(e[1]) if e[1] else ""))
-        return out
+        return {frm: tuple(succ) for frm, succ in out.items()}
 
-    def in_edges(self) -> dict[ActivityId, list[tuple[ActivityId, Guard | None]]]:
-        """Each node's in-edges as (source, guard), in no fixed order;
-        nodes without in-edges are absent."""
+    @cached_property
+    def in_edges(self) -> dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]]:
+        """Each node's in-edges as (source, guard), in no fixed order,
+        built on first use and kept; nodes without in-edges are absent."""
         into: dict[ActivityId, list[tuple[ActivityId, Guard | None]]] = {}
         for frm, to, g in self.edges:
             into.setdefault(to, []).append((frm, g))
-        return into
+        return {to: tuple(pred) for to, pred in into.items()}
 
     def reachable_from_entry(self) -> set[ActivityId]:
-        return sweep(self.out_edges(), [self.entry])
+        return sweep(self.out_edges, [self.entry])
 
 
-def sweep(edges: dict[ActivityId, list[tuple[ActivityId, Guard | None]]],
+def sweep(edges: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]],
           starts, seen: set[ActivityId] | None = None) -> set[ActivityId]:
     """`seen` (empty by default) grown by `starts` and every node they
     reach along `edges`, an `out_edges` or `in_edges` map, without
@@ -244,7 +247,7 @@ def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
     (unreachable, or a body that always returns) is a plain branch.
     Memory is linear in the graph; time is linear per candidate head."""
     entry = graph.entry
-    succ = graph.out_edges()
+    succ = graph.out_edges
 
     candidates: dict[ActivityId, list[ActivityId]] = {}  # head -> sources
     seen = {entry}
@@ -266,7 +269,7 @@ def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
             on_stack.discard(node)
 
     loops = {}
-    preds = graph.in_edges() if candidates else {}
+    preds = graph.in_edges if candidates else {}
     for head in sorted(candidates):
         alive = sweep(succ, [entry], {head})
         alive.discard(head)
@@ -375,10 +378,10 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
             raise ModelFormatError(
                 f"{where}: guarded edge {frm}->{to} leaves a non-branch activity"
             )
-    succ = cfg.out_edges()
+    succ = cfg.out_edges
     for aid, act in cfg.nodes.items():
         if isinstance(act, Branch):
-            out = succ.get(aid, [])
+            out = succ.get(aid, ())
             if len(out) != 2 or any(g is None for _, g in out):
                 raise ModelFormatError(
                     f"{where}: branch {aid} must have exactly 2 guarded out-edges"

@@ -1,5 +1,5 @@
-"""The one parallel path of the pipeline: an ordered map over a process
-pool that receives its shared context once per worker.
+"""Parallel dataset generation: an ordered map over a process pool that
+receives its shared context once per worker.  Analysis never uses it.
 
 Callers pass a module-level `task(context, item)`.  The result is always
 `[task(context, item) for item in items]`, in input order, so the worker

@@ -44,7 +44,6 @@ from .model import (
     Var,
     sweep,
 )
-from .parallel import ordered_map
 from .pruning import PrunedCallGraph
 
 log = logging.getLogger(__name__)
@@ -182,8 +181,8 @@ def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
     contradicting edge yields exactly the feasible walks, in the order of
     the unpruned search.  Edges into nodes that cannot reach `target` (one
     backward sweep) are skipped too: their subtrees yield nothing."""
-    succ = cfg.out_edges()
-    live = sweep(cfg.in_edges(), [target])
+    succ = cfg.out_edges
+    live = sweep(cfg.in_edges, [target])
     loops = cfg.loops
     nodes = cfg.nodes
     # a literal guard tests the variable None, which is always true
@@ -402,56 +401,31 @@ def enumerate_logeps(
 
 # ── Assembling the store ─────────────────────────────────────────────
 
-def _method_result(context, mid: MethodId
-                   ) -> tuple[list[LogEvent], list[LogPath]]:
-    """One kept method's restored events and final paths (ids -1)."""
-    model, cg_prime, limits, stmt_to_event, event_plan = context
-    method = model.methods[mid]
-    events = [restore_statement(method, aid, eid, limits)
-              for eid, aid in event_plan.get(mid, [])]
-    return events, enumerate_logeps(method, cg_prime, limits, stmt_to_event)
-
-
 def build_store(
     model: ProgramModel,
     cg_prime: PrunedCallGraph,
     limits: PathLimits = PathLimits(),
-    workers: int = 1,
 ) -> PathStore:
     """Restore every reachable logging statement of the kept methods into
-    an event table and enumerate and number each kept method's
-    paths.  Per-method work is independent; the worker count never
-    changes the result."""
-    stmt_to_event: dict[int, int] = {}
-    event_plan: dict[int, list[tuple[int, ActivityId]]] = {}
-    next_event = 0
-    reachable = {mid: model.methods[mid].cfg.reachable_from_entry()
-                 for mid in cg_prime.kept}
-    for mid, aid, stmt in model.statements():
-        if mid not in cg_prime.kept or aid not in reachable[mid]:
-            continue
-        stmt_to_event[stmt.id] = next_event
-        event_plan.setdefault(mid, []).append((next_event, aid))
-        next_event += 1
-
-    kept = sorted(cg_prime.kept)
-    results = ordered_map(
-        _method_result, (model, cg_prime, limits, stmt_to_event, event_plan),
-        kept, workers,
-    )
-
-    all_events: dict[int, LogEvent] = {}
-    by_method: dict[int, list[LogPath]] = {}
-    next_id = 0
-    for mid, (events, paths) in zip(kept, results):
-        for ev in events:
-            all_events[ev.event_id] = ev
-        final = []
-        for p in paths:
-            final.append(replace(p, id=next_id))
-            next_id += 1
-        by_method[mid] = final
-    return PathStore(by_method=by_method, events=all_events)
+    an event table, and enumerate each kept method's paths, in one pass
+    over the kept methods in id order.  Events are numbered from 0 in
+    (method, activity) order and paths from 0 in (method, path) order."""
+    events: dict[EventId, LogEvent] = {}
+    by_method: dict[MethodId, list[LogPath]] = {}
+    path_ids = itertools.count()
+    for mid in sorted(cg_prime.kept):
+        method = model.methods[mid]
+        cfg = method.cfg
+        reachable = cfg.reachable_from_entry()
+        ids: dict[int, EventId] = {}  # statement id -> event id
+        for aid in sorted(reachable):
+            act = cfg.nodes[aid]
+            if isinstance(act, Log):
+                eid = ids[act.stmt.id] = len(events)
+                events[eid] = restore_statement(method, aid, eid, limits)
+        by_method[mid] = [replace(p, id=next(path_ids)) for p in
+                          enumerate_logeps(method, cg_prime, limits, ids)]
+    return PathStore(by_method=by_method, events=events)
 
 
 def format_store_dump(store: PathStore, model: ProgramModel) -> str:

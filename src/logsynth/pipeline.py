@@ -66,11 +66,13 @@ def analyze_model(
     limits: PathLimits = PathLimits(),
     workers: int = 1,
 ) -> Analysis:
-    """Probing, pruning, and path finding over a loaded model."""
+    """Probing, pruning, and path finding over a loaded model, in this
+    process.  `workers` is accepted and ignored: bench/harness.py still
+    passes it."""
     call_graph = build_call_graph(model)
     log_methods = mark_log_methods(model, api_config)
     pruned = prune(call_graph, log_methods)
-    store = build_store(model, pruned, limits, workers=workers)
+    store = build_store(model, pruned, limits)
     return Analysis(
         model=model,
         call_graph=call_graph,

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from logsynth import parallel
 from logsynth.cli import _workers, main
 
 from .modelgen import structured_program
@@ -92,13 +93,35 @@ def test_non_positive_max_paths_is_an_error(tmp_path, capsys, value):
     assert not (out / "paths.txt").exists()
 
 
-def test_negative_workers_is_an_error(tmp_path, capsys):
-    out = tmp_path / "art"
-    code, _, err = run(capsys, "analyze", FIXTURE, "--out", str(out),
-                       "--workers", "-3")
+def test_negative_workers_is_an_error(tmp_path, capsys, artifacts):
+    art, ann = artifacts
+    out = tmp_path / "ds"
+    code, _, err = run(capsys, "generate", "--model", str(art / "model.txt"),
+                       "--annotations", str(ann), "--size", "5",
+                       "--out", str(out), "--workers", "-3")
     assert code == 1
     assert "error: --workers must be >= 0" in err
-    assert not (out / "paths.txt").exists()
+    assert not (out / "sequences.csv").exists()
+
+
+def test_analysis_commands_start_no_process(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    art = tmp_path / "art"
+    assert run(capsys, "analyze", FIXTURE, "--out", str(art))[0] == 0
+    assert run(capsys, "paths", FIXTURE, "--dump")[0] == 0
+    assert run(capsys, "prune", FIXTURE, "--dump")[0] == 0
+    assert run(capsys, "worksheet", FIXTURE, "--out", str(tmp_path / "ws.txt"))[0] == 0
+    ds = tmp_path / "ds"
+    assert run(capsys, "generate", "--model", str(art / "model.txt"),
+               "--size", "20", "--workers", "1", "--out", str(ds))[0] == 0
+    code, out, _ = run(capsys, "stats", "--model", str(art / "model.txt"),
+                       "--dataset", str(ds))
+    assert code == 0
+    assert "sequences" in out
 
 
 def test_workers_are_capped_at_the_cpu_count(monkeypatch):
@@ -287,3 +310,34 @@ def test_thousand_method_synthetic_analysis(tmp_path, capsys):
     assert stdout2 == stdout
     assert (out / "model.txt").read_bytes() == (out2 / "model.txt").read_bytes()
     assert (out / "paths.txt").read_bytes() == (out2 / "paths.txt").read_bytes()
+
+
+def _rewrite_line(path, lineno, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[lineno] = edit(lines[lineno])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, lineno, edit, message", [
+    ("sequences.csv", 2, lambda row: row.rsplit(",", 1)[0], "sequences.csv:3: expected"),
+    ("sequences.csv", 1, lambda row: "x" + row, "sequences.csv:2: seq_id and events"),
+    ("sequences.csv", 1, lambda row: row + " 2x", "sequences.csv:2: seq_id and events"),
+    ("sequences.csv", 1, lambda row: "{0},2,{2},{3}".format(*row.split(",", 3)),
+     "sequences.csv:2: label must be 0 or 1"),
+    ("sequences.csv", 1, lambda row: "{0},{1},nosuch,{3}".format(*row.split(",", 3)),
+     "sequences.csv:2: unknown entry method 'nosuch'"),
+    ("manifest.txt", 4, lambda line: "# no seed", "manifest.txt: missing 'seed=' line"),
+    ("templates.csv", 1, lambda row: row.split(",")[0], "templates.csv:2: expected"),
+])
+def test_stats_rejects_a_malformed_dataset(tmp_path, capsys, artifacts,
+                                           name, lineno, edit, message):
+    art, _ = artifacts
+    ds = tmp_path / "ds"
+    assert run(capsys, "generate", "--model", str(art / "model.txt"),
+               "--size", "5", "--workers", "1", "--out", str(ds))[0] == 0
+    _rewrite_line(ds / name, lineno, edit)
+    code, out, err = run(capsys, "stats", "--model", str(art / "model.txt"),
+                         "--dataset", str(ds))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err

@@ -13,7 +13,6 @@ from logsynth.generation import (
     UnreachableSeedError,
     Walker,
     generate_dataset,
-    generate_sequence,
     read_dataset,
     sequence_rng,
     write_dataset,
@@ -52,55 +51,37 @@ def _cycle_info(call_graph):
 # ── Single walks on the golden fixture ───────────────────────────────
 
 def test_normal_walk_is_forced(datanode_analysis, datanode_infection):
-    params = _params(max_loop_reps=1)
+    walker = _walker(datanode_analysis, datanode_infection, _params(max_loop_reps=1))
     for seed in range(20):
-        seq, _ = generate_sequence(
-            0, Label.NORMAL, datanode_infection, datanode_analysis.store,
-            datanode_analysis.model, datanode_analysis.call_graph,
-            random.Random(seed), params,
-        )
-        assert seq.events == (EV_RECEIVING, EV_RECEIVED)
+        events, _ = walker.walk(0, Label.NORMAL, random.Random(seed))
+        assert events == (EV_RECEIVING, EV_RECEIVED)
 
 
 def test_anomaly_walk_is_forced(datanode_analysis, datanode_infection):
-    params = _params(max_loop_reps=1)
+    walker = _walker(datanode_analysis, datanode_infection, _params(max_loop_reps=1))
     for seed in range(20):
-        seq, _ = generate_sequence(
-            0, Label.ANOMALY, datanode_infection, datanode_analysis.store,
-            datanode_analysis.model, datanode_analysis.call_graph,
-            random.Random(seed), params,
-        )
-        assert seq.events == (EV_RECEIVING, EV_DELETE_FAILED, EV_TIMED_OUT)
+        events, _ = walker.walk(0, Label.ANOMALY, random.Random(seed))
+        assert events == (EV_RECEIVING, EV_DELETE_FAILED, EV_TIMED_OUT)
 
 
 def test_leaf_entry_normal(datanode_analysis, datanode_infection):
-    seq, _ = generate_sequence(
-        1, Label.NORMAL, datanode_infection, datanode_analysis.store,
-        datanode_analysis.model, datanode_analysis.call_graph,
-        random.Random(0), _params(),
-    )
-    assert seq.events == (EV_RECEIVED,)
+    walker = _walker(datanode_analysis, datanode_infection, _params())
+    events, _ = walker.walk(1, Label.NORMAL, random.Random(0))
+    assert events == (EV_RECEIVED,)
 
 
 def test_leaf_entry_anomaly_unreachable(datanode_analysis, datanode_infection):
+    walker = _walker(datanode_analysis, datanode_infection, _params())
     with pytest.raises(UnreachableSeedError):
-        generate_sequence(
-            1, Label.ANOMALY, datanode_infection, datanode_analysis.store,
-            datanode_analysis.model, datanode_analysis.call_graph,
-            random.Random(0), _params(),
-        )
+        walker.walk(1, Label.ANOMALY, random.Random(0))
 
 
 def test_loop_replay_bounds(datanode_analysis, datanode_infection):
-    params = _params(max_loop_reps=3)
+    walker = _walker(datanode_analysis, datanode_infection, _params(max_loop_reps=3))
     seen = set()
     for seed in range(60):
-        seq, _ = generate_sequence(
-            0, Label.NORMAL, datanode_infection, datanode_analysis.store,
-            datanode_analysis.model, datanode_analysis.call_graph,
-            random.Random(seed), params,
-        )
-        seen.add(seq.events)
+        events, _ = walker.walk(0, Label.NORMAL, random.Random(seed))
+        seen.add(events)
     assert seen == {
         (EV_RECEIVING, EV_RECEIVED) * k for k in (1, 2, 3)
     }
@@ -108,19 +89,16 @@ def test_loop_replay_bounds(datanode_analysis, datanode_infection):
 
 def test_walk_space_equality_both_modes(datanode_analysis, datanode_infection):
     params = _params(max_loop_reps=2)
+    walker = _walker(datanode_analysis, datanode_infection, params)
     scc_of, cycle_sccs = _cycle_info(datanode_analysis.call_graph)
     for mode in (Label.NORMAL, Label.ANOMALY):
         legal = walk_space(datanode_analysis.store, datanode_infection,
                            scc_of, cycle_sccs, params, 0, mode)
         observed = set()
         for seed in range(200):
-            seq, _ = generate_sequence(
-                0, mode, datanode_infection, datanode_analysis.store,
-                datanode_analysis.model, datanode_analysis.call_graph,
-                random.Random(seed), params,
-            )
-            observed.add(seq.events)
-            assert seq.events in legal
+            events, _ = walker.walk(0, mode, random.Random(seed))
+            observed.add(events)
+            assert events in legal
         assert observed == legal
 
 
@@ -157,14 +135,9 @@ def _annotated_analysis(source: str, alert_templates=(), seed_paths=()):
 
 
 def _observed_walks(analysis, infection, entry, mode, params, samples=400):
-    seen = set()
-    for seed in range(samples):
-        seq, trace = generate_sequence(
-            entry, mode, infection, analysis.store, analysis.model,
-            analysis.call_graph, random.Random(seed), params,
-        )
-        seen.add(seq.events)
-    return seen
+    walker = _walker(analysis, infection, params)
+    return {walker.walk(entry, mode, random.Random(seed))[0]
+            for seed in range(samples)}
 
 
 def test_walk_space_with_nested_loop_regions():
@@ -210,10 +183,9 @@ def test_walk_space_with_recursive_seed_chain():
     # every completion passes through the seed, so normal walks exhaust
     assert walk_space(analysis.store, infection, scc_of, cycle_sccs,
                       params, 0, Label.NORMAL) == set()
+    walker = _walker(analysis, infection, params)
     with pytest.raises(ExhaustionError):
-        generate_sequence(0, Label.NORMAL, infection, analysis.store,
-                          analysis.model, analysis.call_graph,
-                          random.Random(0), params)
+        walker.walk(0, Label.NORMAL, random.Random(0))
 
 
 def test_walk_space_with_mixed_clean_and_seed_paths():

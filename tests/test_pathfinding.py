@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import pytest
 
@@ -520,18 +521,39 @@ def test_build_store_derives_loops_once_per_method(monkeypatch):
         return real(graph)
 
     monkeypatch.setattr(model_mod, "natural_loops", counting)
-    build_store(model, pruned, workers=1)
+    build_store(model, pruned)
     assert sorted(derived) == sorted(id(model.methods[mid].cfg)
                                      for mid in pruned.kept)
 
 
-def test_store_build_is_worker_independent(datanode_model):
-    cg = build_call_graph(datanode_model)
-    pruned = prune(cg, mark_log_methods(datanode_model))
-    sequential = build_store(datanode_model, pruned, workers=1)
-    parallel = build_store(datanode_model, pruned, workers=3)
-    assert sequential.events == parallel.events
-    assert sequential.by_method == parallel.by_method
+def test_build_store_derives_adjacency_once_per_method(monkeypatch):
+    built = []
+    for name in ("out_edges", "in_edges"):
+        real = model_mod.ExecutionGraph.__dict__[name].func
+
+        def counting(graph, _real=real, _name=name):
+            built.append((_name, id(graph)))
+            return _real(graph)
+
+        cached = cached_property(counting)
+        cached.__set_name__(model_mod.ExecutionGraph, name)
+        monkeypatch.setattr(model_mod.ExecutionGraph, name, cached)
+    # the model is validated, so each graph's out-edges exist before
+    # build_store; `q` logs nothing and is pruned
+    model = parse_program(
+        'void m(){ x = "a"; while(c){ log(info, "in " + x); n(); } '
+        'log(info, x + y); } '
+        'void n(){ while(d){ log(info, "n"); } if(e){ log(info, "e"); } } '
+        'void q(){ if(f){ z = "b"; } }'
+    )
+    pruned = prune(build_call_graph(model), mark_log_methods(model))
+    assert sorted(built) == sorted(("out_edges", id(m.cfg))
+                                   for m in model.methods.values())
+    del built[:]
+    build_store(model, pruned)
+    assert len(pruned.kept) == 2
+    assert sorted(built) == sorted(("in_edges", id(model.methods[mid].cfg))
+                                   for mid in pruned.kept)
 
 
 def test_long_straight_method_runs_in_process(tmp_path):
