@@ -11,6 +11,12 @@ re-entries.  Nothing is rebuilt per step: a path's loop regions are
 decoded on its first visit (`LogPath.regions`), and each method's
 candidate paths per walk state are built once in `Walker.__init__`.
 
+A walk tries an entry's root paths, and a callee's candidate paths at
+each call step, in a random order.  `_draw_order` draws that order
+inline, with the same `getrandbits` calls as `random.Random.sample`
+drawing all of them but without its generic set-up per call; a loop
+region's repetition count is one `randint`.
+
 Every successful walk records its choice trace (path picks and loop
 repetition draws); `replay` re-derives the event list from a trace,
 which is how label soundness and walk legality are checked.
@@ -25,6 +31,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,6 +106,31 @@ class LogDataset:
 
 # ── The walker ───────────────────────────────────────────────────────
 
+def _draw_order(rng: random.Random, cands: tuple) -> Sequence:
+    """`cands` in the order `random.Random.sample` draws all of them, made
+    with the same `getrandbits` calls, so `rng` ends where sample leaves it.
+    With k == n, sample (CPython 3.10-3.13) takes its pool branch and draws
+    each index below m by rejection on m.bit_length() bits; a single
+    candidate still costs that one draw."""
+    n = len(cands)
+    if n < 2:
+        if n:
+            while rng.getrandbits(1):
+                pass
+        return cands
+    getrandbits = rng.getrandbits
+    pool = list(cands)
+    order = []
+    for m in range(n, 0, -1):
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        order.append(pool[j])
+        pool[j] = pool[m - 1]
+    return order
+
+
 class Walker:
     """Shared immutable walk state: admissibility precomputations over the
     stored paths and infection map.  `clean_completable` holds the non-seed
@@ -156,7 +188,7 @@ class Walker:
         state = _WalkState()
         entry_scc = self.scc_of[entry]
         roots = self.candidates.get(entry, _NO_PATHS)[mode is Label.ANOMALY]
-        for root in rng.sample(roots, len(roots)):
+        for root in _draw_order(rng, roots):
             for _ in range(_ROOT_TRIES):
                 state.reset()
                 if entry_scc in self.cycle_sccs:
@@ -212,7 +244,7 @@ class Walker:
         cands = self.candidates.get(callee, _NO_PATHS)[
             (mode is Label.ANOMALY) + state.hit]
         ok = False
-        for path in rng.sample(cands, len(cands)):
+        for path in _draw_order(rng, cands):
             if self._try_path(callee, path, mode, state, rng):
                 ok = True
                 break

@@ -6,8 +6,10 @@ The worksheet is plain text so annotators need no tooling:
 
 An annotator appends ` ALERT` to the events that indicate a potential
 anomaly and adds `SEED <path-id>` lines for the paths that must produce
-one.  Comment lines starting with `#` carry context (source lines,
-candidate paths per event) and are ignored on import.
+one.  Import reads the marker after the event's template as the store
+holds it, so a template that itself ends in "ALERT" marks nothing.
+Comment lines starting with `#` carry context (source lines, candidate
+paths per event) and are ignored on import.
 
 Propagation computes the least fixpoint of "may reach a seed through
 invocations": a path is INFECTED when it calls into a method owning a
@@ -92,8 +94,14 @@ def import_annotations(path, store: PathStore) -> AnnotationSet:
                     raise AnnotationError(f"line {lineno}: bad event id {toks[1]!r}")
                 if eid not in store.events:
                     raise AnnotationError(f"line {lineno}: unknown event id {eid}")
-                template = toks[4] if len(toks) == 5 else ""
-                if template.endswith(" ALERT") or template == "ALERT":
+                shown = toks[4].strip() if len(toks) == 5 else ""
+                template = store.events[eid].template.strip()
+                if shown != template:
+                    head, _, mark = shown.rpartition(" ")
+                    if mark != "ALERT" or head.rstrip() != template:
+                        raise AnnotationError(
+                            f"line {lineno}: event {eid} must read its template "
+                            f"{template!r}, optionally followed by ' ALERT'")
                     alerting.add(eid)
             elif toks[0] == "SEED":
                 if len(toks) != 2:

@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from logsynth.labeling import AnnotationSet, propagate
 from logsynth.lowering import lower_to_model
@@ -10,6 +11,10 @@ from logsynth.minilang import SourceUnit, parse_unit
 from logsynth.pipeline import Analysis, analyze_model
 
 DATA = Path(__file__).parent / "data"
+
+# `pytest --hypothesis-profile=ci` (the CI tier-1 step) draws the same
+# examples on every run and prints the blob that replays a failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 # event ids in the datanode fixture, in statement order
 EV_RECEIVING = 0   # info "Receiving block <*>"      (methodA)

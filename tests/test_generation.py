@@ -5,6 +5,7 @@ import random
 import pytest
 
 from logsynth import generation
+from logsynth.errors import LogsynthError
 from logsynth.generation import (
     ConfigError,
     ExhaustionError,
@@ -18,6 +19,7 @@ from logsynth.generation import (
     write_dataset,
 )
 from logsynth.labeling import AnnotationSet, Status, propagate
+from logsynth.pathfinding import LogStep
 from logsynth.pipeline import analyze_model
 
 from .conftest import (
@@ -27,7 +29,7 @@ from .conftest import (
     EV_RECEIVING,
     EV_TIMED_OUT,
 )
-from .modelgen import parse_program
+from .modelgen import parse_program, structured_program, with_ambiguous_calls
 from .oracles import walk_space
 
 
@@ -218,6 +220,83 @@ def test_walk_space_with_mixed_clean_and_seed_paths():
     normal = walk_space(analysis.store, infection, scc_of, cycle_sccs,
                         params, 0, Label.NORMAL)
     assert normal == {(done,), (done, done)}
+
+
+# ── Path order draws ─────────────────────────────────────────────────
+
+def test_draw_order_equals_random_sample():
+    sizes = [*range(41), 63, 64, 65, 127, 128, 129, 1000, 3960, 4096, 4097]
+    for n in sizes:
+        cands = tuple(f"p{i}" for i in range(n))
+        for seed in (0, 1, 7, 2024, 99991):
+            drawn, sampled = random.Random(seed), random.Random(seed)
+            assert list(generation._draw_order(drawn, cands)) \
+                == sampled.sample(cands, n), (n, seed)
+            assert drawn.getstate() == sampled.getstate(), (n, seed)
+
+
+def _draw_corpus(count: int = 40):
+    """Seeded structured programs with seed paths and alerting events at
+    random.  Odd seeds add ambiguous dispatch; every third one adds a method
+    `wide` of 2**7 or 2**8 paths, which m0 calls first.  Yields (seed,
+    analysis, infection, whether any path is a seed)."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        source = structured_program(rng, n, rng.randint(3, 8))
+        if seed % 3 == 0:
+            branches = "".join(f' if (w{i}) {{ log(info, "wide {i}"); }}'
+                               for i in range(rng.randint(7, 8)))
+            source = (source.replace("void m0() {", "void m0() {\n    wide();", 1)
+                      + f"\nvoid wide() {{{branches} }}")
+        model = parse_program(source)
+        if seed % 2:
+            model = with_ambiguous_calls(model, rng)
+        analysis = analyze_model(model)
+        logging = [p for p in analysis.store.all_paths()
+                   if any(isinstance(s, LogStep) for s in p.steps)]
+        seeds = rng.sample(logging, min(len(logging), rng.randint(0, 2)))
+        ann = AnnotationSet(
+            alerting=frozenset(s.event for p in seeds for s in p.steps
+                               if isinstance(s, LogStep)),
+            seed_anomaly=frozenset(p.id for p in seeds))
+        yield seed, analysis, propagate(analysis.store, ann), bool(seeds)
+
+
+def test_drawn_path_order_keeps_every_dataset(monkeypatch):
+    def outcome(params, analysis, infection):
+        try:
+            ds = generate_dataset(params, analysis.model, infection,
+                                  analysis.store, analysis.pruned,
+                                  analysis.call_graph, keep_traces=True)
+        except LogsynthError as exc:
+            return type(exc), str(exc)
+        return ds.sequences, ds.traces
+
+    mix = dict.fromkeys(["cycles", "loops", "over 64 paths", "datasets",
+                         "anomaly datasets"], 0)
+    for seed, analysis, infection, seeded in _draw_corpus():
+        cg, store = analysis.call_graph, analysis.store
+        mix["cycles"] += any(cg.in_cycle(m) for m in cg.nodes)
+        mix["loops"] += any(p.skips_loop for p in store.all_paths())
+        mix["over 64 paths"] += any(len(ps) > 64 for ps in store.by_method.values())
+        entries = tuple(sorted(analysis.model.methods[m].name
+                               for m in analysis.pruned.kept))
+        for depth in (0, 1, 2):
+            for rate in (0.0, 0.25) if seeded else (0.0,):
+                params = _params(size=12, anomaly_rate=rate, entries=entries,
+                                 seed=seed, max_loop_reps=2,
+                                 max_recursion_depth=depth)
+                drawn = outcome(params, analysis, infection)
+                with monkeypatch.context() as patch:
+                    patch.setattr(generation, "_draw_order",
+                                  lambda rng, c: rng.sample(c, len(c)))
+                    sampled = outcome(params, analysis, infection)
+                assert drawn == sampled, (seed, depth, rate)
+                if isinstance(drawn[0], list):
+                    mix["datasets"] += 1
+                    mix["anomaly datasets"] += rate > 0
+    assert min(mix.values()) >= 10, mix
 
 
 # ── Recursion bounds ─────────────────────────────────────────────────

@@ -143,6 +143,48 @@ def test_empty_template_survives_worksheet_round_trip(tmp_path):
     assert import_annotations(ws, analysis.store).alerting == frozenset({0})
 
 
+_ALERT_TEMPLATES = ('void main(){ log(warn, "disk ALERT"); log(info, "ok"); '
+                    'log(error, "ALERT"); }')
+
+
+def _alert_worksheet(tmp_path, marked=()):
+    """The exported worksheet of _ALERT_TEMPLATES with ' ALERT' appended to
+    the EVT rows of `marked`, and its analysis."""
+    analysis = analyze_model(parse_program(_ALERT_TEMPLATES))
+    assert [ev.template for _, ev in sorted(analysis.store.events.items())] \
+        == ["disk ALERT", "ok", "ALERT"]
+    ws, lines = _worksheet_lines(tmp_path, analysis)
+    ws.write_text("\n".join(
+        line + " ALERT" if line.startswith(tuple(f"EVT {e} " for e in marked))
+        else line for line in lines) + "\n", encoding="utf-8")
+    return ws, analysis
+
+
+def test_exported_worksheet_imports_no_alerting_event(tmp_path):
+    ws, analysis = _alert_worksheet(tmp_path)
+    assert import_annotations(ws, analysis.store).alerting == frozenset()
+
+
+def test_appended_alert_marks_the_event(tmp_path):
+    ws, analysis = _alert_worksheet(tmp_path, marked=(1,))
+    assert import_annotations(ws, analysis.store).alerting == frozenset({1})
+
+
+def test_template_ending_in_alert_marks_only_when_annotated(tmp_path):
+    for marked in [(0,), (2,), (0, 2), (0, 1, 2)]:
+        ws, analysis = _alert_worksheet(tmp_path, marked)
+        assert import_annotations(ws, analysis.store).alerting == frozenset(marked)
+
+
+def test_evt_row_that_is_not_its_template_is_rejected(tmp_path, datanode_analysis):
+    path = tmp_path / "bad.txt"
+    for text in ("Received block", "Received block <*> ALERT!",
+                 "Received block <*>ALERT", "ALERT"):
+        path.write_text(f"EVT 1 info methodB {text}\n", encoding="utf-8")
+        with pytest.raises(AnnotationError, match="line 1: event 1 must read"):
+            import_annotations(path, datanode_analysis.store)
+
+
 # ── Propagation ──────────────────────────────────────────────────────
 
 def test_golden_propagation(datanode_analysis, datanode_infection):
