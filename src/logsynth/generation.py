@@ -4,18 +4,37 @@ A walk starts at an entry method, picks one of its paths at random, and
 recurses into callees at every call step.  Anomaly walks pick only
 seed/infected paths until a seed path has been selected, then anything;
 normal walks pick only paths from which a seed-free completion is known
-to exist, so no backtracking livelock is possible.  Loop-marked regions
-replay 1..max_loop_reps times with fresh choices per repetition, and
-calls into recursion cycles are bounded by max_recursion_depth
-re-entries.  Nothing is rebuilt per step: a path's loop regions are
-decoded on its first visit (`LogPath.regions`), and each method's
-candidate paths per walk state are built once in `Walker.__init__`.
+to exist.  A pick can still fail deeper down, when a recursion bound
+cuts a call off: the walk then backtracks to the next path in the
+drawn order, and on an entry admitted by the fixpoints but blocked by
+the bound it can backtrack for a long time before raising
+`ExhaustionError`.  Loop-marked regions replay 1..max_loop_reps times
+with fresh choices per repetition, and calls into recursion cycles are
+bounded by max_recursion_depth re-entries.  Nothing is rebuilt per step:
+a path's loop regions are decoded on its first visit (`LogPath.regions`),
+and each method's candidate paths per walk state are built once in
+`Walker.__init__`.
 
 A walk tries an entry's root paths, and a callee's candidate paths at
 each call step, in a random order.  `_draw_order` draws that order
 inline, with the same `getrandbits` calls as `random.Random.sample`
 drawing all of them but without its generic set-up per call; a loop
 region's repetition count is one `randint`.
+
+Most calls leave the walk no choice.  A call is *forced* when its
+callee is in no recursion cycle and has exactly one candidate path,
+that path has no loop-marked step, and every call on it is forced too.  Such
+a call always completes with the same events and trace; all it varies is
+how far the RNG advances.  `Walker.__init__` tabulates the forced calls
+bottom-up over the call graph's components, and `_call` takes one in a
+single step: it appends the subtree's events and trace, expanded the
+first time the call is taken and kept, and skips the subtree's draws
+with `_skip_draws`.
+Each draw on one candidate repeats `getrandbits(1)`, the top bit of one
+32-bit Mersenne Twister word, until that bit is 0, and
+`getrandbits(32 * c)` returns the next c words with the first one lowest,
+so counting the set top bits of a batch tells how many draws still need
+a word.  The RNG ends in the state the one-by-one draws leave.
 
 Every successful walk records its choice trace (path picks and loop
 repetition draws); `replay` re-derives the event list from a trace,
@@ -39,7 +58,7 @@ from .errors import LogsynthError
 from .labeling import AnnotationSet, InfectionMap, Status, dumps_annotations
 from .model import EventId, LogEvent, MethodId, ProgramModel, dumps_model
 from .parallel import ordered_map
-from .pathfinding import CallStep, LogPath, LogStep, PathStore
+from .pathfinding import CallStep, LogPath, LogStep, Mark, PathStore
 from .probing import CallGraph
 from .pruning import PrunedCallGraph
 
@@ -131,15 +150,34 @@ def _draw_order(rng: random.Random, cands: tuple) -> Sequence:
     return order
 
 
+_TOP_BIT = b"\0\0\0\x80"  # the top bit of a little-endian 32-bit word
+
+
+def _skip_draws(rng: random.Random, count: int) -> None:
+    """Advance `rng` exactly as `count` successive `_draw_order` calls on
+    one candidate each do.  Every word of a batch is one a pending draw
+    reads, and each word with its top bit set leaves its draw pending, so
+    no round fetches a word the one-by-one draws would not."""
+    getrandbits = rng.getrandbits
+    while count:
+        count = (getrandbits(32 * count)
+                 & int.from_bytes(_TOP_BIT * count, "little")).bit_count()
+
+
 class Walker:
-    """Shared immutable walk state: admissibility precomputations over the
-    stored paths and infection map.  `clean_completable` holds the non-seed
-    paths whose every callee offers such a path, so a normal walk through
-    them finishes without touching a seed; `emitting` holds those of them
-    that can produce an event on some clean walk.  Both are computed by
+    """Shared walk state: admissibility precomputations over the stored
+    paths and infection map, immutable but for the forced-call cache.
+    `clean_completable` holds the non-seed paths whose every callee offers
+    such a path, so a normal walk through them finishes without touching
+    a seed; `emitting` holds those of them that can produce an event on
+    some clean walk.  Both are computed by
     `PathStore.least_fixpoint`, the mechanism infection propagation uses.
     `candidates[m]` holds method m's admissible paths for a normal walk,
-    an anomaly walk before a seed is hit, and one after, in that order."""
+    an anomaly walk before a seed is hit, and one after, in that order.
+    `forced` maps each forced call, keyed by (callee, candidate index), to
+    its subtree's draw count, whether it hits a seed, the callee's trace
+    record, and its plan: the path's event ids and forced child keys.
+    `_taken` keeps each forced call's expansion once a walk takes it."""
 
     def __init__(self, model: ProgramModel, store: PathStore,
                  infection: InfectionMap, call_graph: CallGraph,
@@ -169,6 +207,39 @@ class Walker:
                 tuple(p for p in looping if self.status[p.id] is not Status.CLEAN),
                 looping,
             )
+        # `sccs` lists callees first, so every child key is decided before
+        # its caller's
+        self.forced: dict[tuple[MethodId, int], tuple] = {}
+        forced, seed, unmarked = self.forced, Status.SEED, Mark.NONE
+        for members in call_graph.sccs:
+            mid = members[0]
+            if self.scc_of[mid] in self.cycle_sccs:
+                continue
+            for index, cands in enumerate(self.candidates.get(mid, _NO_PATHS)):
+                if len(cands) != 1:
+                    continue
+                path = cands[0]
+                hit = self.status[path.id] is seed
+                at = 2 if hit and index == 1 else index  # the callees' index
+                draws, plan = 1, []
+                for step in path.steps:
+                    if step.loop_mark is not unmarked:
+                        break
+                    if isinstance(step, LogStep):
+                        plan.append(step.event)
+                        continue
+                    sub = forced.get((step.callee, at))
+                    if sub is None:  # a call with a choice
+                        break
+                    plan.append((step.callee, at))
+                    draws += sub[0]
+                    if sub[1]:
+                        hit, at = True, 2 if at == 1 else at
+                else:
+                    forced[mid, index] = (draws, hit, ("ep", mid, path.id),
+                                          tuple(plan))
+        # forced calls expanded to (draws, hit, events, trace) once taken
+        self._taken: dict[tuple[MethodId, int], tuple] = {}
 
     # entry admissibility per mode
     def normal_entry_ok(self, mid: MethodId) -> bool:
@@ -202,7 +273,8 @@ class Walker:
             f"({mode.value}) exhausted every choice"
         )
 
-    # A call level costs three frames: _call -> _try_path -> _run_forest.
+    # A call level with a choice costs three frames: _call -> _try_path ->
+    # _run_forest.  A forced call costs none below its `_call`.
 
     def _try_path(self, mid: MethodId, path: LogPath, mode: Label,
                   state: "_WalkState", rng: random.Random) -> bool:
@@ -233,16 +305,28 @@ class Walker:
 
     def _call(self, callee: MethodId, mode: Label, state: "_WalkState",
               rng: random.Random) -> bool:
+        # index 0 normal, 1 anomaly before a seed, 2 after (normal walks
+        # never take a seed path, so their `hit` stays False)
+        index = (mode is Label.ANOMALY) + state.hit
+        key = (callee, index)
+        taken = self._taken.get(key)
+        if taken is None and key in self.forced:
+            taken = self._taken[key] = self._expand(key)
+        if taken is not None:
+            draws, hit, events, trace = taken
+            _skip_draws(rng, draws)
+            state.events += events
+            state.trace += trace
+            if hit:
+                state.hit = True
+            return True
         scc = self.scc_of[callee]
         cyclic = scc in self.cycle_sccs
         if cyclic:
             if state.scc_active.get(scc, 0) > self.params.max_recursion_depth:
                 return False
             state.scc_active[scc] = state.scc_active.get(scc, 0) + 1
-        # index 0 normal, 1 anomaly before a seed, 2 after (normal walks
-        # never take a seed path, so their `hit` stays False)
-        cands = self.candidates.get(callee, _NO_PATHS)[
-            (mode is Label.ANOMALY) + state.hit]
+        cands = self.candidates.get(callee, _NO_PATHS)[index]
         ok = False
         for path in _draw_order(rng, cands):
             if self._try_path(callee, path, mode, state, rng):
@@ -251,6 +335,25 @@ class Walker:
         if cyclic:
             state.scc_active[scc] -= 1
         return ok
+
+    def _expand(self, key: tuple[MethodId, int]) -> tuple:
+        """A forced call's draw count, seed hit, events and trace records,
+        in walk order, expanded on an explicit stack."""
+        draws, hit, record, plan = self.forced[key]
+        events: list[EventId] = []
+        trace = [record]
+        stack = [iter(plan)]
+        while stack:
+            for item in stack[-1]:
+                if isinstance(item, tuple):
+                    _, _, record, plan = self.forced[item]
+                    trace.append(record)
+                    stack.append(iter(plan))
+                    break
+                events.append(item)
+            else:
+                stack.pop()
+        return draws, hit, tuple(events), tuple(trace)
 
     # ── replay ───────────────────────────────────────────────────
 

@@ -29,7 +29,12 @@ from .conftest import (
     EV_RECEIVING,
     EV_TIMED_OUT,
 )
-from .modelgen import parse_program, structured_program, with_ambiguous_calls
+from .modelgen import (
+    layered_model_source,
+    parse_program,
+    structured_program,
+    with_ambiguous_calls,
+)
 from .oracles import walk_space
 
 
@@ -252,15 +257,21 @@ def _draw_corpus(count: int = 40):
         model = parse_program(source)
         if seed % 2:
             model = with_ambiguous_calls(model, rng)
-        analysis = analyze_model(model)
-        logging = [p for p in analysis.store.all_paths()
-                   if any(isinstance(s, LogStep) for s in p.steps)]
-        seeds = rng.sample(logging, min(len(logging), rng.randint(0, 2)))
-        ann = AnnotationSet(
-            alerting=frozenset(s.event for p in seeds for s in p.steps
-                               if isinstance(s, LogStep)),
-            seed_anomaly=frozenset(p.id for p in seeds))
-        yield seed, analysis, propagate(analysis.store, ann), bool(seeds)
+        yield (seed, *_seeded(model, rng, fewest=0))
+
+
+def _seeded(model, rng, fewest):
+    """(analysis, infection, whether any path is a seed) for `model`, with
+    `fewest` to 2 logging paths drawn as seeds and their events alerting."""
+    analysis = analyze_model(model)
+    logging = [p for p in analysis.store.all_paths()
+               if any(isinstance(s, LogStep) for s in p.steps)]
+    seeds = rng.sample(logging, min(len(logging), rng.randint(fewest, 2)))
+    ann = AnnotationSet(
+        alerting=frozenset(s.event for p in seeds for s in p.steps
+                           if isinstance(s, LogStep)),
+        seed_anomaly=frozenset(p.id for p in seeds))
+    return analysis, propagate(analysis.store, ann), bool(seeds)
 
 
 def test_drawn_path_order_keeps_every_dataset(monkeypatch):
@@ -297,6 +308,146 @@ def test_drawn_path_order_keeps_every_dataset(monkeypatch):
                     mix["datasets"] += 1
                     mix["anomaly datasets"] += rate > 0
     assert min(mix.values()) >= 10, mix
+
+
+# ── Forced calls ─────────────────────────────────────────────────────
+
+def test_skip_draws_equals_one_candidate_draws():
+    for count in [*range(41), 1000, 12800]:
+        for seed in (0, 1, 7, 2024, 99991):
+            skipped, drawn = random.Random(seed), random.Random(seed)
+            generation._skip_draws(skipped, count)
+            for _ in range(count):
+                while drawn.getrandbits(1):
+                    pass
+            assert skipped.getstate() == drawn.getstate(), (count, seed)
+
+
+def _chain_program(rng, depth):
+    """A call chain; about a third of its levels log, and a few of those
+    log under a flag, which gives the level two paths."""
+    out = []
+    for k in range(depth):
+        body = ""
+        if rng.random() < 0.35:
+            body = f'log(info, "level {k}");'
+            if rng.random() < 0.3:
+                body = f"if (f{k}) {{ {body} }}"
+        call = f"c{k + 1}();" if k + 1 < depth else 'log(warn, "bottom");'
+        out.append(f"void c{k}() {{ {body} {call} }}")
+    return "\n".join(out)
+
+
+def _forced_corpus():
+    """`_draw_corpus`, plus seeded layered DAGs (a looping entry over
+    single-path methods) and seeded call chains."""
+    for _, analysis, infection, _ in _draw_corpus():
+        yield analysis, infection
+    for seed in range(8):
+        rng = random.Random(seed)
+        source = layered_model_source(rng.randint(20, 60), rng.randint(2, 3), seed)
+        yield _seeded(parse_program(source), rng, fewest=1)[:2]
+        chain = _chain_program(rng, rng.randint(5, 30))
+        yield _seeded(parse_program(chain), rng, fewest=1)[:2]
+
+
+class _CountingWalker(Walker):
+    """A walker that counts the forced calls it takes: in all, at
+    candidate index 1 where the call sets `hit`, and while a loop region
+    replays."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.mix = dict.fromkeys(["forced", "forced hits", "forced in loops"], 0)
+        self.paths: list = []  # the region forests of the paths being run
+        self.open_loops = 0
+
+    def _call(self, callee, mode, state, rng):
+        index = (mode is Label.ANOMALY) + state.hit
+        ok = super()._call(callee, mode, state, rng)
+        if (callee, index) in self.forced:
+            self.mix["forced"] += 1
+            self.mix["forced hits"] += index == 1 and state.hit
+            self.mix["forced in loops"] += self.open_loops > 0
+        return ok
+
+    def _try_path(self, mid, path, mode, state, rng):
+        self.paths.append(path.regions)
+        try:
+            return super()._try_path(mid, path, mode, state, rng)
+        finally:
+            self.paths.pop()
+
+    def _run_forest(self, forest, mode, state, rng):
+        loop = forest is not self.paths[-1]
+        self.open_loops += loop
+        try:
+            return super()._run_forest(forest, mode, state, rng)
+        finally:
+            self.open_loops -= loop
+
+
+def test_forced_calls_keep_every_walk():
+    def outcome(walker, entry, mode, seed):
+        rng = random.Random(seed)
+        try:
+            result = walker.walk(entry, mode, rng)
+        except LogsynthError as exc:
+            result = type(exc), str(exc)
+        return result, rng.getstate()
+
+    models = 0
+    mix = dict.fromkeys(["walks", "errors", "forced", "forced hits",
+                         "forced in loops"], 0)
+    for analysis, infection in _forced_corpus():
+        models += 1
+        args = (analysis.model, analysis.store, infection, analysis.call_graph)
+        for depth in (0, 1, 2):
+            params = _params(max_loop_reps=2, max_recursion_depth=depth)
+            fast = _CountingWalker(*args, params)
+            general = Walker(*args, params)
+            general.forced = {}
+            for entry in sorted(analysis.pruned.kept):
+                for mode in (Label.NORMAL, Label.ANOMALY):
+                    for seed in range(3):
+                        taken = outcome(fast, entry, mode, seed)
+                        assert taken == outcome(general, entry, mode, seed), \
+                            (entry, mode, depth, seed)
+                        mix["walks"] += 1
+                        mix["errors"] += isinstance(taken[0][0], type)
+            for key, count in fast.mix.items():
+                mix[key] += count
+    assert models == 56
+    assert min(mix.values()) >= 100, mix
+
+
+def test_deep_single_path_chain_generates_in_process():
+    depth = 5000
+    source = "\n".join([f"void m{i}(){{ m{i + 1}(); }}" for i in range(depth)]
+                       + [f'void m{depth}(){{ log(info, "bottom"); }}'])
+    analysis = analyze_model(parse_program(source))
+    infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+    ds = generate_dataset(_params(size=2), analysis.model, infection,
+                          analysis.store, analysis.pruned, analysis.call_graph)
+    assert [s.events for s in ds.sequences] == [(0,), (0,)]
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason=(
+    "ROADMAP item 3: a call level with a choice still costs the walker "
+    "three Python frames"))
+def test_deep_branching_chain_generates_in_process():
+    depth = 1000
+    source = "\n".join(
+        [f'void m{i}(){{ if (f{i}) {{ log(info, "level {i}"); }} m{i + 1}(); }}'
+         for i in range(depth)]
+        + [f'void m{depth}(){{ log(info, "bottom"); }}'])
+    analysis = analyze_model(parse_program(source))
+    assert all(len(ps) == 2 for mid, ps in analysis.store.by_method.items()
+               if mid != depth)
+    infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+    ds = generate_dataset(_params(size=2), analysis.model, infection,
+                          analysis.store, analysis.pruned, analysis.call_graph)
+    assert len(ds.sequences) == 2
 
 
 # ── Recursion bounds ─────────────────────────────────────────────────
@@ -571,8 +722,9 @@ def test_default_entry_above_a_cycle_walks_at_depth_zero():
 
 
 def test_deep_call_chain_generates_in_process():
-    # 250 levels of three walker frames each fit under the default
-    # recursion limit beside the test runner's own frames
+    # the walk takes the single-path chain in one forced call; replay
+    # still recurses, two frames a level, and 250 levels fit under the
+    # default recursion limit beside the test runner's own frames
     depth = 250
     source = "\n".join([f"void m{i}(){{ m{i + 1}(); }}" for i in range(depth)]
                        + [f'void m{depth}(){{ log(info, "bottom"); }}'])
