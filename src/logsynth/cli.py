@@ -84,7 +84,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-recursion-depth", type=int, default=1)
     p.add_argument("--inexact-rate", action="store_true",
                    help="draw each label independently instead of exact counts")
-    p.add_argument("--workers", type=int, default=0, help="generation parallelism")
+    p.add_argument("--workers", type=int, default=0,
+                   help="most processes to walk with (default 0: one per CPU); "
+                        "a short run starts none, and the output never "
+                        "depends on this")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("stats", help="coverage statistics for a dataset")

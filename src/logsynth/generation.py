@@ -41,8 +41,10 @@ repetition draws); `replay` re-derives the event list from a trace,
 which is how label soundness and walk legality are checked.
 
 Sequence i is generated from its own RNG derived from (seed, i), so the
-dataset bytes do not depend on how many workers ran; `ordered_map`
-hands each pool worker the built walker once.
+dataset bytes never depend on how many workers ran.  `ordered_map` walks
+in process first and starts a pool, which receives the built walker once
+per worker, only for the sequences left once those walks have outlasted
+its start-up; a short run starts no process.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import hashlib
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import LogsynthError
@@ -184,51 +187,78 @@ class Walker:
                  params: GenParams):
         self.model = model
         self.store = store
-        self.status = infection.status
+        status = self.status = infection.status
         self.params = params
         self.scc_of = call_graph.scc_of
-        self.cycle_sccs = {
-            call_graph.scc_of[m] for m in call_graph.nodes
-            if call_graph.in_cycle(m)
+        sccs = call_graph.sccs
+        cycle_sccs = self.cycle_sccs = {
+            i for i, members in enumerate(sccs)
+            if call_graph.in_cycle(members[0])
         }
-        self.clean_completable = store.least_fixpoint({
-            p.id: len({s.callee for s in p.steps if isinstance(s, CallStep)})
-            for p in store.all_paths() if self.status[p.id] is not Status.SEED
-        })
+        seed, clean, unmarked = Status.SEED, Status.CLEAN, Mark.NONE
+        # one read of each non-seed path's steps serves both fixpoints:
+        # its distinct callees, and whether it logs
+        clean_need: dict[int, int] = {}
+        silent: set[int] = set()
+        for p in store.all_paths():
+            if status[p.id] is seed:
+                continue
+            callees, logs = set(), False
+            for s in p.steps:
+                if type(s) is CallStep:
+                    callees.add(s.callee)
+                else:
+                    logs = True
+            clean_need[p.id] = len(callees)
+            if not logs:
+                silent.add(p.id)
+        clean_completable = self.clean_completable = \
+            store.least_fixpoint(clean_need)
         self.emitting = store.least_fixpoint({
-            p.id: 0 if any(isinstance(s, LogStep) for s in p.steps) else 1
-            for p in store.all_paths() if p.id in self.clean_completable
+            pid: 1 if pid in silent else 0 for pid in clean_completable
         })
-        self.candidates: dict[MethodId, tuple[tuple[LogPath, ...], ...]] = {}
+        candidates: dict[MethodId, tuple[tuple[LogPath, ...], ...]] = {}
+        self.candidates = candidates
         for mid, paths in store.by_method.items():
+            if len(paths) == 1:
+                path = paths[0]
+                one = (path,)
+                looping = () if path.skips_loop else one
+                candidates[mid] = (
+                    one if path.id in clean_completable else (),
+                    looping if status[path.id] is not clean else (),
+                    looping,
+                )
+                continue
             looping = tuple(p for p in paths if not p.skips_loop)
-            self.candidates[mid] = (
-                tuple(p for p in paths if p.id in self.clean_completable),
-                tuple(p for p in looping if self.status[p.id] is not Status.CLEAN),
+            candidates[mid] = (
+                tuple(p for p in paths if p.id in clean_completable),
+                tuple(p for p in looping if status[p.id] is not clean),
                 looping,
             )
         # `sccs` lists callees first, so every child key is decided before
         # its caller's
-        self.forced: dict[tuple[MethodId, int], tuple] = {}
-        forced, seed, unmarked = self.forced, Status.SEED, Mark.NONE
-        for members in call_graph.sccs:
-            mid = members[0]
-            if self.scc_of[mid] in self.cycle_sccs:
+        forced: dict[tuple[MethodId, int], tuple] = {}
+        self.forced = forced
+        forced_get = forced.get
+        for scc, members in enumerate(sccs):
+            if scc in cycle_sccs:
                 continue
-            for index, cands in enumerate(self.candidates.get(mid, _NO_PATHS)):
+            mid = members[0]
+            for index, cands in enumerate(candidates.get(mid, _NO_PATHS)):
                 if len(cands) != 1:
                     continue
                 path = cands[0]
-                hit = self.status[path.id] is seed
+                hit = status[path.id] is seed
                 at = 2 if hit and index == 1 else index  # the callees' index
                 draws, plan = 1, []
                 for step in path.steps:
                     if step.loop_mark is not unmarked:
                         break
-                    if isinstance(step, LogStep):
+                    if type(step) is LogStep:
                         plan.append(step.event)
                         continue
-                    sub = forced.get((step.callee, at))
+                    sub = forced_get((step.callee, at))
                     if sub is None:  # a call with a choice
                         break
                     plan.append((step.callee, at))
@@ -358,36 +388,38 @@ class Walker:
     # ── replay ───────────────────────────────────────────────────
 
     def replay(self, entry: MethodId, trace: tuple) -> tuple[EventId, ...]:
-        """Re-derive a walk's event list from its recorded choices.  Raises
-        LogsynthError when the trace is not a legal chaining."""
+        """Re-derive a walk's event list from its recorded choices, on an
+        explicit stack of node iterators.  Raises LogsynthError when the
+        trace is not a legal chaining."""
         cursor = _TraceCursor(trace)
         events: list[EventId] = []
-        self._replay_method(entry, cursor, events)
+        stack = [self._replay_path(entry, cursor)]
+        while stack:
+            for node in stack[-1]:
+                if isinstance(node, LogStep):
+                    events.append(node.event)
+                    continue
+                if isinstance(node, CallStep):
+                    stack.append(self._replay_path(node.callee, cursor))
+                else:  # loop region: its nodes once per recorded repetition
+                    _, reps = cursor.take("reps")
+                    stack.append(chain.from_iterable(repeat(node, reps)))
+                break
+            else:
+                stack.pop()
         if not cursor.done():
             raise LogsynthError("trace has unconsumed choices")
         return tuple(events)
 
-    def _replay_method(self, mid: MethodId, cursor: "_TraceCursor",
-                       events: list[EventId]) -> None:
+    def _replay_path(self, mid: MethodId, cursor: "_TraceCursor"):
+        """The nodes of the path the trace chose next, for method `mid`."""
         kind, rec_mid, pid = cursor.take("ep")
         if rec_mid != mid:
             raise LogsynthError(f"trace chose a path of method {rec_mid}, expected {mid}")
         path = self.store.path(pid)
         if path.method != mid:
             raise LogsynthError(f"path {pid} does not belong to method {mid}")
-        self._replay_forest(path.regions, cursor, events)
-
-    def _replay_forest(self, forest, cursor: "_TraceCursor",
-                       events: list[EventId]) -> None:
-        for node in forest:
-            if isinstance(node, LogStep):
-                events.append(node.event)
-            elif isinstance(node, CallStep):
-                self._replay_method(node.callee, cursor, events)
-            else:
-                _, reps = cursor.take("reps")
-                for _ in range(reps):
-                    self._replay_forest(node, cursor, events)
+        return iter(path.regions)
 
 
 class _WalkState:

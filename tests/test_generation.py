@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from logsynth import generation
+from logsynth import generation, parallel
 from logsynth.errors import LogsynthError
 from logsynth.generation import (
     ConfigError,
@@ -421,15 +421,34 @@ def test_forced_calls_keep_every_walk():
     assert min(mix.values()) >= 100, mix
 
 
-def test_deep_single_path_chain_generates_in_process():
-    depth = 5000
+def _single_path_chain(depth: int):
+    """m0 calls m1 ... calls m{depth}, which logs once; nothing annotated."""
     source = "\n".join([f"void m{i}(){{ m{i + 1}(); }}" for i in range(depth)]
                        + [f'void m{depth}(){{ log(info, "bottom"); }}'])
     analysis = analyze_model(parse_program(source))
     infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+    return analysis, infection
+
+
+def test_deep_single_path_chain_generates_in_process():
+    analysis, infection = _single_path_chain(5000)
     ds = generate_dataset(_params(size=2), analysis.model, infection,
                           analysis.store, analysis.pruned, analysis.call_graph)
     assert [s.events for s in ds.sequences] == [(0,), (0,)]
+
+
+def test_deep_single_path_chain_trace_replays_in_process():
+    analysis, infection = _single_path_chain(5000)
+    params = _params(size=2)
+    ds = generate_dataset(params, analysis.model, infection, analysis.store,
+                          analysis.pruned, analysis.call_graph, keep_traces=True)
+    assert len(ds.traces[0]) == 5001  # one path record per level
+    walker = _walker(analysis, infection, params)
+    assert walker.replay(0, ds.traces[0]) == (0,)
+    with pytest.raises(LogsynthError, match="unconsumed"):
+        walker.replay(0, ds.traces[0] + (("reps", 1),))
+    with pytest.raises(LogsynthError, match="expected a 'ep' record"):
+        walker.replay(0, ds.traces[0][:-1])
 
 
 @pytest.mark.xfail(strict=True, raises=RecursionError, reason=(
@@ -609,8 +628,10 @@ def test_pruned_entry_is_config_error():
 
 
 def test_dataset_determinism_and_worker_independence(
-    tmp_path, datanode_analysis, datanode_infection, datanode_annotations
+    tmp_path, monkeypatch, datanode_analysis, datanode_infection,
+    datanode_annotations
 ):
+    monkeypatch.setattr(parallel, "_BUDGET_S", 0)  # pool every sequence
     params = _params(size=60, anomaly_rate=0.1, seed=99, max_loop_reps=2)
     runs = []
     for workers in (1, 1, 2):
@@ -672,7 +693,10 @@ def test_traces_replay_for_whole_dataset(datanode_analysis, datanode_infection):
         assert walker.replay(seq.entry, ds.traces[seq.seq_id]) == seq.events
 
 
-def test_pooled_traces_are_sent_only_when_kept(datanode_analysis, datanode_infection):
+def test_pooled_traces_are_sent_only_when_kept(
+    monkeypatch, datanode_analysis, datanode_infection
+):
+    monkeypatch.setattr(parallel, "_BUDGET_S", 0)  # pool every sequence
     params = _params(size=40, anomaly_rate=0.2, seed=8, max_loop_reps=2)
     runs = [generate_dataset(
         params, datanode_analysis.model, datanode_infection,
@@ -722,14 +746,10 @@ def test_default_entry_above_a_cycle_walks_at_depth_zero():
 
 
 def test_deep_call_chain_generates_in_process():
-    # the walk takes the single-path chain in one forced call; replay
-    # still recurses, two frames a level, and 250 levels fit under the
-    # default recursion limit beside the test runner's own frames
-    depth = 250
-    source = "\n".join([f"void m{i}(){{ m{i + 1}(); }}" for i in range(depth)]
-                       + [f'void m{depth}(){{ log(info, "bottom"); }}'])
-    analysis = analyze_model(parse_program(source))
-    infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+    # the walk takes the single-path chain in one forced call and replay
+    # follows the trace on an explicit stack; the 5,000-level chain above
+    # replays too
+    analysis, infection = _single_path_chain(250)
     params = _params(size=2)
     ds = generate_dataset(
         params, analysis.model, infection, analysis.store, analysis.pruned,
