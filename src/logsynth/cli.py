@@ -90,7 +90,12 @@ def _parser() -> argparse.ArgumentParser:
                         "depends on this")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("stats", help="coverage statistics for a dataset")
+    p = sub.add_parser(
+        "stats", help="coverage statistics for a dataset",
+        description="Coverage statistics for a dataset.  Only the model is "
+                    "loaded, never analyzed, so --logging-api and "
+                    "--max-paths are accepted and have no effect.",
+    )
     _add_input_args(p)
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--reference", metavar="FILE",
@@ -192,9 +197,9 @@ def _cmd_generate(args) -> int:
 def _cmd_stats(args) -> int:
     from .generation import read_dataset
 
-    analysis = _analysis_from(args)
-    ds = read_dataset(args.dataset, analysis.model)
-    report = logging_coverage(ds, analysis.model)
+    model = load_input(args.sources, args.model)
+    ds = read_dataset(args.dataset, model)
+    report = logging_coverage(ds, model)
     rows = [
         ("sequences", str(len(ds.sequences))),
         ("messages", str(sum(len(s.events) for s in ds.sequences))),

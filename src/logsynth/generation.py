@@ -590,19 +590,34 @@ def _csv_quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with `convert(key)` and keeps it, so
+    each distinct key is converted once per table."""
+
+    def __init__(self, convert) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
 def write_dataset(ds: LogDataset, outdir, model: ProgramModel,
                   ann: AnnotationSet) -> None:
     """sequences.csv, templates.csv, and a manifest; byte-stable for equal
-    inputs."""
+    inputs.  Each distinct event id is rendered as decimal text once per
+    call, through an id -> text memo, and every row joins memoized text."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    text = _Memo(str).__getitem__
     rows = ["seq_id,label,entry,events"]
     for seq in ds.sequences:
         rows.append(",".join([
             str(seq.seq_id),
             "1" if seq.label is Label.ANOMALY else "0",
             model.methods[seq.entry].name,
-            " ".join(str(e) for e in seq.events),
+            " ".join(map(text, seq.events)),
         ]))
     (out / "sequences.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
@@ -634,7 +649,10 @@ def write_dataset(ds: LogDataset, outdir, model: ProgramModel,
 def read_dataset(outdir, model: ProgramModel) -> LogDataset:
     """Inverse of write_dataset (manifest hashes are not re-checked).  A
     missing manifest key, or a row that write_dataset could not have
-    written, raises a LogsynthError naming the file and line."""
+    written, raises a LogsynthError naming the file and line.  Event tokens
+    are parsed through a text -> id memo that calls `int` once per
+    distinct token, so every token reads, or fails, exactly as `int`
+    would read it."""
     out = Path(outdir)
     path = out / "manifest.txt"
     manifest: dict[str, tuple[int, str]] = {}  # key -> (line, value)
@@ -665,6 +683,7 @@ def read_dataset(outdir, model: ProgramModel) -> LogDataset:
     )
 
     names = {m.name: mid for mid, m in model.methods.items()}
+    event_id = _Memo(int).__getitem__
     sequences = []
     path = out / "sequences.csv"
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -679,7 +698,7 @@ def read_dataset(outdir, model: ProgramModel) -> LogDataset:
         if entry_name not in names:
             raise LogsynthError(f"{where}: unknown entry method {entry_name!r}")
         try:
-            seq_id, events = int(sid), tuple(map(int, events_field.split()))
+            seq_id, events = int(sid), tuple(map(event_id, events_field.split()))
         except ValueError:
             raise LogsynthError(f"{where}: seq_id and events must be integers") from None
         sequences.append(LogSequence(

@@ -38,7 +38,10 @@ class CoverageReport:
 
 def logging_coverage(ds: LogDataset, model: ProgramModel) -> CoverageReport:
     """Distinct events in the dataset over all logging statements in the
-    program, with the running curve sampled every 1,000 messages."""
+    program, with the running curve sampled every 1,000 messages and after
+    the last one.  Events are added a sequence at a time, split only where
+    a sample point falls inside a sequence, so each sample sees exactly
+    the messages emitted up to it."""
     total = len(model.statements())
     seen: set[EventId] = set()
     emitted = 0
@@ -49,12 +52,17 @@ def logging_coverage(ds: LogDataset, model: ProgramModel) -> CoverageReport:
 
     next_sample = CURVE_SAMPLE_EVERY
     for seq in ds.sequences:
-        for ev in seq.events:
-            seen.add(ev)
-            emitted += 1
-            if emitted == next_sample:
-                curve.append((emitted, ratio()))
-                next_sample += CURVE_SAMPLE_EVERY
+        events = seq.events
+        end = emitted + len(events)
+        start = 0
+        while next_sample <= end:
+            cut = next_sample - emitted
+            seen.update(events[start:cut])
+            start = cut
+            curve.append((next_sample, ratio()))
+            next_sample += CURVE_SAMPLE_EVERY
+        seen.update(events[start:])
+        emitted = end
     if not curve or curve[-1][0] != emitted:
         curve.append((emitted, ratio()))
     return CoverageReport(

@@ -6,8 +6,9 @@ unpruned recursive depth-first path listing with truth-assignment
 feasibility instead of the production search that prunes contradictory
 guards as it goes, per-variable restoration over every listed walk
 instead of one pruned search per statement, exhaustive walk-space
-enumeration instead of random walking, and repeated full sweeps instead
-of the worklist fixpoint.
+enumeration instead of random walking, repeated full sweeps instead
+of the worklist fixpoint, and logging coverage counted one message at a
+time instead of one sequence at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import deque
 
 from logsynth.generation import Label
 from logsynth.labeling import Status
+from logsynth.metrics import CURVE_SAMPLE_EVERY, CoverageReport
 from logsynth.model import AssignAct, Branch, Call, ExecutionGraph, Log, Var
 from logsynth.pathfinding import LogStep, Mark
 
@@ -523,3 +525,32 @@ def walk_space(store, infection, scc_of, cycle_sccs, params, entry: int,
             continue
         results.add(events)
     return results
+
+
+# ── Coverage oracle: one message at a time ───────────────────────────
+
+def coverage_by_message(ds, model) -> CoverageReport:
+    """`logging_coverage` as a loop over every message: a sample after
+    each CURVE_SAMPLE_EVERY-th message, and one after the last unless it
+    fell exactly there."""
+    total = len(model.statements())
+    seen: set[int] = set()
+    emitted = 0
+    curve: list[tuple[int, float]] = []
+
+    def ratio() -> float:
+        return len(seen) / total if total else 1.0
+
+    next_sample = CURVE_SAMPLE_EVERY
+    for seq in ds.sequences:
+        for ev in seq.events:
+            seen.add(ev)
+            emitted += 1
+            if emitted == next_sample:
+                curve.append((emitted, ratio()))
+                next_sample += CURVE_SAMPLE_EVERY
+    if not curve or curve[-1][0] != emitted:
+        curve.append((emitted, ratio()))
+    return CoverageReport(
+        discovered=len(seen), total=total, coverage=ratio(), curve=curve
+    )

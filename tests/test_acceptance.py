@@ -15,6 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from logsynth import parallel
 from logsynth.generation import (
     ConfigError,
     GenParams,
@@ -245,7 +246,8 @@ def test_criterion_7_throughput():
         assert report.per_minute > 10_000
 
 
-def test_criterion_8_determinism(annotated, tmp_path):
+def test_criterion_8_determinism(annotated, tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "_BUDGET_S", 0)  # pool every sequence
     with criterion(8, "byte-identical output across reruns and workers 1..8"):
         analysis, ann, infection = annotated
         params = GenParams(size=200, anomaly_rate=0.05, seed=42,

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from logsynth import parallel
+from logsynth import cli, parallel
 from logsynth.cli import _workers, main
 
 from .modelgen import structured_program
@@ -186,7 +186,9 @@ def test_generate_without_annotations_rejects_positive_rate(tmp_path, capsys, ar
     assert "annotations" in err
 
 
-def test_generate_seed_determinism_across_workers(tmp_path, capsys, artifacts):
+def test_generate_seed_determinism_across_workers(tmp_path, capsys, artifacts,
+                                                   monkeypatch):
+    monkeypatch.setattr(parallel, "_BUDGET_S", 0)  # pool every sequence
     art, ann = artifacts
     outputs = []
     for name, workers in (("a", "1"), ("b", "4")):
@@ -231,6 +233,32 @@ def test_stats_report(tmp_path, capsys, artifacts):
     assert code == 0
     assert "logging coverage" in out
     assert "1.0000" in out
+
+
+def test_stats_loads_only_the_model(tmp_path, capsys, artifacts, monkeypatch):
+    art, ann = artifacts
+    ds = tmp_path / "ds"
+    run(capsys, "generate", "--model", str(art / "model.txt"),
+        "--annotations", str(ann), "--size", "50", "--out", str(ds))
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("stats analyzed the model")
+
+    monkeypatch.setattr(cli, "analyze_model", no_analysis)
+    api = tmp_path / "api.txt"
+    api.write_text("audit\n", encoding="utf-8")
+    outputs = []
+    for extra in ((), ("--logging-api", str(api), "--max-paths", "1")):
+        for csv in ((), ("--csv",)):
+            code, out, _ = run(capsys, "stats", "--model", str(art / "model.txt"),
+                               "--dataset", str(ds), *extra, *csv)
+            assert code == 0
+            outputs.append(out)
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+    with pytest.raises(SystemExit):
+        main(["stats", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--max-paths are accepted and have no effect" in help_text
 
 
 def test_stats_reference_and_csv(tmp_path, capsys, artifacts):

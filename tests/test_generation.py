@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,8 @@ from logsynth.generation import (
     ExhaustionError,
     GenParams,
     Label,
+    LogDataset,
+    LogSequence,
     UnreachableSeedError,
     Walker,
     generate_dataset,
@@ -664,6 +667,61 @@ def test_written_dataset_reads_back_equal(
     assert again.params == ds.params
     assert again.sequences == ds.sequences
     assert again.events == ds.events
+
+
+def test_sequences_csv_matches_per_message_rendering(
+    tmp_path, datanode_analysis, datanode_annotations
+):
+    model = datanode_analysis.model
+    events = dict(datanode_analysis.store.events)
+    for seed in range(20):
+        rng = random.Random(seed)
+        sequences = [
+            LogSequence(
+                seq_id=i,
+                label=rng.choice((Label.NORMAL, Label.ANOMALY)),
+                # ids past the store's events, ids with many digits, and
+                # empty sequences render like any other
+                events=tuple(rng.choice((rng.randrange(len(events) + 3),
+                                         rng.randrange(10 ** 12)))
+                             for _ in range(rng.choice((0, 1, rng.randrange(60))))),
+                entry=rng.choice(sorted(model.methods)),
+            )
+            for i in range(rng.randrange(1, 30))
+        ]
+        ds = LogDataset(sequences, events, _params(size=len(sequences)))
+        out = tmp_path / f"ds{seed}"
+        write_dataset(ds, out, model, datanode_annotations)
+        rows = ["seq_id,label,entry,events"] + [
+            f"{s.seq_id},{1 if s.label is Label.ANOMALY else 0},"
+            f"{model.methods[s.entry].name},"
+            + " ".join(str(e) for e in s.events)
+            for s in sequences
+        ]
+        assert (out / "sequences.csv").read_bytes() == \
+            ("\n".join(rows) + "\n").encode()
+        assert read_dataset(out, model).sequences == sequences
+
+
+def test_event_tokens_read_as_int_reads_them(
+    tmp_path, datanode_analysis, datanode_annotations
+):
+    model = datanode_analysis.model
+    ds = LogDataset(
+        [LogSequence(0, Label.NORMAL, (EV_RECEIVED,), entry=1)],
+        dict(datanode_analysis.store.events), _params(size=1),
+    )
+    out = tmp_path / "ds"
+    write_dataset(ds, out, model, datanode_annotations)
+    path = out / "sequences.csv"
+    header, row = path.read_text().splitlines()
+    prefix = row.rsplit(",", 1)[0]
+    path.write_text(f"{header}\n{prefix},07 +3 7 3 007\n")
+    assert read_dataset(out, model).sequences[0].events == (7, 3, 7, 3, 7)
+    path.write_text(f"{header}\n{prefix},1 2\n{prefix},3 1.5\n")
+    with pytest.raises(LogsynthError, match=(
+            rf"^{re.escape(str(path))}:3: seq_id and events must be integers$")):
+        read_dataset(out, model)
 
 
 def test_template_table_covers_store_events(

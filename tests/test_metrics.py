@@ -21,6 +21,8 @@ from logsynth.metrics import (
 )
 
 from .conftest import EV_RECEIVED
+from .modelgen import parse_program
+from .oracles import coverage_by_message
 
 
 def _dataset(analysis, infection, **kw) -> LogDataset:
@@ -76,6 +78,48 @@ def test_curve_is_monotone_on_fuzzed_orderings(datanode_analysis, datanode_infec
         report = logging_coverage(ds, datanode_analysis.model)
         for (m1, c1), (m2, c2) in zip(report.curve, report.curve[1:]):
             assert m2 >= m1 and c2 >= c1
+
+
+def _lengths_dataset(lengths, rng: random.Random, ids: int) -> LogDataset:
+    """Sequences of the given lengths, events drawn from range(ids)."""
+    return LogDataset(
+        sequences=[
+            LogSequence(i, Label.NORMAL,
+                        tuple(rng.randrange(ids) for _ in range(n)), entry=0)
+            for i, n in enumerate(lengths)
+        ],
+        events={},
+        params=GenParams(size=max(1, len(lengths)), anomaly_rate=0.0),
+    )
+
+
+def test_coverage_matches_the_per_message_oracle(datanode_analysis):
+    model = datanode_analysis.model  # 4 logging statements
+    silent = parse_program("void quiet() { }")  # none: total == 0
+    shapes = [
+        [],                       # no sequence at all
+        [0, 0, 0],                # only empty sequences
+        [300, 2500, 0, 10],       # one sequence crosses samples 1000 and 2000
+        [999, 1],                 # a sample at the very end of a sequence
+        [0, 1000, 0],             # a sample at the end, then empties
+        [400, 0, 600, 1200, 800],  # total 3000 ends on a sample point
+    ]
+    for seed in range(30):
+        rng = random.Random(seed)
+        shapes.append([rng.choice((0, 0, rng.randrange(1, 40),
+                                   rng.randrange(1, 1500)))
+                       for _ in range(rng.randrange(1, 12))])
+    # 6 ids saturate within a few messages; among 5,000 almost every
+    # message is new, so a sample taken one message early or late shows
+    for i, lengths in enumerate(shapes):
+        for m, ids in ((model, 6), (model, 5000), (silent, 5000)):
+            ds = _lengths_dataset(lengths, random.Random(i), ids)
+            report = logging_coverage(ds, m)
+            assert report == coverage_by_message(ds, m), (lengths, ids)
+            points = [n for n, _ in report.curve]
+            assert len(points) == len(set(points))
+    assert logging_coverage(_lengths_dataset([], random.Random(0), 6),
+                            silent).curve == [(0, 1.0)]
 
 
 # ── Reference-dataset coverage ───────────────────────────────────────
