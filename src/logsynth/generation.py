@@ -1,16 +1,21 @@
 """Phase 3c: emit labeled log sequences by walking the stored paths.
 
 A walk starts at an entry method, picks one of its paths at random, and
-recurses into callees at every call step.  Anomaly walks pick only
-seed/infected paths until a seed path has been selected, then anything;
-normal walks pick only paths from which a seed-free completion is known
-to exist.  A pick can still fail deeper down, when a recursion bound
-cuts a call off: the walk then backtracks to the next path in the
-drawn order, and on an entry admitted by the fixpoints but blocked by
-the bound it can backtrack for a long time before raising
-`ExhaustionError`.  Loop-marked regions replay 1..max_loop_reps times
-with fresh choices per repetition, and calls into recursion cycles are
-bounded by max_recursion_depth re-entries.  Nothing is rebuilt per step:
+runs it on an explicit stack: each call step opens a call, which runs
+one of the callee's paths, and closes when that path ends.  Anomaly
+walks pick only seed/infected paths until a seed path has been
+selected, then anything; normal walks pick only paths from which a
+seed-free completion is known to exist.  A pick can still fail deeper
+down, when a recursion bound refuses a call or a callee has no
+candidate left: the walk then backtracks to the innermost open call,
+undoes what that call's last path added, and runs the next path in the
+call's drawn order; with no call open, it starts its next root try.  On
+an entry admitted by the fixpoints but blocked by the bound it can
+backtrack for a long time before raising `ExhaustionError`.  Loop-marked
+regions replay 1..max_loop_reps times with fresh choices per
+repetition, and calls into recursion cycles are bounded by
+max_recursion_depth re-entries.  A walk's call depth is bounded by
+memory, not by Python's recursion limit.  Nothing is rebuilt per step:
 a path's loop regions are decoded on its first visit (`LogPath.regions`),
 and each method's candidate paths per walk state are built once in
 `Walker.__init__`.
@@ -26,7 +31,7 @@ callee is in no recursion cycle and has exactly one candidate path,
 that path has no loop-marked step, and every call on it is forced too.  Such
 a call always completes with the same events and trace; all it varies is
 how far the RNG advances.  `Walker.__init__` tabulates the forced calls
-bottom-up over the call graph's components, and `_call` takes one in a
+bottom-up over the call graph's components, and a walk takes one in a
 single step: it appends the subtree's events and trace, expanded the
 first time the call is taken and kept, and skips the subtree's draws
 with `_skip_draws`.
@@ -280,91 +285,106 @@ class Walker:
 
     def walk(self, entry: MethodId, mode: Label, rng: random.Random
              ) -> tuple[tuple[EventId, ...], tuple]:
-        """One complete walk; returns (events, choice trace)."""
-        if mode is Label.ANOMALY and not self.anomaly_entry_ok(entry):
+        """One complete walk; returns (events, choice trace).  It runs on
+        two explicit stacks: `nodes` holds iterators over the regions of
+        the paths being run, and `calls` the open calls with a choice.
+        Each open call keeps the rest of its drawn order, the (events,
+        trace, hit) mark to restore before its next candidate, the
+        recursion cycle whose count it raised (or None), and where its
+        path sits on `nodes`."""
+        anomaly = mode is Label.ANOMALY
+        if anomaly and not self.anomaly_entry_ok(entry):
             raise UnreachableSeedError(
                 f"no seed is reachable from entry method "
                 f"'{self.model.methods[entry].name}'"
             )
-        state = _WalkState()
-        entry_scc = self.scc_of[entry]
-        roots = self.candidates.get(entry, _NO_PATHS)[mode is Label.ANOMALY]
-        for root in _draw_order(rng, roots):
+        status, seed = self.status, Status.SEED
+        candidates, forced, taken_of = self.candidates, self.forced, self._taken
+        scc_of, cycle_sccs = self.scc_of, self.cycle_sccs
+        max_depth = self.params.max_recursion_depth
+        max_reps = self.params.max_loop_reps
+        randint = rng.randint
+        entry_scc = scc_of[entry]
+        for root in _draw_order(rng, candidates.get(entry, _NO_PATHS)[anomaly]):
             for _ in range(_ROOT_TRIES):
-                state.reset()
-                if entry_scc in self.cycle_sccs:
-                    state.scc_active[entry_scc] = 1  # the walk is inside already
-                if self._try_path(entry, root, mode, state, rng) \
-                        and state.events \
-                        and (mode is Label.NORMAL or state.hit):
-                    return tuple(state.events), tuple(state.trace)
+                events: list[EventId] = []
+                trace: list[tuple] = [("ep", entry, root.id)]
+                hit = status[root.id] is seed
+                # a cyclic entry's walk is inside its cycle already
+                active = {entry_scc: 1} if entry_scc in cycle_sccs else {}
+                nodes = [iter(root.regions)]
+                calls: list[tuple] = []
+                while nodes:
+                    for node in nodes[-1]:
+                        if type(node) is LogStep:
+                            events.append(node.event)
+                            continue
+                        if type(node) is not CallStep:
+                            # loop region: its nodes once per repetition
+                            reps = randint(1, max_reps)
+                            trace.append(("reps", reps))
+                            nodes.append(chain.from_iterable(repeat(node, reps)))
+                            break
+                        # index 0 normal, 1 anomaly before a seed, 2 after
+                        # (normal walks never take a seed path, so their
+                        # `hit` stays False)
+                        callee = node.callee
+                        index = anomaly + hit
+                        key = (callee, index)
+                        taken = taken_of.get(key)
+                        if taken is None and key in forced:
+                            taken = taken_of[key] = self._expand(key)
+                        if taken is not None:
+                            _skip_draws(rng, taken[0])
+                            hit = hit or taken[1]
+                            events += taken[2]
+                            trace += taken[3]
+                            continue
+                        scc = scc_of[callee]
+                        if scc in cycle_sccs:
+                            depth = active.get(scc, 0)
+                            if depth > max_depth:
+                                break  # refused by the recursion bound
+                            active[scc] = depth + 1
+                        else:
+                            scc = None
+                        order = _draw_order(rng, candidates.get(callee, _NO_PATHS)[index])
+                        calls.append((iter(order), len(events), len(trace), hit,
+                                      scc, len(nodes)))
+                        break
+                    else:
+                        nodes.pop()
+                        if calls and calls[-1][5] == len(nodes):  # a call completed
+                            scc = calls.pop()[4]
+                            if scc is not None:
+                                active[scc] -= 1
+                        continue
+                    if type(node) is not CallStep:
+                        continue
+                    # a call just opened or was refused: run the innermost
+                    # open call's next candidate, backtracking past
+                    # exhausted calls
+                    while calls:
+                        order, ev, tr, hit, scc, at = calls[-1]
+                        del events[ev:], trace[tr:], nodes[at:]
+                        path = next(order, None)
+                        if path is not None:
+                            hit = hit or status[path.id] is seed
+                            trace.append(("ep", path.method, path.id))
+                            nodes.append(iter(path.regions))
+                            break
+                        calls.pop()
+                        if scc is not None:
+                            active[scc] -= 1
+                    else:
+                        break  # nothing left to backtrack to: the next try
+                else:
+                    if events and (hit or not anomaly):
+                        return tuple(events), tuple(trace)
         raise ExhaustionError(
             f"walk from entry method '{self.model.methods[entry].name}' "
             f"({mode.value}) exhausted every choice"
         )
-
-    # A call level with a choice costs three frames: _call -> _try_path ->
-    # _run_forest.  A forced call costs none below its `_call`.
-
-    def _try_path(self, mid: MethodId, path: LogPath, mode: Label,
-                  state: "_WalkState", rng: random.Random) -> bool:
-        mark = state.snapshot()
-        if self.status[path.id] is Status.SEED:
-            state.hit = True
-        state.trace.append(("ep", mid, path.id))
-        if self._run_forest(path.regions, mode, state, rng):
-            return True
-        state.restore(mark)
-        return False
-
-    def _run_forest(self, forest, mode: Label, state: "_WalkState",
-                    rng: random.Random) -> bool:
-        for node in forest:
-            if isinstance(node, LogStep):
-                state.events.append(node.event)
-            elif isinstance(node, CallStep):
-                if not self._call(node.callee, mode, state, rng):
-                    return False
-            else:  # loop region: replay with fresh choices per repetition
-                reps = rng.randint(1, self.params.max_loop_reps)
-                state.trace.append(("reps", reps))
-                for _ in range(reps):
-                    if not self._run_forest(node, mode, state, rng):
-                        return False
-        return True
-
-    def _call(self, callee: MethodId, mode: Label, state: "_WalkState",
-              rng: random.Random) -> bool:
-        # index 0 normal, 1 anomaly before a seed, 2 after (normal walks
-        # never take a seed path, so their `hit` stays False)
-        index = (mode is Label.ANOMALY) + state.hit
-        key = (callee, index)
-        taken = self._taken.get(key)
-        if taken is None and key in self.forced:
-            taken = self._taken[key] = self._expand(key)
-        if taken is not None:
-            draws, hit, events, trace = taken
-            _skip_draws(rng, draws)
-            state.events += events
-            state.trace += trace
-            if hit:
-                state.hit = True
-            return True
-        scc = self.scc_of[callee]
-        cyclic = scc in self.cycle_sccs
-        if cyclic:
-            if state.scc_active.get(scc, 0) > self.params.max_recursion_depth:
-                return False
-            state.scc_active[scc] = state.scc_active.get(scc, 0) + 1
-        cands = self.candidates.get(callee, _NO_PATHS)[index]
-        ok = False
-        for path in _draw_order(rng, cands):
-            if self._try_path(callee, path, mode, state, rng):
-                ok = True
-                break
-        if cyclic:
-            state.scc_active[scc] -= 1
-        return ok
 
     def _expand(self, key: tuple[MethodId, int]) -> tuple:
         """A forced call's draw count, seed hit, events and trace records,
@@ -420,32 +440,6 @@ class Walker:
         if path.method != mid:
             raise LogsynthError(f"path {pid} does not belong to method {mid}")
         return iter(path.regions)
-
-
-class _WalkState:
-    """The walk in progress.  A snapshot leaves out `scc_active`: every
-    `_call` undoes its own increment, so on restore it already holds the
-    snapshot's counts."""
-
-    def __init__(self):
-        self.events: list[int] = []
-        self.trace: list[tuple] = []
-        self.scc_active: dict[int, int] = {}
-        self.hit = False
-
-    def reset(self):
-        self.events.clear()
-        self.trace.clear()
-        self.scc_active.clear()
-        self.hit = False
-
-    def snapshot(self):
-        return (len(self.events), len(self.trace), self.hit)
-
-    def restore(self, mark):
-        ev, tr, self.hit = mark
-        del self.events[ev:]
-        del self.trace[tr:]
 
 
 class _TraceCursor:

@@ -23,7 +23,7 @@ from .generation import (
     LogSequence,
     generate_dataset,
 )
-from .model import EventId, ProgramModel
+from .model import EventId, Log, ProgramModel
 
 CURVE_SAMPLE_EVERY = 1000
 
@@ -42,7 +42,8 @@ def logging_coverage(ds: LogDataset, model: ProgramModel) -> CoverageReport:
     the last one.  Events are added a sequence at a time, split only where
     a sample point falls inside a sequence, so each sample sees exactly
     the messages emitted up to it."""
-    total = len(model.statements())
+    total = len([act for m in model.methods.values()
+                 for act in m.cfg.nodes.values() if type(act) is Log])
     seen: set[EventId] = set()
     emitted = 0
     curve: list[tuple[int, float]] = []
