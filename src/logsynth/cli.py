@@ -37,6 +37,10 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("sources", nargs="*", metavar="SOURCE",
                    help="MiniLang source files or directories")
     p.add_argument("--model", help="load a model file instead of sources")
+
+
+def _add_analysis_args(p: argparse.ArgumentParser) -> None:
+    _add_input_args(p)
     p.add_argument("--logging-api", metavar="FILE",
                    help="file of external logging API names, one per line")
     p.add_argument("--max-paths", type=int, default=PathLimits().max_paths_per_method,
@@ -55,23 +59,23 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="run probing, pruning, and path finding")
-    _add_input_args(p)
+    _add_analysis_args(p)
     p.add_argument("--out", required=True, help="output directory for artifacts")
 
     p = sub.add_parser("prune", help="dump the pruning classification")
-    _add_input_args(p)
+    _add_analysis_args(p)
     p.add_argument("--dump", action="store_true", required=True)
 
     p = sub.add_parser("paths", help="dump events and per-method paths")
-    _add_input_args(p)
+    _add_analysis_args(p)
     p.add_argument("--dump", action="store_true", required=True)
 
     p = sub.add_parser("worksheet", help="export the annotation worksheet")
-    _add_input_args(p)
+    _add_analysis_args(p)
     p.add_argument("--out", required=True, help="worksheet file to write")
 
     p = sub.add_parser("generate", help="generate a labeled dataset")
-    _add_input_args(p)
+    _add_analysis_args(p)
     p.add_argument("--annotations", help="annotated worksheet file")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--anomaly-rate", type=float, default=0.0)
@@ -93,8 +97,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "stats", help="coverage statistics for a dataset",
         description="Coverage statistics for a dataset.  Only the model is "
-                    "loaded, never analyzed, so --logging-api and "
-                    "--max-paths are accepted and have no effect.",
+                    "loaded, never analyzed.",
     )
     _add_input_args(p)
     p.add_argument("--dataset", required=True, help="dataset directory")

@@ -16,12 +16,17 @@ Grammar (whitespace-insensitive, `//` line comments):
     whilest   := "while" "(" cond ")" block
     cond      := "true" | "false" | [ "!" ] IDENT
 
-LEVEL is one of info/warn/error.  STRING is double-quoted with `\\"` and
-`\\\\` escapes.  IDENT is `[A-Za-z_][A-Za-z0-9_]*`.
+LEVEL is one of info/warn/error.  STRING is double-quoted on one line,
+with `\\"` and `\\\\` escapes.  IDENT is a word that is not a keyword:
+one character that `str.isalpha` accepts or `_`, then any characters
+that `str.isalnum` accepts or `_`, so `é` and `x²` are identifiers and
+`²x` is not.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import LogsynthError
@@ -30,8 +35,6 @@ KEYWORDS = frozenset(
     {"void", "component", "log", "if", "else", "while", "return", "true", "false"}
 )
 LEVELS = ("info", "warn", "error")
-
-_PUNCT = "{}();=+!,"
 
 
 class ParseError(LogsynthError):
@@ -133,91 +136,73 @@ class AstMethod:
 
 # ── Lexer ────────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
+# A class, not a tuple: a 3-tuple has the size of the short identifier
+# strings the AST keeps, so freed token tuples would leave holes in their
+# allocator pools (1.4 MB more peak RSS on bench's deep-chains workload).
+@dataclass
 class Token:
-    kind: str  # IDENT, KEYWORD, STRING, PUNCT, EOF
+    kind: str  # IDENT, STRING, EOF, or the text of a keyword or punctuation
     text: str
-    line: int
-    column: int
+    at: int    # offset into the source text
 
 
-def _tokenize(unit: SourceUnit) -> list[Token]:
-    text = unit.text
+# Whitespace and comments match no group.  A string's body takes any
+# character but `"`, `\` and a newline, or one of the escapes `\"` and
+# `\\`; without its closing quote, what follows the body names the error.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | //[^\n]*
+  | (?P<word>\w+)
+  | (?P<punct>[{}();=+!,])
+  | "(?P<open>(?:[^"\\\n]|\\["\\])*)(?P<string>")?
+  | (?P<bad>.)
+""", re.VERBOSE)
+_ESCAPED = re.compile(r"\\(.)")
+
+
+def _position(text: str, at: int) -> tuple[int, int]:
+    """The 1-based line and column of offset `at` in `text`."""
+    line_start = text.rfind("\n", 0, at) + 1
+    return text.count("\n", 0, line_start) + 1, at - line_start + 1
+
+
+def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            i += 1
-            col += 1
-            out: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError(start_line, start_col, "unterminated string literal")
-                ch = text[i]
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise ParseError(start_line, start_col, "unterminated string literal")
-                    esc = text[i + 1]
-                    if esc == '"':
-                        out.append('"')
-                    elif esc == "\\":
-                        out.append("\\")
-                    else:
-                        raise ParseError(line, col, f"invalid escape '\\{esc}' in string")
-                    i += 2
-                    col += 2
-                    continue
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                out.append(ch)
-                i += 1
-                col += 1
-            toks.append(Token("STRING", "".join(out), start_line, start_col))
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            toks.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(Token("PUNCT", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, f"unexpected character {c!r}")
-    toks.append(Token("EOF", "", line, col))
+        at = m.start()
+        if group == "word":
+            word = m.group()
+            # \w also matches digits and other numerals, which cannot start a word
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(*_position(text, at), f"unexpected character {word[0]!r}")
+            toks.append(Token(word if word in KEYWORDS else "IDENT", word, at))
+        elif group == "punct":
+            toks.append(Token(m.group(), m.group(), at))
+        elif group == "string":
+            toks.append(Token("STRING", _ESCAPED.sub(r"\1", m.group("open")), at))
+        elif group == "open":
+            end = m.end()
+            if end + 1 < len(text) and text[end] == "\\":
+                raise ParseError(*_position(text, end),
+                                 f"invalid escape '\\{text[end + 1]}' in string")
+            raise ParseError(*_position(text, at), "unterminated string literal")
+        else:
+            raise ParseError(*_position(text, at), f"unexpected character {m.group()!r}")
+    toks.append(Token("EOF", "", len(text)))
     return toks
 
 
 # ── Parser ───────────────────────────────────────────────────────────
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
+        # offsets of the newlines, for the line of each logging statement
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
 
     def _cur(self) -> Token:
         return self.toks[self.pos]
@@ -228,20 +213,16 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def _error(self, message: str) -> ParseError:
-        tok = self._cur()
-        return ParseError(tok.line, tok.column, message)
+    def _error(self, message: str, at: int | None = None) -> ParseError:
+        if at is None:
+            at = self._cur().at
+        return ParseError(*_position(self.text, at), message)
 
-    def _expect_punct(self, ch: str) -> Token:
+    def _expect(self, kind: str) -> Token:
+        """Consume the keyword or punctuation `kind`."""
         tok = self._cur()
-        if tok.kind != "PUNCT" or tok.text != ch:
-            raise self._error(f"expected '{ch}', found {tok.text or 'end of file'!r}")
-        return self._advance()
-
-    def _expect_keyword(self, word: str) -> Token:
-        tok = self._cur()
-        if tok.kind != "KEYWORD" or tok.text != word:
-            raise self._error(f"expected '{word}', found {tok.text or 'end of file'!r}")
+        if tok.kind != kind:
+            raise self._error(f"expected '{kind}', found {tok.text or 'end of file'!r}")
         return self._advance()
 
     def _expect_ident(self, what: str = "identifier") -> Token:
@@ -250,13 +231,8 @@ class _Parser:
             raise self._error(f"expected {what}, found {tok.text or 'end of file'!r}")
         return self._advance()
 
-    def _at_punct(self, ch: str) -> bool:
-        tok = self._cur()
-        return tok.kind == "PUNCT" and tok.text == ch
-
-    def _at_keyword(self, word: str) -> bool:
-        tok = self._cur()
-        return tok.kind == "KEYWORD" and tok.text == word
+    def _at(self, kind: str) -> bool:
+        return self._cur().kind == kind
 
     # unit := { annot? method }
     def parse_unit(self) -> list[AstMethod]:
@@ -264,7 +240,7 @@ class _Parser:
         seen: dict[str, int] = {}
         while self._cur().kind != "EOF":
             component = None
-            if self._at_keyword("component"):
+            if self._at("component"):
                 self._advance()
                 tok = self._cur()
                 if tok.kind != "STRING":
@@ -274,27 +250,24 @@ class _Parser:
             name_tok = self._cur()
             method = self._parse_method(component)
             if method.name in seen:
-                raise ParseError(
-                    name_tok.line, name_tok.column,
-                    f"duplicate method name '{method.name}'",
-                )
+                raise self._error(f"duplicate method name '{method.name}'", name_tok.at)
             seen[method.name] = 1
             methods.append(method)
         return methods
 
     # method := "void" IDENT "(" ")" block
     def _parse_method(self, component: str | None) -> AstMethod:
-        self._expect_keyword("void")
+        self._expect("void")
         name = self._expect_ident("method name").text
-        self._expect_punct("(")
-        self._expect_punct(")")
+        self._expect("(")
+        self._expect(")")
         body = self._parse_block()
         return AstMethod(name, body, component)
 
     def _parse_block(self) -> tuple[Statement, ...]:
-        self._expect_punct("{")
+        self._expect("{")
         stmts: list[Statement] = []
-        while not self._at_punct("}"):
+        while not self._at("}"):
             if self._cur().kind == "EOF":
                 raise self._error("expected '}', found end of file")
             stmts.append(self._parse_statement())
@@ -302,51 +275,52 @@ class _Parser:
         return tuple(stmts)
 
     def _parse_statement(self) -> Statement:
-        if self._at_keyword("log"):
+        if self._at("log"):
             return self._parse_log()
-        if self._at_keyword("if"):
+        if self._at("if"):
             return self._parse_if()
-        if self._at_keyword("while"):
+        if self._at("while"):
             return self._parse_while()
-        if self._at_keyword("return"):
+        if self._at("return"):
             self._advance()
-            self._expect_punct(";")
+            self._expect(";")
             return Return()
         tok = self._cur()
         if tok.kind != "IDENT":
             raise self._error(f"expected statement, found {tok.text or 'end of file'!r}")
         self._advance()
-        if self._at_punct("("):
+        if self._at("("):
             self._advance()
-            self._expect_punct(")")
-            self._expect_punct(";")
+            self._expect(")")
+            self._expect(";")
             return Invoke(tok.text)
-        if self._at_punct("="):
+        if self._at("="):
             self._advance()
             val = self._cur()
             if val.kind != "STRING":
                 raise self._error("expected string literal on right-hand side")
             self._advance()
-            self._expect_punct(";")
+            self._expect(";")
             return Assign(tok.text, val.text)
         raise self._error("expected '(' or '=' after identifier")
 
     # log := "log" "(" LEVEL "," part { "+" part } ")" ";"
     def _parse_log(self) -> LogCall:
-        kw = self._expect_keyword("log")
-        self._expect_punct("(")
+        kw = self._expect("log")
+        self._expect("(")
         level_tok = self._cur()
         if level_tok.kind != "IDENT" or level_tok.text not in LEVELS:
             raise self._error("expected log level (info, warn, or error)")
         self._advance()
-        self._expect_punct(",")
+        self._expect(",")
         parts: list[StrLit | VarRef] = [self._parse_part()]
-        while self._at_punct("+"):
+        while self._at("+"):
             self._advance()
             parts.append(self._parse_part())
-        self._expect_punct(")")
-        self._expect_punct(";")
-        return LogCall(level_tok.text, tuple(parts), line=kw.line)
+        self._expect(")")
+        self._expect(";")
+        return LogCall(level_tok.text, tuple(parts),
+                       line=bisect_left(self.newlines, kw.at) + 1)
 
     def _parse_part(self) -> StrLit | VarRef:
         tok = self._cur()
@@ -359,35 +333,35 @@ class _Parser:
         raise self._error("expected string literal or variable in log message")
 
     def _parse_if(self) -> If:
-        self._expect_keyword("if")
-        self._expect_punct("(")
+        self._expect("if")
+        self._expect("(")
         cond = self._parse_cond()
-        self._expect_punct(")")
+        self._expect(")")
         then = self._parse_block()
         orelse = None
-        if self._at_keyword("else"):
+        if self._at("else"):
             self._advance()
             orelse = self._parse_block()
         return If(cond, then, orelse)
 
     def _parse_while(self) -> While:
-        self._expect_keyword("while")
-        self._expect_punct("(")
+        self._expect("while")
+        self._expect("(")
         cond = self._parse_cond()
-        self._expect_punct(")")
+        self._expect(")")
         body = self._parse_block()
         return While(cond, body)
 
     # cond := "true" | "false" | [ "!" ] IDENT
     def _parse_cond(self) -> Condition:
-        if self._at_keyword("true"):
+        if self._at("true"):
             self._advance()
             return COND_TRUE
-        if self._at_keyword("false"):
+        if self._at("false"):
             self._advance()
             return COND_FALSE
         negated = False
-        if self._at_punct("!"):
+        if self._at("!"):
             self._advance()
             negated = True
         name = self._expect_ident("condition variable").text
@@ -400,7 +374,7 @@ def parse_unit(source: SourceUnit) -> list[AstMethod]:
     Raises ParseError at the first syntax error; duplicate method names
     are also a ParseError.
     """
-    return _Parser(_tokenize(source)).parse_unit()
+    return _Parser(source.text).parse_unit()
 
 
 def parse_units(sources: list[SourceUnit]) -> list[AstMethod]:

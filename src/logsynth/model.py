@@ -26,6 +26,7 @@ derives its entry, exit and natural loops once, on first use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -221,8 +222,9 @@ class ExecutionGraph:
 def sweep(edges: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]],
           starts, seen: set[ActivityId] | None = None) -> set[ActivityId]:
     """`seen` (empty by default) grown by `starts` and every node they
-    reach along `edges`, an `out_edges` or `in_edges` map, without
-    passing through a node already in `seen`."""
+    reach along `edges`, a map from each node to its (successor, label)
+    pairs such as `out_edges` or `in_edges`, without passing through a
+    node already in `seen`."""
     seen = set() if seen is None else seen
     work = [n for n in starts if n not in seen]
     seen.update(work)
@@ -286,8 +288,6 @@ class MethodNode:
     id: MethodId
     name: str
     cfg: ExecutionGraph
-    is_log_method: bool = field(default=False, compare=False)
-    in_cycle: bool = field(default=False, compare=False)
 
 
 @dataclass
@@ -422,46 +422,36 @@ def _escape_text(text: str) -> str:
             .replace("\n", "\\n").replace("\r", "\\r"))
 
 
+_ESCAPES = {"\\": "\\", "|": "|", "n": "\n", "r": "\r"}
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+# one field: anything but '|' or a backslash, or a backslash and the
+# character after it; a backslash that ends the payload ends its field
+_FIELD = re.compile(r"(?:[^\\|]|\\.)*\\?", re.DOTALL)
+
+
+def _unescape(m: re.Match) -> str:
+    esc = m.group(1)
+    if esc in _ESCAPES:
+        return _ESCAPES[esc]
+    if not esc:
+        raise ModelFormatError(f"dangling escape in {m.string!r}")
+    raise ModelFormatError(f"invalid escape '\\{esc}' in {m.string!r}")
+
+
 def _unescape_text(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\":
-            if i + 1 >= len(text):
-                raise ModelFormatError(f"dangling escape in {text!r}")
-            nxt = text[i + 1]
-            mapped = {"\\": "\\", "|": "|", "n": "\n", "r": "\r"}.get(nxt)
-            if mapped is None:
-                raise ModelFormatError(f"invalid escape '\\{nxt}' in {text!r}")
-            out.append(mapped)
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPE.sub(_unescape, text)
 
 
 def _split_parts(payload: str) -> list[str]:
     """Split on unescaped '|' separators."""
     fields: list[str] = []
-    cur: list[str] = []
-    i = 0
-    while i < len(payload):
-        c = payload[i]
-        if c == "\\" and i + 1 < len(payload):
-            cur.append(payload[i:i + 2])
-            i += 2
-            continue
-        if c == "|":
-            fields.append("".join(cur))
-            cur = []
-            i += 1
-            continue
-        cur.append(c)
-        i += 1
-    fields.append("".join(cur))
-    return fields
+    at = 0
+    while True:
+        end = _FIELD.match(payload, at).end()
+        fields.append(payload[at:end])
+        if end == len(payload):
+            return fields
+        at = end + 1
 
 
 def _format_activity(act: Activity) -> str:
@@ -598,10 +588,6 @@ def loads_model(text: str) -> ProgramModel:
 
     callees_by_site: dict[tuple[int, int], list[int]] = {}
     for caller, site, callee in call_records:
-        if caller not in methods_meta:
-            raise ModelFormatError(f"call record from missing method id {caller}")
-        if callee not in methods_meta:
-            raise ModelFormatError(f"call record to missing method id {callee}")
         callees_by_site.setdefault((caller, site), []).append(callee)
 
     stmt_counter = 0
@@ -638,10 +624,6 @@ def loads_model(text: str) -> ProgramModel:
                 stmt_counter += 1
             elif kind == "CALL":
                 sites = callees_by_site.get((mid, aid), [])
-                if payload is not None and sites:
-                    raise ModelFormatError(
-                        f"method {mid} activity {aid}: CALL has both external name and C records"
-                    )
                 nodes[aid] = Call(callees=tuple(sorted(set(sites))), external=payload)
             elif kind == "ASSIGN":
                 if payload is None:

@@ -2,10 +2,10 @@
 
 The call graph collapses call sites to distinct (caller, callee) pairs.
 Its strongly connected components are condensed so later passes can
-treat the graph as acyclic; methods in a component of size > 1 or with a
-self call get the in_cycle flag.  A method is a LogMethod when its
-execution graph contains a logging activity, or a CALL naming one of the
-configured external logging APIs.
+treat the graph as acyclic; `CallGraph.in_cycle` holds for the methods
+in a component of size > 1 or with a self call.  A method is a LogMethod
+when its execution graph contains a logging activity, or a CALL naming
+one of the configured external logging APIs.
 """
 
 from __future__ import annotations
@@ -119,34 +119,21 @@ def condense(nodes, edges) -> CallGraph:
 
 
 def build_call_graph(model: ProgramModel) -> CallGraph:
-    """Collect call edges, condense strongly connected components, and set
-    each method's in_cycle flag."""
-    graph = condense(
+    """Collect call edges and condense strongly connected components."""
+    return condense(
         model.methods.keys(),
         {(caller, callee) for caller, callee, _ in model.call_edges},
     )
-    for mid in sorted(model.methods):
-        model.methods[mid].in_cycle = graph.in_cycle(mid)
-    return graph
 
 
 def mark_log_methods(
     model: ProgramModel, config: LoggingApiConfig = LoggingApiConfig()
 ) -> set[MethodId]:
-    """Identify methods that contain a logging activity (or call a
-    configured external logging API) and set their is_log_method flag."""
-    marked: set[MethodId] = set()
-    for mid, method in model.methods.items():
-        found = False
-        for act in method.cfg.nodes.values():
-            if isinstance(act, Log):
-                found = True
-                break
-            if isinstance(act, Call) and act.external is not None \
-                    and act.external in config.names:
-                found = True
-                break
-        method.is_log_method = found
-        if found:
-            marked.add(mid)
-    return marked
+    """The methods that contain a logging activity or call a configured
+    external logging API."""
+    return {
+        mid for mid, method in model.methods.items()
+        if any(isinstance(act, Log)
+               or (isinstance(act, Call) and act.external in config.names)
+               for act in method.cfg.nodes.values())
+    }

@@ -1,11 +1,10 @@
 """Phase 2a: prune the call graph down to the methods that log or lead
 to methods that log.
 
-Kept methods are the LogMethods plus all of their ancestors in the call
-graph, found with a single sweep over the SCC condensation in
-callee-first (reverse topological) order.  Keeping is all-or-nothing per
-component: a component survives when any member is a LogMethod or any
-member calls into a surviving component.
+Kept methods are exactly those from which a LogMethod is reachable: the
+LogMethods plus all of their ancestors in the call graph, found with one
+sweep over the reversed call edges.  Keeping is all-or-nothing per
+strongly connected component, because its members reach each other.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import MethodId
+from .model import MethodId, sweep
 from .probing import CallGraph
 
 
@@ -40,20 +39,10 @@ class PrunedCallGraph:
 
 
 def prune(cg: CallGraph, log_methods: set[MethodId]) -> PrunedCallGraph:
-    scc_edges: dict[int, set[int]] = {}
+    callers: dict[MethodId, list[tuple[MethodId, None]]] = {}
     for caller, callee in cg.edges:
-        s, t = cg.scc_of[caller], cg.scc_of[callee]
-        if s != t:
-            scc_edges.setdefault(s, set()).add(t)
-
-    kept_scc: set[int] = set()
-    # cg.sccs is callee-first, so successors are decided before each node
-    for idx, members in enumerate(cg.sccs):
-        if any(m in log_methods for m in members) or \
-                any(t in kept_scc for t in scc_edges.get(idx, ())):
-            kept_scc.add(idx)
-
-    kept = frozenset(m for idx in kept_scc for m in cg.sccs[idx])
+        callers.setdefault(callee, []).append((caller, None))
+    kept = frozenset(sweep(callers, log_methods))
     classification = {}
     for m in cg.nodes:
         if m in log_methods:

@@ -7,8 +7,10 @@ feasibility instead of the production search that prunes contradictory
 guards as it goes, per-variable restoration over every listed walk
 instead of one pruned search per statement, exhaustive walk-space
 enumeration instead of random walking, repeated full sweeps instead
-of the worklist fixpoint, and logging coverage counted one message at a
-time instead of one sequence at a time.
+of the worklist fixpoint, logging coverage counted one message at a
+time instead of one sequence at a time, and MiniLang tokens and
+model-file payload fields scanned one character at a time instead of
+by compiled patterns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from collections import deque
 from logsynth.generation import Label
 from logsynth.labeling import Status
 from logsynth.metrics import CURVE_SAMPLE_EVERY, CoverageReport
-from logsynth.model import AssignAct, Branch, Call, ExecutionGraph, Log, Var
+from logsynth.minilang import KEYWORDS, ParseError
+from logsynth.model import AssignAct, Branch, Call, ExecutionGraph, Log, ModelFormatError, Var
 from logsynth.pathfinding import LogStep, Mark
 
 
@@ -554,3 +557,124 @@ def coverage_by_message(ds, model) -> CoverageReport:
     return CoverageReport(
         discovered=len(seen), total=total, coverage=ratio(), curve=curve
     )
+
+
+# ── Lexer oracle: one character at a time ───────────────────────────
+
+def tokenize_by_character(text: str) -> list[tuple[str, str, int, int]]:
+    """MiniLang tokens as (kind, text, line, column), ending with
+    ("EOF", "", line, column); kind is IDENT, STRING, or the text of a
+    keyword or punctuation.  Raises ParseError as the lexer must."""
+    toks: list[tuple[str, str, int, int]] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        start_line, start_col = line, col
+        if c == '"':
+            i += 1
+            col += 1
+            out: list[str] = []
+            while True:
+                if i >= n or text[i] == "\n":
+                    raise ParseError(start_line, start_col, "unterminated string literal")
+                ch = text[i]
+                if ch == "\\":
+                    if i + 1 >= n:
+                        raise ParseError(start_line, start_col, "unterminated string literal")
+                    esc = text[i + 1]
+                    if esc == '"':
+                        out.append('"')
+                    elif esc == "\\":
+                        out.append("\\")
+                    else:
+                        raise ParseError(line, col, f"invalid escape '\\{esc}' in string")
+                    i += 2
+                    col += 2
+                    continue
+                if ch == '"':
+                    i += 1
+                    col += 1
+                    break
+                out.append(ch)
+                i += 1
+                col += 1
+            toks.append(("STRING", "".join(out), start_line, start_col))
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            toks.append((word if word in KEYWORDS else "IDENT", word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c in "{}();=+!,":
+            toks.append((c, c, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(line, col, f"unexpected character {c!r}")
+    toks.append(("EOF", "", line, col))
+    return toks
+
+
+# ── Model payload oracles: one character at a time ───────────────────
+
+def split_fields_by_character(payload: str) -> list[str]:
+    """Split a model-file payload on its unescaped '|' separators."""
+    fields: list[str] = []
+    cur: list[str] = []
+    i = 0
+    while i < len(payload):
+        c = payload[i]
+        if c == "\\" and i + 1 < len(payload):
+            cur.append(payload[i:i + 2])
+            i += 2
+            continue
+        if c == "|":
+            fields.append("".join(cur))
+            cur = []
+            i += 1
+            continue
+        cur.append(c)
+        i += 1
+    fields.append("".join(cur))
+    return fields
+
+
+def unescape_by_character(text: str) -> str:
+    """Undo a payload field's escapes, raising ModelFormatError as the
+    model reader must."""
+    out: list[str] = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\\":
+            if i + 1 >= len(text):
+                raise ModelFormatError(f"dangling escape in {text!r}")
+            nxt = text[i + 1]
+            mapped = {"\\": "\\", "|": "|", "n": "\n", "r": "\r"}.get(nxt)
+            if mapped is None:
+                raise ModelFormatError(f"invalid escape '\\{nxt}' in {text!r}")
+            out.append(mapped)
+            i += 2
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +23,15 @@ from logsynth.minilang import (
     StrLit,
     VarRef,
     While,
+    _position,
+    _tokenize,
     parse_unit,
     pretty_print,
 )
 from logsynth.model import Branch, Entry, Exit, Guard, Log
+from logsynth.pipeline import analyze_model
+
+from .oracles import tokenize_by_character
 
 
 def parse(text: str):
@@ -56,8 +63,11 @@ def test_empty_file_yields_no_methods():
     assert parse("// only a comment\n") == []
 
 
-def test_missing_brace_reports_eof_position():
-    text = 'void m(){ log(info, "a" + x); '
+@pytest.mark.parametrize("text", [
+    'void m(){ log(info, "a" + x); ',
+    "void m(){ // trailing",
+], ids=["after-statement", "after-comment"])
+def test_missing_brace_reports_eof_position(text):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.line == 1
@@ -96,6 +106,62 @@ def test_syntax_errors(text, needle):
 
     with pytest.raises(ParseError, match=re.escape(needle)):
         parse(text)
+
+
+# Pieces that exercise every lexer rule and its edges: escapes, a raw
+# newline or end of file inside a string, a trailing backslash, Unicode
+# letters and digits, a word that starts with a digit, whitespace the
+# lexer does not accept, and a lone or doubled slash.
+_NOISY_PIECES = (
+    "void", "log", "info", "if", "m", "_x", "é", "x²", "²", "9a", "7",
+    "(", ")", "{", "}", ";", "=", "+", "!", ",", '"', '"', "\\", '\\"',
+    "\\\\", "\\n", "\n", " ", "\t", "\r", "\v", "\xa0", "/", "//", "|",
+)
+# Mostly well-formed pieces, so that most strings tokenize to the end.
+_CLEAN_PIECES = (
+    "void", "component", "log", "info", "if", "else", "while", "true",
+    "m", "x1", "_", "é", "x²", "(", ")", "{", "}", ";", "=", "+", "!", ",",
+    '"a b"', '"\\"\\\\"', '""', " ", "\n", "\t", "\r", "// note\n", "// end",
+)
+
+
+def _lexed(lex, text):
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return exc.line, exc.column, exc.message
+
+
+def _tokens_with_positions(text):
+    return [(tok.kind, tok.text, *_position(text, tok.at)) for tok in _tokenize(text)]
+
+
+@pytest.mark.parametrize("pieces", [_NOISY_PIECES, _CLEAN_PIECES], ids=["noisy", "clean"])
+def test_tokenize_matches_character_loop_reference(pieces):
+    rng = random.Random(len(pieces))
+    for _ in range(20_000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 24)))
+        if rng.random() < 0.05:
+            text += "\\"
+        assert _lexed(_tokens_with_positions, text) == \
+            _lexed(tokenize_by_character, text), text
+
+
+def test_log_call_lines_count_newlines_before_the_log_keyword():
+    (m,) = parse('void m(){\n  x = "a";\r\n  // log(info, "no")\n\n'
+                 '  log(info, "one"); log(warn, "two");\n  log(error, "three"); }')
+    assert [s.line for s in m.body if isinstance(s, LogCall)] == [5, 5, 6]
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason=(
+    "the parser recurses three frames per nested block (329 levels parse, "
+    "330 raise), and lower_block recurses once per level"))
+def test_thousand_nested_ifs_parse_lower_and_analyze():
+    depth = 1000
+    text = ("void m(){ " + "if (c) { " * depth + 'log(info, "deep"); '
+            + "} " * depth + "}")
+    analysis = analyze_model(lower_to_model(parse(text)))
+    assert len(analysis.store.events) == 1
 
 
 def test_string_escapes_round_trip():

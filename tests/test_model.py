@@ -15,6 +15,8 @@ from logsynth.model import (
     Exit,
     Guard,
     ModelFormatError,
+    _split_parts,
+    _unescape_text,
     dumps_model,
     loads_model,
     load_model,
@@ -23,7 +25,7 @@ from logsynth.model import (
 )
 
 from .modelgen import call_graph_model, minimal_model_text, parse_program, structured_program
-from .oracles import loops_by_removal
+from .oracles import loops_by_removal, split_fields_by_character, unescape_by_character
 
 
 def test_golden_model_round_trips(datanode_model, tmp_path):
@@ -124,6 +126,57 @@ def test_branch_guard_invariants_enforced():
         loads_model("\n".join([
             "M 0 m", "A 0 0 ENTRY", "A 0 1 EXIT", "E 0 0 1 T:x",
         ]))
+
+
+def _with_records(*records: str) -> str:
+    """A one-method model file with `records` added after the records
+    of their own type."""
+    groups = {"M": ["M 0 m"], "A": ["A 0 0 ENTRY", "A 0 1 EXIT"],
+              "E": ["E 0 0 1"], "C": []}
+    for record in records:
+        groups.setdefault(record.split()[0], []).append(record)
+    return "\n".join(line for lines in groups.values() for line in lines) + "\n"
+
+
+@pytest.mark.parametrize("records,message", [
+    (("X 0 0",), "unknown record type 'X'"),
+    (("A 0 2 JUMP",), "unknown activity kind 'JUMP'"),
+    (("A 0 2 LOG info|L:end\\",), "dangling escape in 'end\\\\'"),
+    (("A 0 2 LOG info|L:bad \\q",), "invalid escape '\\q'"),
+    (("A 0 2 ASSIGN x|\\",), "dangling escape"),
+    (("A 0 2 LOG",), "LOG needs a payload"),
+    (("A 0 2 LOG info",), "malformed LOG payload 'info'"),
+    (("A 0 2 ASSIGN x",), "malformed ASSIGN payload 'x'"),
+    (("A 0 two EXIT",), "activity id must be an integer, got 'two'"),
+    (("C x 1 0",), "caller id must be an integer"),
+    (("C 1 0 0",), "call edge from missing method id 1"),
+    (("A 0 2 CALL audit", "C 0 2 0"), "CALL cannot be both external and internal"),
+])
+def test_malformed_records_are_model_format_errors(records, message):
+    import re
+
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        loads_model(_with_records(*records))
+
+
+def _scanned(scan, text):
+    try:
+        return scan(text)
+    except ModelFormatError as exc:
+        return str(exc)
+
+
+def test_payload_scanning_matches_character_loop_reference():
+    pieces = ("a", "é", "|", "\\", "\\\\", "\\|", "\\n", "\\r", "\\x",
+              "\n", "\r", "L:", "V:")
+    rng = random.Random(7)
+    for _ in range(20_000):
+        payload = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        fields = _split_parts(payload)
+        assert fields == split_fields_by_character(payload), payload
+        for text in (payload, *fields):
+            assert _scanned(_unescape_text, text) == \
+                _scanned(unescape_by_character, text), text
 
 
 def test_log_payload_escapes_round_trip():

@@ -174,7 +174,7 @@ def test_strategies_on_golden_fixture(datanode_analysis):
     model = datanode_analysis.model
     pruned = datanode_analysis.pruned
     kinds = {
-        model.methods[mid].name: (model.methods[mid].is_log_method,
+        model.methods[mid].name: (mid in datanode_analysis.log_methods,
                                   pruned.is_leaf(mid))
         for mid in sorted(pruned.kept)
     }
@@ -192,7 +192,7 @@ def test_strategy_exclusivity_on_fuzzed_programs():
         rng = random.Random(seed)
         model, analysis = _analysis(structured_method_program(rng, rng.randint(0, 6)))
         for mid in analysis.pruned.kept:
-            assert model.methods[mid].is_log_method or not analysis.pruned.is_leaf(mid)
+            assert mid in analysis.log_methods or not analysis.pruned.is_leaf(mid)
 
 
 # ── Enumeration ──────────────────────────────────────────────────────

@@ -21,7 +21,7 @@ def test_golden_call_graph(datanode_model):
     cg = build_call_graph(datanode_model)
     assert cg.edges == frozenset({(0, 1), (0, 2), (2, 3)})
     assert all(len(comp) == 1 for comp in cg.sccs)
-    assert not any(datanode_model.methods[m].in_cycle for m in cg.nodes)
+    assert not any(cg.in_cycle(m) for m in cg.nodes)
 
 
 def test_self_recursion_marks_in_cycle():
@@ -29,8 +29,6 @@ def test_self_recursion_marks_in_cycle():
     cg = build_call_graph(model)
     assert cg.in_cycle(0)
     assert not cg.in_cycle(1)
-    assert model.methods[0].in_cycle
-    assert not model.methods[1].in_cycle
 
 
 def test_mutual_recursion_scc():
@@ -40,8 +38,8 @@ def test_mutual_recursion_scc():
     cg = build_call_graph(model)
     assert cg.scc_of[0] == cg.scc_of[1]
     assert cg.scc_of[2] != cg.scc_of[0]
-    assert model.methods[0].in_cycle and model.methods[1].in_cycle
-    assert not model.methods[2].in_cycle
+    assert cg.in_cycle(0) and cg.in_cycle(1)
+    assert not cg.in_cycle(2)
 
 
 def test_scc_partition_matches_kosaraju_oracle():
@@ -68,8 +66,6 @@ def test_golden_log_methods(datanode_model):
     marked = mark_log_methods(datanode_model)
     names = {datanode_model.methods[m].name for m in marked}
     assert names == {"methodA", "methodB", "methodD"}
-    assert datanode_model.methods[2].is_log_method is False
-    assert datanode_model.methods[0].is_log_method is True
 
 
 def test_no_logging_statements_marks_nothing():
@@ -90,7 +86,6 @@ def test_external_logging_api_marks_caller():
     assert mark_log_methods(model) == set()  # not configured by default
     config = LoggingApiConfig(frozenset({"log", "slf4j_info"}))
     assert mark_log_methods(model, config) == {0}
-    assert model.methods[0].is_log_method
 
 
 def test_config_file_loading(tmp_path):
@@ -114,14 +109,6 @@ def test_marking_is_order_independent():
     names_b = {parse_program(source_b).methods[m].name
                for m in mark_log_methods(parse_program(source_b))}
     assert names_a == names_b == {"a"}
-
-
-def test_is_log_method_flag_tracks_result():
-    for seed in range(10):
-        model = call_graph_model(random.Random(seed + 7), 60)
-        marked = mark_log_methods(model)
-        for mid, method in model.methods.items():
-            assert method.is_log_method == (mid in marked)
 
 
 def test_condense_helper_matches_build(datanode_model):
