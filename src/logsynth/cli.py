@@ -22,15 +22,16 @@ from .generation import (
     ConfigError,
     GenParams,
     generate_dataset,
+    read_dataset,
     write_dataset,
 )
-from .labeling import export_worksheet, import_annotations, propagate
+from .labeling import AnnotationSet, export_worksheet, import_annotations, propagate
 from .metrics import d_coverage, logging_coverage
 from .model import save_model
 from .pathfinding import PathLimits, format_store_dump
 from .pipeline import analyze_model, load_input, summarize
-from .probing import LoggingApiConfig
-from .pruning import format_classification
+from .probing import LoggingApiConfig, build_call_graph, mark_log_methods
+from .pruning import format_classification, prune
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -39,10 +40,14 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="load a model file instead of sources")
 
 
-def _add_analysis_args(p: argparse.ArgumentParser) -> None:
+def _add_pruning_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     p.add_argument("--logging-api", metavar="FILE",
                    help="file of external logging API names, one per line")
+
+
+def _add_analysis_args(p: argparse.ArgumentParser) -> None:
+    _add_pruning_args(p)
     p.add_argument("--max-paths", type=int, default=PathLimits().max_paths_per_method,
                    help="per-method cap on feasible, distinct paths and on the "
                         "feasible walks searched for them or for one "
@@ -62,8 +67,12 @@ def _parser() -> argparse.ArgumentParser:
     _add_analysis_args(p)
     p.add_argument("--out", required=True, help="output directory for artifacts")
 
-    p = sub.add_parser("prune", help="dump the pruning classification")
-    _add_analysis_args(p)
+    p = sub.add_parser(
+        "prune", help="dump the pruning classification",
+        description="Dump the pruning classification.  Only the call graph "
+                    "is built and pruned; no path is enumerated.",
+    )
+    _add_pruning_args(p)
     p.add_argument("--dump", action="store_true", required=True)
 
     p = sub.add_parser("paths", help="dump events and per-method paths")
@@ -108,12 +117,15 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _api_config(args) -> LoggingApiConfig:
+    return (LoggingApiConfig.load(args.logging_api)
+            if args.logging_api else LoggingApiConfig())
+
+
 def _analysis_from(args):
-    config = (LoggingApiConfig.load(args.logging_api)
-              if args.logging_api else LoggingApiConfig())
     model = load_input(args.sources, args.model)
     limits = PathLimits(max_paths_per_method=args.max_paths)
-    return analyze_model(model, config, limits)
+    return analyze_model(model, _api_config(args), limits)
 
 
 def _workers(args) -> int:
@@ -137,9 +149,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    analysis = _analysis_from(args)
-    names = {mid: m.name for mid, m in analysis.model.methods.items()}
-    sys.stdout.write(format_classification(analysis.pruned, names))
+    model = load_input(args.sources, args.model)
+    pruned = prune(build_call_graph(model), mark_log_methods(model, _api_config(args)))
+    names = {mid: m.name for mid, m in model.methods.items()}
+    sys.stdout.write(format_classification(pruned, names))
     return 0
 
 
@@ -161,7 +174,6 @@ def _cmd_generate(args) -> int:
     if args.annotations:
         ann = import_annotations(args.annotations, analysis.store)
     else:
-        from .labeling import AnnotationSet
         ann = AnnotationSet(alerting=frozenset(), seed_anomaly=frozenset())
         if args.anomaly_rate > 0:
             raise ConfigError(
@@ -198,8 +210,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .generation import read_dataset
-
     model = load_input(args.sources, args.model)
     ds = read_dataset(args.dataset, model)
     report = logging_coverage(ds, model)

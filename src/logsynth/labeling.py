@@ -60,11 +60,11 @@ def export_worksheet(store: PathStore, model: ProgramModel, path) -> None:
 
     lines = ["# mark alerting events by appending ' ALERT' to their EVT line,",
              "# then add 'SEED <path-id>' lines for anomaly paths"]
-    stmt_home = {stmt.id: (mid, stmt) for mid, _aid, stmt in model.statements()}
     for eid in sorted(store.events):
         ev = store.events[eid]
-        mid, stmt = stmt_home[ev.origin]
+        mid, aid = ev.origin
         method = model.methods[mid]
+        stmt = method.cfg.nodes[aid].stmt
         if stmt.line is not None:
             lines.append(f"# {method.name} line {stmt.line}")
         for p in paths_by_event.get(eid, []):

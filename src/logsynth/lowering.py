@@ -43,12 +43,10 @@ def _guards(cond: ml.Condition) -> tuple[Guard, Guard]:
 
 
 class _CfgBuilder:
-    def __init__(self, name_to_id: dict[str, int], stmt_ids: "_Counter"):
+    def __init__(self, name_to_id: dict[str, int]):
         self.name_to_id = name_to_id
-        self.stmt_ids = stmt_ids
         self.nodes = {0: Entry()}
         self.edges: set[tuple[int, int, Guard | None]] = set()
-        self.call_sites: list[tuple[int, int]] = []  # (site activity, callee id)
         self.next_id = 1
         self.returns: list[tuple[int, Guard | None]] = []
 
@@ -79,10 +77,8 @@ class _CfgBuilder:
                     Literal(p.text) if isinstance(p, ml.StrLit) else Var(p.name)
                     for p in stmt.parts
                 )
-                record = LoggingStatement(
-                    self.stmt_ids.take(), stmt.level, parts, line=stmt.line or None
-                )
-                nid = self._add(Log(record))
+                nid = self._add(Log(LoggingStatement(stmt.level, parts,
+                                                     line=stmt.line or None)))
             elif isinstance(stmt, ml.Invoke):
                 callee = self.name_to_id.get(stmt.target)
                 if callee is None:
@@ -90,7 +86,6 @@ class _CfgBuilder:
                         f"method {method}: call to undeclared method '{stmt.target}'"
                     )
                 nid = self._add(Call(callees=(callee,)))
-                self.call_sites.append((nid, callee))
             elif isinstance(stmt, ml.Assign):
                 nid = self._add(AssignAct(stmt.var, stmt.value))
             elif isinstance(stmt, ml.If):
@@ -121,35 +116,22 @@ class _CfgBuilder:
         return ExecutionGraph(self.nodes, frozenset(self.edges))
 
 
-class _Counter:
-    def __init__(self):
-        self.value = 0
-
-    def take(self) -> int:
-        v = self.value
-        self.value += 1
-        return v
-
-
 def lower_to_model(methods: list[ml.AstMethod]) -> ProgramModel:
-    """Build the program model: one method node per declaration, one call
-    edge per invoke, and a control-flow graph per method body."""
+    """Build the program model: one method node per declaration, and a
+    control-flow graph per method body with one CALL activity per
+    invoke."""
     name_to_id = {m.name: i for i, m in enumerate(methods)}
     if len(name_to_id) != len(methods):
         raise LoweringError("duplicate method names")
-    stmt_ids = _Counter()
     nodes: dict[int, MethodNode] = {}
-    call_edges: set[tuple[int, int, int]] = set()
     components: dict[int, str] = {}
     for mid, ast in enumerate(methods):
-        builder = _CfgBuilder(name_to_id, stmt_ids)
+        builder = _CfgBuilder(name_to_id)
         dangling = builder.lower_block(ast.body, [(0, None)], ast.name)
         cfg = builder.finish(dangling)
         nodes[mid] = MethodNode(id=mid, name=ast.name, cfg=cfg)
-        for site, callee in builder.call_sites:
-            call_edges.add((mid, callee, site))
         if ast.component is not None:
             components[mid] = ast.component
-    model = ProgramModel(methods=nodes, call_edges=call_edges, components=components)
+    model = ProgramModel(methods=nodes, components=components)
     validate_model(model)
     return model

@@ -30,11 +30,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import LogsynthError
+from .model import LEVELS
 
 KEYWORDS = frozenset(
     {"void", "component", "log", "if", "else", "while", "return", "true", "false"}
 )
-LEVELS = ("info", "warn", "error")
 
 
 class ParseError(LogsynthError):

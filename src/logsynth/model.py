@@ -1,5 +1,5 @@
-"""Shared program representation: method set, call graph edges, and
-per-method execution graphs with logging statements.
+"""Shared program representation: the method set and per-method
+execution graphs with logging statements.
 
 The on-disk model file is line-oriented UTF-8 text with four record
 kinds, in this order (`#` starts a comment line):
@@ -15,13 +15,13 @@ payload is `<level>|<part>|<part>...` with parts `L:<escaped-text>` or
 payload and edge guards use `T:<var>`, `F:<var>`, `TRUE`, or `FALSE`.
 A CALL payload, when present, names an external logging API; internal
 callees come from C records (several C records for one site encode an
-ambiguous dispatch).
+ambiguous dispatch).  In memory, a site's callees live only in its CALL
+activity: the call graph and the C records are both derived from them.
 
-Statement ids are not stored: they are re-derived on load in
-(method-id, activity-id) order, which is also the order the frontend
-assigns them in, so save/load round-trips are exact.  Loop heads are
-not stored either: an execution graph is immutable once built, and
-derives its entry, exit and natural loops once, on first use.
+A logging statement is named by its (method id, LOG activity id) and
+carries no id of its own.  Loop heads are not stored either: an
+execution graph is immutable once built, and derives its entry, exit
+and natural loops once, on first use.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import LogsynthError
 
 MethodId = int
 ActivityId = int
-StatementId = int
 EventId = int
 
 LEVELS = ("info", "warn", "error")
@@ -95,7 +94,6 @@ Part = Literal | Var
 
 @dataclass(frozen=True)
 class LoggingStatement:
-    id: StatementId
     level: str
     parts: tuple[Part, ...]
     line: int | None = field(default=None, compare=False)
@@ -113,7 +111,7 @@ class LogEvent:
     level: str
     template: str
     # provenance; not part of the on-disk dataset, so excluded from equality
-    origin: StatementId = field(default=-1, compare=False)
+    origin: tuple[MethodId, ActivityId] | None = field(default=None, compare=False)
 
 
 # ── Activities ───────────────────────────────────────────────────────
@@ -293,7 +291,6 @@ class MethodNode:
 @dataclass
 class ProgramModel:
     methods: dict[MethodId, MethodNode]
-    call_edges: set[tuple[MethodId, MethodId, ActivityId]]  # (caller, callee, site)
     components: dict[MethodId, str] = field(default_factory=dict)
 
     def method_by_name(self, name: str) -> MethodNode:
@@ -338,21 +335,6 @@ def validate_model(model: ProgramModel) -> None:
             raise ModelFormatError(f"component entry for missing method id {mid}")
         if not comp or any(c not in _COMPONENT_OK for c in comp):
             raise ModelFormatError(f"method {mid}: invalid component name {comp!r}")
-    for caller, callee, site in model.call_edges:
-        if caller not in model.methods:
-            raise ModelFormatError(f"call edge from missing method id {caller}")
-        if callee not in model.methods:
-            raise ModelFormatError(f"call edge to missing method id {callee}")
-        act = model.methods[caller].cfg.nodes.get(site)
-        if not isinstance(act, Call):
-            raise ModelFormatError(
-                f"call edge {caller}->{callee}: site {site} is not a CALL activity"
-            )
-        if callee not in act.callees:
-            raise ModelFormatError(
-                f"call edge {caller}->{callee}: site {site} does not list callee {callee}"
-            )
-    # every internal CALL activity must be covered by call edges
     for mid, m in model.methods.items():
         for aid, act in m.cfg.nodes.items():
             if isinstance(act, Call):
@@ -361,11 +343,8 @@ def validate_model(model: ProgramModel) -> None:
                         f"method {mid} activity {aid}: CALL cannot be both external and internal"
                     )
                 for callee in act.callees:
-                    if (mid, callee, aid) not in model.call_edges:
-                        raise ModelFormatError(
-                            f"method {mid} activity {aid}: callee {callee} has no call edge"
-                        )
-    _validate_statement_ids(model)
+                    if callee not in model.methods:
+                        raise ModelFormatError(f"call edge to missing method id {callee}")
 
 
 def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
@@ -402,17 +381,6 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
         raise ModelFormatError(f"{where}: EXIT not reachable from ENTRY")
     if entry == exit_:  # pragma: no cover - impossible by construction
         raise ModelFormatError(f"{where}: ENTRY and EXIT coincide")
-
-
-def _validate_statement_ids(model: ProgramModel) -> None:
-    expected = 0
-    for mid, aid, stmt in model.statements():
-        if stmt.id != expected:
-            raise ModelFormatError(
-                f"method {mid} activity {aid}: statement id {stmt.id}, expected {expected} "
-                "(ids follow (method, activity) order)"
-            )
-        expected += 1
 
 
 # ── Serialization ────────────────────────────────────────────────────
@@ -481,10 +449,18 @@ def dumps_model(model: ProgramModel) -> str:
         m = model.methods[mid]
         comp = model.components.get(mid)
         lines.append(f"M {mid} {m.name} {comp}" if comp else f"M {mid} {m.name}")
+    # C records go last but are gathered in this pass: a second pass over
+    # every activity slows write_dataset, which dumps the model to hash it
+    calls: list[str] = []
     for mid in sorted(model.methods):
-        cfg = model.methods[mid].cfg
-        for aid in sorted(cfg.nodes):
-            lines.append(f"A {mid} {aid} {_format_activity(cfg.nodes[aid])}")
+        nodes = model.methods[mid].cfg.nodes
+        for aid in sorted(nodes):
+            act = nodes[aid]
+            lines.append(f"A {mid} {aid} {_format_activity(act)}")
+            if type(act) is Call:
+                callees = act.callees
+                for callee in sorted(set(callees)) if len(callees) > 1 else callees:
+                    calls.append(f"C {mid} {aid} {callee}")
     for mid in sorted(model.methods):
         cfg = model.methods[mid].cfg
         for frm, to, guard in sorted(
@@ -494,10 +470,7 @@ def dumps_model(model: ProgramModel) -> str:
                 lines.append(f"E {mid} {frm} {to}")
             else:
                 lines.append(f"E {mid} {frm} {to} {format_guard(guard)}")
-    for caller, callee, site in sorted(
-        model.call_edges, key=lambda e: (e[0], e[2], e[1])
-    ):
-        lines.append(f"C {caller} {site} {callee}")
+    lines.extend(calls)
     return "\n".join(lines) + "\n"
 
 
@@ -515,12 +488,11 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 def loads_model(text: str) -> ProgramModel:
-    """Parse model-file text, re-derive statement ids, and validate all
-    invariants."""
+    """Parse model-file text and validate all invariants."""
     methods_meta: dict[int, tuple[str, str | None]] = {}
     activities: dict[int, dict[int, tuple[str, str | None]]] = {}
     edges: dict[int, set[tuple[int, int, Guard | None]]] = {}
-    call_records: list[tuple[int, int, int]] = []
+    callees_by_site: dict[tuple[int, int], set[int]] = {}
     order = {"M": 0, "A": 1, "E": 2, "C": 3}
     last = 0
 
@@ -580,17 +552,20 @@ def loads_model(text: str) -> ProgramModel:
             toks = line.split()
             if len(toks) != 4:
                 raise ModelFormatError(f"line {lineno}: malformed C record")
-            call_records.append(
-                (_parse_int(toks[1], "caller id", lineno),
-                 _parse_int(toks[2], "site activity id", lineno),
-                 _parse_int(toks[3], "callee id", lineno))
-            )
+            caller = _parse_int(toks[1], "caller id", lineno)
+            site = _parse_int(toks[2], "site activity id", lineno)
+            callee = _parse_int(toks[3], "callee id", lineno)
+            if caller not in methods_meta:
+                raise ModelFormatError(f"call edge from missing method id {caller}")
+            if callee not in methods_meta:
+                raise ModelFormatError(f"call edge to missing method id {callee}")
+            act = activities[caller].get(site)
+            if act is None or act[0] != "CALL":
+                raise ModelFormatError(
+                    f"call edge {caller}->{callee}: site {site} is not a CALL activity"
+                )
+            callees_by_site.setdefault((caller, site), set()).add(callee)
 
-    callees_by_site: dict[tuple[int, int], list[int]] = {}
-    for caller, site, callee in call_records:
-        callees_by_site.setdefault((caller, site), []).append(callee)
-
-    stmt_counter = 0
     methods: dict[int, MethodNode] = {}
     for mid in sorted(methods_meta):
         name, _comp = methods_meta[mid]
@@ -620,11 +595,10 @@ def loads_model(text: str) -> ProgramModel:
                         raise ModelFormatError(
                             f"method {mid} activity {aid}: malformed LOG part {f!r}"
                         )
-                nodes[aid] = Log(LoggingStatement(stmt_counter, level, tuple(parts)))
-                stmt_counter += 1
+                nodes[aid] = Log(LoggingStatement(level, tuple(parts)))
             elif kind == "CALL":
-                sites = callees_by_site.get((mid, aid), [])
-                nodes[aid] = Call(callees=tuple(sorted(set(sites))), external=payload)
+                callees = callees_by_site.get((mid, aid), ())
+                nodes[aid] = Call(callees=tuple(sorted(callees)), external=payload)
             elif kind == "ASSIGN":
                 if payload is None:
                     raise ModelFormatError(f"method {mid} activity {aid}: ASSIGN needs a payload")
@@ -643,8 +617,6 @@ def loads_model(text: str) -> ProgramModel:
 
     model = ProgramModel(
         methods=methods,
-        call_edges={(caller, callee, site) for (caller, site), cs in callees_by_site.items()
-                    for callee in cs},
         components={mid: comp for mid, (name, comp) in methods_meta.items() if comp},
     )
     validate_model(model)

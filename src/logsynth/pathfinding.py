@@ -273,7 +273,7 @@ def restore_statement(method: MethodNode, node: ActivityId,
         template="".join(p.text if isinstance(p, Literal)
                          else consts.get(p.name, PLACEHOLDER)
                          for p in stmt.parts),
-        origin=stmt.id,
+        origin=(method.id, node),
     )
 
 
@@ -322,14 +322,19 @@ def enumerate_logeps(
     the first walk that projects onto it.  The search stops, with a
     truncation warning, at more feasible walks or more distinct paths
     than `limits` allows; at most that many paths are kept.  Ids are
-    placeholders (-1) until the store assigns them."""
+    placeholders (-1) until the store assigns them.  `event_ids` maps
+    each LOG activity to its event; by default the method's LOG
+    activities are numbered 0, 1, ... in activity order."""
     cfg = method.cfg
+    if event_ids is None:
+        event_ids = {aid: i for i, aid in enumerate(
+            sorted(a for a, act in cfg.nodes.items() if isinstance(act, Log)))}
     # node -> (step kind, its choices): an event id, or the kept callees;
     # a statement without an event is unreachable, so on no walk
     shown: dict[int, tuple[type, tuple[int, ...]]] = {}
     for node, act in cfg.nodes.items():
         if isinstance(act, Log):
-            eid = act.stmt.id if event_ids is None else event_ids.get(act.stmt.id)
+            eid = event_ids.get(node)
             if eid is not None:
                 shown[node] = (LogStep, (eid,))
         elif isinstance(act, Call):
@@ -417,11 +422,10 @@ def build_store(
         method = model.methods[mid]
         cfg = method.cfg
         reachable = cfg.reachable_from_entry()
-        ids: dict[int, EventId] = {}  # statement id -> event id
+        ids: dict[ActivityId, EventId] = {}  # LOG activity -> event id
         for aid in sorted(reachable):
-            act = cfg.nodes[aid]
-            if isinstance(act, Log):
-                eid = ids[act.stmt.id] = len(events)
+            if isinstance(cfg.nodes[aid], Log):
+                eid = ids[aid] = len(events)
                 events[eid] = restore_statement(method, aid, eid, limits)
         by_method[mid] = [replace(p, id=next(path_ids)) for p in
                           enumerate_logeps(method, cg_prime, limits, ids)]

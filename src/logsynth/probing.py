@@ -119,10 +119,13 @@ def condense(nodes, edges) -> CallGraph:
 
 
 def build_call_graph(model: ProgramModel) -> CallGraph:
-    """Collect call edges and condense strongly connected components."""
+    """Collect the (caller, callee) pairs of every CALL activity and
+    condense strongly connected components."""
     return condense(
         model.methods.keys(),
-        {(caller, callee) for caller, callee, _ in model.call_edges},
+        {(mid, callee) for mid, method in model.methods.items()
+         for act in method.cfg.nodes.values() if isinstance(act, Call)
+         for callee in act.callees},
     )
 
 

@@ -50,8 +50,7 @@ def call_graph_model(rng: random.Random, n_nodes: int,
         logs.append(rng.random() < log_fraction)
 
     methods: dict[int, MethodNode] = {}
-    call_edges = set()
-    stmt_id = 0
+    stmt_no = 0
     for mid in range(n_nodes):
         nodes: dict[int, object] = {0: Entry()}
         edges = set()
@@ -60,13 +59,12 @@ def call_graph_model(rng: random.Random, n_nodes: int,
         for target in calls[mid]:
             nodes[aid] = Call(callees=(target,))
             edges.add((prev, aid, None))
-            call_edges.add((mid, target, aid))
             prev = aid
             aid += 1
         if logs[mid]:
-            nodes[aid] = Log(LoggingStatement(stmt_id, rng.choice(LEVELS),
-                                              (Literal(f"event {stmt_id}"),)))
-            stmt_id += 1
+            nodes[aid] = Log(LoggingStatement(rng.choice(LEVELS),
+                                              (Literal(f"event {stmt_no}"),)))
+            stmt_no += 1
             edges.add((prev, aid, None))
             prev = aid
             aid += 1
@@ -74,7 +72,7 @@ def call_graph_model(rng: random.Random, n_nodes: int,
         edges.add((prev, aid, None))
         cfg = ExecutionGraph(nodes=nodes, edges=frozenset(edges))
         methods[mid] = MethodNode(id=mid, name=f"m{mid}", cfg=cfg)
-    model = ProgramModel(methods=methods, call_edges=call_edges)
+    model = ProgramModel(methods=methods)
     validate_model(model)
     return model
 
@@ -183,20 +181,17 @@ def structured_program(rng: random.Random, n_methods: int,
 
 def with_ambiguous_calls(model: ProgramModel, rng: random.Random) -> ProgramModel:
     """`model` with about half of its call sites given a second, different
-    callee (ambiguous dispatch), each with its call edge."""
+    callee (ambiguous dispatch)."""
     methods = dict(model.methods)
-    call_edges = set(model.call_edges)
     for mid, method in model.methods.items():
         nodes = dict(method.cfg.nodes)
         for aid, act in method.cfg.nodes.items():
             if isinstance(act, Call) and act.callees and rng.random() < 0.5:
                 other = rng.choice([m for m in model.methods if m not in act.callees])
                 nodes[aid] = Call(callees=act.callees + (other,))
-                call_edges.add((mid, other, aid))
         methods[mid] = MethodNode(id=mid, name=method.name,
                                   cfg=ExecutionGraph(nodes=nodes, edges=method.cfg.edges))
-    out = ProgramModel(methods=methods, call_edges=call_edges,
-                       components=dict(model.components))
+    out = ProgramModel(methods=methods, components=dict(model.components))
     validate_model(out)
     return out
 

@@ -340,7 +340,7 @@ def project_walk(cfg: ExecutionGraph, visits, kept: set[int],
     for i, (node, _) in enumerate(visits):
         act = cfg.nodes[node]
         if isinstance(act, Log):
-            recorded.append((i, "log", (stmt_to_event[act.stmt.id],)))
+            recorded.append((i, "log", (stmt_to_event[node],)))
         elif isinstance(act, Call):
             kept_callees = tuple(c for c in act.callees if c in kept)
             if kept_callees:

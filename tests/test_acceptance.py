@@ -120,7 +120,8 @@ def test_criterion_3_path_enumeration_oracle():
             analysis = analyze_model(model)
             main = model.method_by_name("main")
             stmt_to_event = {
-                ev.origin: eid for eid, ev in analysis.store.events.items()
+                ev.origin[1]: eid for eid, ev in analysis.store.events.items()
+                if ev.origin[0] == main.id
             }
             expected = oracle_path_set(
                 main.cfg, set(analysis.pruned.kept), stmt_to_event

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from logsynth import cli, parallel
+from logsynth import cli, parallel, pipeline
 from logsynth.cli import _workers, main
 
 from .modelgen import structured_program
@@ -150,6 +150,23 @@ def test_prune_dump(capsys):
         "methodC LOG_INDUCING",
         "methodD LOG_METHOD",
     ]
+
+
+def test_prune_builds_no_store(tmp_path, capsys, monkeypatch):
+    _, expected, _ = run(capsys, "prune", FIXTURE, "--dump")
+
+    def no_store(*args, **kwargs):
+        raise AssertionError("prune built the path store")
+
+    monkeypatch.setattr(pipeline, "build_store", no_store)
+    api = tmp_path / "api.txt"
+    api.write_text("log\n", encoding="utf-8")
+    for extra in ((), ("--logging-api", str(api))):
+        assert run(capsys, "prune", FIXTURE, "--dump", *extra) == (0, expected, "")
+    # the option that only path finding reads is not accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["prune", FIXTURE, "--dump", "--max-paths", "1"])
+    assert exc.value.code == 2
 
 
 def test_paths_dump(capsys):

@@ -28,8 +28,9 @@ from logsynth.minilang import (
     parse_unit,
     pretty_print,
 )
-from logsynth.model import Branch, Entry, Exit, Guard, Log
+from logsynth.model import Branch, Call, Entry, Exit, Guard, Log
 from logsynth.pipeline import analyze_model
+from logsynth.probing import build_call_graph
 
 from .oracles import tokenize_by_character
 
@@ -243,14 +244,13 @@ def test_pretty_print_round_trip(methods):
 # ── Lowering ─────────────────────────────────────────────────────────
 
 def test_golden_fixture_call_edges(datanode_model):
-    pairs = {(c, e) for c, e, _ in datanode_model.call_edges}
-    assert pairs == {(0, 1), (0, 2), (2, 3)}
+    assert build_call_graph(datanode_model).edges == {(0, 1), (0, 2), (2, 3)}
 
 
 def test_minimal_method_lowers_to_entry_exit():
     model = lower_to_model(parse("void m(){}"))
     assert len(model.methods) == 1
-    assert not model.call_edges
+    assert not build_call_graph(model).edges
     cfg = model.methods[0].cfg
     assert set(map(type, cfg.nodes.values())) == {Entry, Exit}
     assert cfg.edges == {(0, 1, None)}
@@ -315,4 +315,5 @@ def test_lowering_node_and_edge_counts(methods):
         expected = _count_statements(ast.body, skip_returns=True) + 2
         assert len(cfg.nodes) == expected
     total_invokes = sum(_count_invokes(m.body) for m in methods)
-    assert len(model.call_edges) == total_invokes
+    assert sum(len(act.callees) for m in model.methods.values()
+               for act in m.cfg.nodes.values() if isinstance(act, Call)) == total_invokes

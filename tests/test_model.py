@@ -14,7 +14,9 @@ from logsynth.model import (
     ExecutionGraph,
     Exit,
     Guard,
+    MethodNode,
     ModelFormatError,
+    ProgramModel,
     _split_parts,
     _unescape_text,
     dumps_model,
@@ -24,7 +26,13 @@ from logsynth.model import (
     save_model,
 )
 
-from .modelgen import call_graph_model, minimal_model_text, parse_program, structured_program
+from .modelgen import (
+    call_graph_model,
+    minimal_model_text,
+    parse_program,
+    structured_program,
+    with_ambiguous_calls,
+)
 from .oracles import loops_by_removal, split_fields_by_character, unescape_by_character
 
 
@@ -35,9 +43,7 @@ def test_golden_model_round_trips(datanode_model, tmp_path):
 
 
 def test_empty_model_round_trips():
-    from logsynth.model import ProgramModel
-
-    empty = ProgramModel(methods={}, call_edges=set())
+    empty = ProgramModel(methods={})
     assert loads_model(dumps_model(empty)) == empty
 
 
@@ -151,6 +157,9 @@ def _with_records(*records: str) -> str:
     (("C x 1 0",), "caller id must be an integer"),
     (("C 1 0 0",), "call edge from missing method id 1"),
     (("A 0 2 CALL audit", "C 0 2 0"), "CALL cannot be both external and internal"),
+    (("C 0 1 99",), "call edge to missing method id 99"),
+    (("C 0 1 0",), "call edge 0->0: site 1 is not a CALL activity"),  # an EXIT
+    (("C 0 5 0",), "call edge 0->0: site 5 is not a CALL activity"),  # no activity
 ])
 def test_malformed_records_are_model_format_errors(records, message):
     import re
@@ -225,8 +234,25 @@ def test_ambiguous_dispatch_collects_all_callees():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(5, 60))
 def test_fuzzed_flat_models_round_trip(seed, size):
-    model = call_graph_model(random.Random(seed), size)
+    rng = random.Random(seed)
+    model = call_graph_model(rng, size)
     assert loads_model(dumps_model(model)) == model
+    # several C records for one site round-trip as one ambiguous CALL
+    ambiguous = _callees_in_id_order(with_ambiguous_calls(model, rng))
+    text = dumps_model(ambiguous)
+    assert loads_model(text) == ambiguous
+    assert dumps_model(loads_model(text)) == text
+
+
+def _callees_in_id_order(model):
+    """`model` with each CALL's callees sorted, as loading lists them."""
+    methods = {}
+    for mid, m in model.methods.items():
+        nodes = {aid: Call(tuple(sorted(act.callees)), act.external)
+                 if isinstance(act, Call) else act
+                 for aid, act in m.cfg.nodes.items()}
+        methods[mid] = MethodNode(mid, m.name, ExecutionGraph(nodes, m.cfg.edges))
+    return ProgramModel(methods, dict(model.components))
 
 
 @settings(max_examples=25, deadline=None)

@@ -148,9 +148,8 @@ def test_restore_matches_walk_oracle():
         source = structured_program(random.Random(seed), 6).replace(
             "() {\n", '() {\n    a = "";\n    b = "B";\n')
         model, analysis = _analysis(source)
-        where = {stmt.id: (mid, aid) for mid, aid, stmt in model.statements()}
         for event in analysis.store.events.values():
-            mid, aid = where[event.origin]
+            mid, aid = event.origin
             cfg = model.methods[mid].cfg
             constants, arrivals = restore_by_walks(cfg, aid)
             if arrivals > budget:
@@ -344,7 +343,8 @@ def test_path_sets_match_bruteforce_oracle():
             continue
         compared += 1
         stmt_to_event = {
-            ev.origin: eid for eid, ev in analysis.store.events.items()
+            ev.origin[1]: eid for eid, ev in analysis.store.events.items()
+            if ev.origin[0] == main.id
         }
         expected = oracle_path_set(main.cfg, set(analysis.pruned.kept),
                                    stmt_to_event)
@@ -387,7 +387,8 @@ def test_enumeration_matches_ordered_dfs_oracle():
     corpus, shapes = _pruning_corpus()
     for seed, model, analysis in corpus:
         main = model.method_by_name("main")
-        stmt_to_event = {ev.origin: eid for eid, ev in analysis.store.events.items()}
+        stmt_to_event = {ev.origin[1]: eid for eid, ev in analysis.store.events.items()
+                         if ev.origin[0] == main.id}
         expected = dfs_feasible_paths(main.cfg, set(analysis.pruned.kept), stmt_to_event)
         assert production_paths(analysis.store, main.id) == expected, seed
     assert min(shapes.values()) >= 25, shapes
@@ -500,8 +501,9 @@ def test_surviving_paths_are_satisfiable():
             structured_method_program(rng, rng.randint(0, 8))
         )
         kept = set(analysis.pruned.kept)
-        stmt_to_event = {ev.origin: eid for eid, ev in analysis.store.events.items()}
         for mid in kept:
+            stmt_to_event = {ev.origin[1]: eid for eid, ev in analysis.store.events.items()
+                             if ev.origin[0] == mid}
             feasible = oracle_path_set(model.methods[mid].cfg, kept, stmt_to_event)
             assert production_path_set(analysis.store, mid) <= feasible, (seed, mid)
 
