@@ -64,7 +64,7 @@ from pathlib import Path
 
 from .errors import LogsynthError
 from .labeling import AnnotationSet, InfectionMap, Status, dumps_annotations
-from .model import EventId, LogEvent, MethodId, ProgramModel, dumps_model
+from .model import EventId, LogEvent, MethodId, ProgramModel, model_sha256
 from .parallel import ordered_map
 from .pathfinding import CallStep, LogPath, LogStep, Mark, PathStore
 from .probing import CallGraph
@@ -601,7 +601,10 @@ def write_dataset(ds: LogDataset, outdir, model: ProgramModel,
                   ann: AnnotationSet) -> None:
     """sequences.csv, templates.csv, and a manifest; byte-stable for equal
     inputs.  Each distinct event id is rendered as decimal text once per
-    call, through an id -> text memo, and every row joins memoized text."""
+    call, through an id -> text memo, and every row joins memoized text.
+    The manifest's model_sha256 is the digest of the canonical model text:
+    the one `loads_model` recorded when it read that text, so a model
+    loaded from `analyze`'s model.txt is not serialized again."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     text = _Memo(str).__getitem__
@@ -633,7 +636,7 @@ def write_dataset(ds: LogDataset, outdir, model: ProgramModel,
         f"max_loop_reps={p.max_loop_reps}",
         f"max_recursion_depth={p.max_recursion_depth}",
         f"exact_rate={int(p.exact_rate)}",
-        f"model_sha256={hashlib.sha256(dumps_model(model).encode()).hexdigest()}",
+        f"model_sha256={model_sha256(model)}",
         f"annotations_sha256={hashlib.sha256(dumps_annotations(ann).encode()).hexdigest()}",
         f"version={__version__}",
     ]

@@ -18,6 +18,17 @@ callees come from C records (several C records for one site encode an
 ambiguous dispatch).  In memory, a site's callees live only in its CALL
 activity: the call graph and the C records are both derived from them.
 
+A model's canonical text is what `dumps_model` writes: the records of
+each kind in ascending key order with none repeated (M by id, A by
+(method, activity), E by (method, from, to, guard or ""), C by (caller,
+site, callee)), fields joined by single spaces, ids as `str(int)` writes
+them, a payload only after LOG, ASSIGN, BRANCH and external CALL, no
+comment or blank line, and one newline after every line.  `loads_model`
+accepts more than that, in one pass over the lines; when its input is
+canonical it records the text's sha256 as the model's `text_sha256`, and
+`model_sha256`, the digest a dataset manifest names, returns it without
+serializing the model again.
+
 A logging statement is named by its (method id, LOG activity id) and
 carries no id of its own.  Loop heads are not stored either: an
 execution graph is immutable once built, and derives its entry, exit
@@ -26,6 +37,7 @@ and natural loops once, on first use.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -292,6 +304,9 @@ class MethodNode:
 class ProgramModel:
     methods: dict[MethodId, MethodNode]
     components: dict[MethodId, str] = field(default_factory=dict)
+    # sha256 of the canonical text `loads_model` built this model from;
+    # None for any other model.  Editing a loaded model makes it stale.
+    text_sha256: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def method_by_name(self, name: str) -> MethodNode:
         for m in self.methods.values():
@@ -407,11 +422,13 @@ def _unescape(m: re.Match) -> str:
 
 
 def _unescape_text(text: str) -> str:
-    return _ESCAPE.sub(_unescape, text)
+    return _ESCAPE.sub(_unescape, text) if "\\" in text else text
 
 
 def _split_parts(payload: str) -> list[str]:
     """Split on unescaped '|' separators."""
+    if "\\" not in payload:
+        return payload.split("|")
     fields: list[str] = []
     at = 0
     while True:
@@ -449,8 +466,7 @@ def dumps_model(model: ProgramModel) -> str:
         m = model.methods[mid]
         comp = model.components.get(mid)
         lines.append(f"M {mid} {m.name} {comp}" if comp else f"M {mid} {m.name}")
-    # C records go last but are gathered in this pass: a second pass over
-    # every activity slows write_dataset, which dumps the model to hash it
+    # C records go last but are gathered in this one pass over the activities
     calls: list[str] = []
     for mid in sorted(model.methods):
         nodes = model.methods[mid].cfg.nodes
@@ -474,152 +490,233 @@ def dumps_model(model: ProgramModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A newline not followed by a line that dumps_model could write: fields
+# joined by single spaces, ids as `str(int)` writes them, a payload only
+# after a kind that takes one, starting with no whitespace and ending in
+# no \r.  Searched in "\n" + text, every line follows a newline.
+_ID = r"(?:0|-?[1-9][0-9]*)"
+_NOT_CANONICAL = re.compile(
+    rf"\n(?!(?:M {_ID} \S+(?: \S+)?"
+    rf"|A {_ID} {_ID} (?:ENTRY|EXIT|CALL|(?:CALL|LOG|ASSIGN|BRANCH) \S(?:.*[^\r\n])?)"
+    rf"|E {_ID} {_ID} {_ID}(?: \S+)?"
+    rf"|C {_ID} {_ID} {_ID})$)",
+    re.M,
+)
+
+
+def _is_canonical(text: str, model: ProgramModel) -> bool:
+    """Whether `text`, whose records `loads_model` read in key order and
+    loaded as `model`, is what `dumps_model(model)` writes."""
+    if text == "\n":  # the empty model
+        return True
+    if not text.endswith("\n") or _NOT_CANONICAL.search("\n" + text, 0, len(text)):
+        return False
+    if "\r" not in text:
+        return True
+    # a carriage return may stand raw in a variable name, but dumps_model
+    # escapes one in a literal, where no line pattern can tell it apart
+    for m in model.methods.values():
+        for act in m.cfg.nodes.values():
+            if (type(act) is AssignAct and "\r" in act.literal
+                    or type(act) is Log and any(type(p) is Literal and "\r" in p.text
+                                                for p in act.stmt.parts)):
+                return False
+    return True
+
+
+def model_sha256(model: ProgramModel) -> str:
+    """The sha256 hex digest of `dumps_model(model)`: the digest that
+    `loads_model` recorded from a canonical text, else one computed from a
+    dump and not kept, because a ProgramModel is mutable."""
+    if model.text_sha256 is not None:
+        return model.text_sha256
+    return hashlib.sha256(dumps_model(model).encode()).hexdigest()
+
+
 def save_model(model: ProgramModel, path) -> None:
     validate_model(model)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_model(model))
 
 
-def _parse_int(token: str, what: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ModelFormatError(f"line {lineno}: {what} must be an integer, got {token!r}")
+def _int_error(lineno: int, *fields: tuple[str, str]) -> ModelFormatError:
+    """The error for the first (what, token) field that `int` rejects."""
+    for what, token in fields:
+        try:
+            int(token)
+        except ValueError:
+            return ModelFormatError(f"line {lineno}: {what} must be an integer, got {token!r}")
+    raise AssertionError("every field is an integer")  # pragma: no cover
+
+
+def _log_activity(payload: str | None, mid: MethodId, aid: ActivityId) -> Log:
+    if payload is None:
+        raise ModelFormatError(f"method {mid} activity {aid}: LOG needs a payload")
+    fields = _split_parts(payload)
+    level = fields[0]
+    if level not in LEVELS or len(fields) < 2:
+        raise ModelFormatError(f"method {mid} activity {aid}: malformed LOG payload {payload!r}")
+    parts: list[Part] = []
+    for f in fields[1:]:
+        if f.startswith("L:"):
+            parts.append(Literal(_unescape_text(f[2:])))
+        elif f.startswith("V:") and len(f) > 2:
+            parts.append(Var(f[2:]))
+        else:
+            raise ModelFormatError(f"method {mid} activity {aid}: malformed LOG part {f!r}")
+    return Log(LoggingStatement(level, tuple(parts)))
+
+
+def _assign_activity(payload: str | None, mid: MethodId, aid: ActivityId) -> AssignAct:
+    if payload is None:
+        raise ModelFormatError(f"method {mid} activity {aid}: ASSIGN needs a payload")
+    fields = _split_parts(payload)
+    if len(fields) != 2 or not fields[0]:
+        raise ModelFormatError(
+            f"method {mid} activity {aid}: malformed ASSIGN payload {payload!r}")
+    return AssignAct(fields[0], _unescape_text(fields[1]))
+
+
+_RECORD_RANK = {"M": 0, "A": 1, "E": 2, "C": 3}
+_ENTRY, _EXIT, _CALL = Entry(), Exit(), Call()  # immutable, so loads share them
 
 
 def loads_model(text: str) -> ProgramModel:
-    """Parse model-file text and validate all invariants."""
-    methods_meta: dict[int, tuple[str, str | None]] = {}
-    activities: dict[int, dict[int, tuple[str, str | None]]] = {}
-    edges: dict[int, set[tuple[int, int, Guard | None]]] = {}
-    callees_by_site: dict[tuple[int, int], set[int]] = {}
-    order = {"M": 0, "A": 1, "E": 2, "C": 3}
-    last = 0
+    """Parse model-file text in one pass and validate all invariants.
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
+    When `text` is canonical, byte for byte what `dumps_model` writes for
+    the model, its sha256 is recorded as the model's `text_sha256`: each
+    record kind's keys strictly ascend (checked as the records are read)
+    and `_NOT_CANONICAL` finds no line that `dumps_model` could not write."""
+    names: dict[MethodId, str] = {}
+    components: dict[MethodId, str] = {}
+    nodes_of: dict[MethodId, dict[ActivityId, Activity]] = {}
+    edges_of: dict[MethodId, set[tuple[ActivityId, ActivityId, Guard | None]]] = {}
+    callees_at: dict[tuple[MethodId, ActivityId], set[MethodId]] = {}
+    tag_now, rank_now = "", -1
+    last: tuple = ()  # the key of the last record of kind tag_now
+    ordered = True    # every kind's keys strictly ascend, as dumps_model writes them
+
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        toks = line.split(None, 4)  # splits off a trailing \r, except in a payload
+        if not toks:
             continue
-        tag = line.split(None, 1)[0]
-        if tag not in order:
-            raise ModelFormatError(f"line {lineno}: unknown record type {tag!r}")
-        if order[tag] < last:
-            raise ModelFormatError(
-                f"line {lineno}: {tag} record out of order (expected all M, then A, then E, then C)"
-            )
-        last = order[tag]
+        tag = toks[0]
+        if tag != tag_now:
+            if tag[0] == "#":
+                continue
+            rank = _RECORD_RANK.get(tag)
+            if rank is None:
+                raise ModelFormatError(f"line {lineno}: unknown record type {tag!r}")
+            if rank < rank_now:
+                raise ModelFormatError(
+                    f"line {lineno}: {tag} record out of order (expected all M, then A, then E, then C)"
+                )
+            tag_now, rank_now, last = tag, rank, ()
 
-        if tag == "M":
-            toks = line.split()
-            if len(toks) not in (3, 4):
-                raise ModelFormatError(f"line {lineno}: malformed M record")
-            mid = _parse_int(toks[1], "method id", lineno)
-            if mid in methods_meta:
-                raise ModelFormatError(f"line {lineno}: duplicate method id {mid}")
-            methods_meta[mid] = (toks[2], toks[3] if len(toks) == 4 else None)
-            activities[mid] = {}
-            edges[mid] = set()
-        elif tag == "A":
-            toks = line.split(None, 4)
+        if tag == "A":
             if len(toks) < 4:
                 raise ModelFormatError(f"line {lineno}: malformed A record")
-            mid = _parse_int(toks[1], "method id", lineno)
-            aid = _parse_int(toks[2], "activity id", lineno)
-            kind = toks[3]
-            payload = toks[4] if len(toks) == 5 else None
-            if mid not in methods_meta:
-                raise ModelFormatError(f"line {lineno}: activity for missing method id {mid}")
-            if aid in activities[mid]:
-                raise ModelFormatError(f"line {lineno}: duplicate activity id {aid} in method {mid}")
-            if kind not in ("ENTRY", "EXIT", "LOG", "CALL", "ASSIGN", "BRANCH"):
-                raise ModelFormatError(f"line {lineno}: unknown activity kind {kind!r}")
-            activities[mid][aid] = (kind, payload)
-        elif tag == "E":
-            toks = line.split()
-            if len(toks) not in (4, 5):
-                raise ModelFormatError(f"line {lineno}: malformed E record")
-            mid = _parse_int(toks[1], "method id", lineno)
-            frm = _parse_int(toks[2], "edge source", lineno)
-            to = _parse_int(toks[3], "edge target", lineno)
-            if mid not in methods_meta:
-                raise ModelFormatError(f"line {lineno}: edge for missing method id {mid}")
             try:
-                guard = parse_guard(toks[4]) if len(toks) == 5 else None
-            except ModelFormatError as exc:
-                raise ModelFormatError(f"line {lineno}: {exc}")
-            edges[mid].add((frm, to, guard))
-        else:  # C
-            toks = line.split()
-            if len(toks) != 4:
-                raise ModelFormatError(f"line {lineno}: malformed C record")
-            caller = _parse_int(toks[1], "caller id", lineno)
-            site = _parse_int(toks[2], "site activity id", lineno)
-            callee = _parse_int(toks[3], "callee id", lineno)
-            if caller not in methods_meta:
-                raise ModelFormatError(f"call edge from missing method id {caller}")
-            if callee not in methods_meta:
-                raise ModelFormatError(f"call edge to missing method id {callee}")
-            act = activities[caller].get(site)
-            if act is None or act[0] != "CALL":
-                raise ModelFormatError(
-                    f"call edge {caller}->{callee}: site {site} is not a CALL activity"
-                )
-            callees_by_site.setdefault((caller, site), set()).add(callee)
-
-    methods: dict[int, MethodNode] = {}
-    for mid in sorted(methods_meta):
-        name, _comp = methods_meta[mid]
-        nodes: dict[int, Activity] = {}
-        for aid in sorted(activities[mid]):
-            kind, payload = activities[mid][aid]
-            if kind == "ENTRY":
-                nodes[aid] = Entry()
-            elif kind == "EXIT":
-                nodes[aid] = Exit()
-            elif kind == "LOG":
-                if payload is None:
-                    raise ModelFormatError(f"method {mid} activity {aid}: LOG needs a payload")
-                fields = _split_parts(payload)
-                level = fields[0]
-                if level not in LEVELS or len(fields) < 2:
-                    raise ModelFormatError(
-                        f"method {mid} activity {aid}: malformed LOG payload {payload!r}"
-                    )
-                parts: list[Part] = []
-                for f in fields[1:]:
-                    if f.startswith("L:"):
-                        parts.append(Literal(_unescape_text(f[2:])))
-                    elif f.startswith("V:") and len(f) > 2:
-                        parts.append(Var(f[2:]))
-                    else:
-                        raise ModelFormatError(
-                            f"method {mid} activity {aid}: malformed LOG part {f!r}"
-                        )
-                nodes[aid] = Log(LoggingStatement(level, tuple(parts)))
-            elif kind == "CALL":
-                callees = callees_by_site.get((mid, aid), ())
-                nodes[aid] = Call(callees=tuple(sorted(callees)), external=payload)
+                mid, aid = int(toks[1]), int(toks[2])
+            except ValueError:
+                raise _int_error(lineno, ("method id", toks[1]), ("activity id", toks[2])) from None
+            nodes = nodes_of.get(mid)
+            if nodes is None:
+                raise ModelFormatError(f"line {lineno}: activity for missing method id {mid}")
+            if aid in nodes:
+                raise ModelFormatError(f"line {lineno}: duplicate activity id {aid} in method {mid}")
+            kind = toks[3]
+            payload = toks[4].rstrip("\r") if len(toks) == 5 else None
+            if kind == "LOG":
+                nodes[aid] = _log_activity(payload, mid, aid)
+            elif kind == "CALL":  # its callees come with the C records
+                nodes[aid] = _CALL if payload is None else Call(external=payload)
             elif kind == "ASSIGN":
-                if payload is None:
-                    raise ModelFormatError(f"method {mid} activity {aid}: ASSIGN needs a payload")
-                fields = _split_parts(payload)
-                if len(fields) != 2 or not fields[0]:
-                    raise ModelFormatError(
-                        f"method {mid} activity {aid}: malformed ASSIGN payload {payload!r}"
-                    )
-                nodes[aid] = AssignAct(fields[0], _unescape_text(fields[1]))
-            else:  # BRANCH
+                nodes[aid] = _assign_activity(payload, mid, aid)
+            elif kind == "BRANCH":
                 if payload is None:
                     raise ModelFormatError(f"method {mid} activity {aid}: BRANCH needs a payload")
                 nodes[aid] = Branch(parse_guard(payload))
-        methods[mid] = MethodNode(
-            id=mid, name=name, cfg=ExecutionGraph(nodes=nodes, edges=frozenset(edges[mid])))
+            elif kind == "ENTRY":
+                nodes[aid] = _ENTRY
+            elif kind == "EXIT":
+                nodes[aid] = _EXIT
+            else:
+                raise ModelFormatError(f"line {lineno}: unknown activity kind {kind!r}")
+            key = (mid, aid)
+        elif tag == "E":
+            rest = toks[4].split() if len(toks) == 5 else ()
+            if len(toks) < 4 or len(rest) > 1:
+                raise ModelFormatError(f"line {lineno}: malformed E record")
+            guard_text = rest[0] if rest else ""
+            try:
+                mid, frm, to = int(toks[1]), int(toks[2]), int(toks[3])
+            except ValueError:
+                raise _int_error(lineno, ("method id", toks[1]), ("edge source", toks[2]),
+                                 ("edge target", toks[3])) from None
+            edges = edges_of.get(mid)
+            if edges is None:
+                raise ModelFormatError(f"line {lineno}: edge for missing method id {mid}")
+            try:
+                guard = parse_guard(guard_text) if guard_text else None
+            except ModelFormatError as exc:
+                raise ModelFormatError(f"line {lineno}: {exc}") from None
+            edges.add((frm, to, guard))
+            key = (mid, frm, to, guard_text)
+        elif tag == "M":
+            if len(toks) not in (3, 4):
+                raise ModelFormatError(f"line {lineno}: malformed M record")
+            try:
+                mid = int(toks[1])
+            except ValueError:
+                raise _int_error(lineno, ("method id", toks[1])) from None
+            if mid in names:
+                raise ModelFormatError(f"line {lineno}: duplicate method id {mid}")
+            names[mid] = toks[2]
+            if len(toks) == 4:
+                components[mid] = toks[3]
+            nodes_of[mid] = {}
+            edges_of[mid] = set()
+            key = (mid,)
+        else:  # C
+            if len(toks) != 4:
+                raise ModelFormatError(f"line {lineno}: malformed C record")
+            try:
+                caller, site, callee = int(toks[1]), int(toks[2]), int(toks[3])
+            except ValueError:
+                raise _int_error(lineno, ("caller id", toks[1]), ("site activity id", toks[2]),
+                                 ("callee id", toks[3])) from None
+            nodes = nodes_of.get(caller)
+            if nodes is None:
+                raise ModelFormatError(f"call edge from missing method id {caller}")
+            if callee not in nodes_of:
+                raise ModelFormatError(f"call edge to missing method id {callee}")
+            if type(nodes.get(site)) is not Call:
+                raise ModelFormatError(
+                    f"call edge {caller}->{callee}: site {site} is not a CALL activity"
+                )
+            callees_at.setdefault((caller, site), set()).add(callee)
+            key = (caller, site, callee)
+        if ordered:
+            ordered = key > last
+        last = key
 
-    model = ProgramModel(
-        methods=methods,
-        components={mid: comp for mid, (name, comp) in methods_meta.items() if comp},
-    )
+    for (caller, site), callees in callees_at.items():
+        nodes = nodes_of[caller]
+        nodes[site] = Call(tuple(sorted(callees)), nodes[site].external)
+    methods: dict[MethodId, MethodNode] = {}
+    for mid in sorted(names):
+        # analysis reads activities in dict order, which the file's record order must not set
+        nodes = nodes_of[mid] if ordered else dict(sorted(nodes_of[mid].items()))
+        methods[mid] = MethodNode(mid, names[mid], ExecutionGraph(nodes, frozenset(edges_of[mid])))
+    model = ProgramModel(methods, components)
     validate_model(model)
+    if ordered and _is_canonical(text, model):
+        try:
+            model.text_sha256 = hashlib.sha256(text.encode()).hexdigest()
+        except UnicodeEncodeError:  # a lone surrogate, which no file holds
+            pass
     return model
 
 

@@ -273,6 +273,33 @@ def test_stats_loads_only_the_model(tmp_path, capsys, artifacts, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_generate_from_the_model_file_serializes_no_model(tmp_path, capsys, artifacts,
+                                                         monkeypatch):
+    import hashlib
+
+    from logsynth import model
+
+    art, ann = artifacts
+    options = ("--annotations", str(ann), "--size", "50", "--anomaly-rate", "0.1",
+               "--seed", "11")
+    code, _, _ = run(capsys, "generate", FIXTURE, *options, "--out", str(tmp_path / "src"))
+    assert code == 0
+
+    def no_dump(*args, **kwargs):
+        raise AssertionError("generate serialized the model")
+
+    monkeypatch.setattr(model, "dumps_model", no_dump)
+    # every dump formats activities, however a caller imported dumps_model
+    monkeypatch.setattr(model, "_format_activity", no_dump)
+    code, _, _ = run(capsys, "generate", "--model", str(art / "model.txt"), *options,
+                     "--out", str(tmp_path / "model"))
+    assert code == 0
+    manifest = (tmp_path / "model" / "manifest.txt").read_text(encoding="utf-8")
+    assert manifest == (tmp_path / "src" / "manifest.txt").read_text(encoding="utf-8")
+    digest = hashlib.sha256((art / "model.txt").read_bytes()).hexdigest()
+    assert f"\nmodel_sha256={digest}\n" in manifest
+
+
 def test_stats_reference_and_csv(tmp_path, capsys, artifacts):
     art, ann = artifacts
     ds = tmp_path / "ds"

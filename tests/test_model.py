@@ -22,6 +22,7 @@ from logsynth.model import (
     dumps_model,
     loads_model,
     load_model,
+    model_sha256,
     natural_loops,
     save_model,
 )
@@ -160,6 +161,27 @@ def _with_records(*records: str) -> str:
     (("C 0 1 99",), "call edge to missing method id 99"),
     (("C 0 1 0",), "call edge 0->0: site 1 is not a CALL activity"),  # an EXIT
     (("C 0 5 0",), "call edge 0->0: site 5 is not a CALL activity"),  # no activity
+    (("M 1 a b c",), "line 2: malformed M record"),
+    (("A 0 2",), "line 4: malformed A record"),
+    (("E 0 1",), "line 5: malformed E record"),
+    (("C 0 1",), "line 5: malformed C record"),
+    (("A 0 1 LOG info|L:x",), "line 4: duplicate activity id 1 in method 0"),
+    (("A 3 0 ENTRY",), "line 4: activity for missing method id 3"),
+    (("E 4 0 1",), "line 5: edge for missing method id 4"),
+    (("E 0 x 1",), "line 5: edge source must be an integer, got 'x'"),
+    (("E 0 0 y",), "line 5: edge target must be an integer, got 'y'"),
+    (("C 0 s 0",), "line 5: site activity id must be an integer, got 's'"),
+    (("C 0 1 z",), "line 5: callee id must be an integer, got 'z'"),
+    (("M 2 other", "A 2 0 ENTRY", "A 2 1 EXIT", "E 2 0 1"),
+     "method ids must be dense 0..N-1, got [0, 2]"),
+    (("E 0 1 7",), "method 0: edge 1->7 references missing activity"),
+    (("M 1 other bad!", "A 1 0 ENTRY", "A 1 1 EXIT", "E 1 0 1"),
+     "method 1: invalid component name 'bad!'"),
+    (("A 0 2 BRANCH T:x", "E 0 2 1 T:x"),
+     "method 0: branch 2 must have exactly 2 guarded out-edges"),
+    (("A 0 2 BRANCH T:x", "E 0 2 1 T:x", "E 0 2 1 T:y"),
+     "method 0: branch 2 out-guards are not complementary"),
+    (("E 0 1 0",), "method 0: EXIT activity 1 has out-edges"),
 ])
 def test_malformed_records_are_model_format_errors(records, message):
     import re
@@ -268,6 +290,122 @@ def test_thousand_method_model_round_trips():
     again = loads_model(text)
     assert again == model
     assert dumps_model(again) == text
+
+
+
+# ── Canonical text and its recorded digest ───────────────────────────
+
+def _canonical_corpus(datanode_model) -> list[str]:
+    """Seeded texts that dumps_model wrote, with every record kind,
+    ambiguous call sites, components, escaped literals and negative ids."""
+    texts = [dumps_model(datanode_model), "\n",
+             "M 0 m\nA 0 -2 ENTRY\nA 0 -1 EXIT\nE 0 -2 -1\n"]
+    for seed in range(12):
+        rng = random.Random(seed)
+        texts.append(dumps_model(with_ambiguous_calls(call_graph_model(rng, 8), rng)))
+        texts.append(dumps_model(parse_program(structured_program(rng, 4))))
+    return texts
+
+
+def _int_token(rng, toks):
+    at = [i for i, tok in enumerate(toks) if tok.lstrip("-").isdigit()]
+    return rng.choice(at) if at else None
+
+
+def _perturbed(text: str, rng: random.Random) -> str:
+    """`text` with one random edit of a kind that loads_model may accept
+    but dumps_model would not write, or would write just the same."""
+    lines = text.split("\n")[:-1]
+    if not lines:
+        return rng.choice(["", "\n\n", "# empty\n", " \n"])
+    at = rng.randrange(len(lines))
+    line = lines[at]
+    edit = rng.randrange(16)
+    if edit == 0:    # swap two lines of one record kind
+        same = [i for i, other in enumerate(lines) if other[:1] == line[:1]]
+        j = rng.choice(same)
+        lines[at], lines[j] = lines[j], line
+    elif edit == 1:  # swap two neighbouring lines, of one kind or of two
+        j = min(at + 1, len(lines) - 1)
+        lines[at], lines[j] = lines[j], line
+    elif edit == 2:  # repeat an E or C record
+        dup = [i for i, other in enumerate(lines) if other[:1] in "EC"]
+        if dup:
+            j = rng.choice(dup)
+            lines.insert(j, lines[j])
+    elif edit in (3, 4, 5, 6):  # another gap: two spaces, a tab, \x1c, \r
+        gap = ("  ", "\t", "\x1c", " \r")[edit - 3]
+        spaces = [i for i, ch in enumerate(line) if ch == " "]
+        if spaces:
+            i = rng.choice(spaces)
+            lines[at] = line[:i] + gap + line[i + 1:]
+    elif edit == 7:  # a trailing space or carriage return
+        lines[at] = line + rng.choice([" ", "\r", "\r\r", " \r"])
+    elif edit == 8:  # a carriage return anywhere in a line
+        i = rng.randrange(len(line) + 1)
+        lines[at] = line[:i] + "\r" + line[i:]
+    elif edit == 9:  # an id written as 07 or +3
+        toks = line.split(" ")
+        i = _int_token(rng, toks)
+        if i is not None:
+            toks[i] = rng.choice(["0", "+", "00"]) + toks[i]
+            lines[at] = " ".join(toks)
+    elif edit == 10:  # a comment or a blank line
+        lines.insert(at, rng.choice(["# note", "", "  ", "\t# indented note"]))
+    elif edit == 11:  # a payload on ENTRY or EXIT
+        ends = [i for i, other in enumerate(lines) if other.endswith(("ENTRY", "EXIT"))]
+        if ends:
+            lines[rng.choice(ends)] += rng.choice([" x", "  ", " "])
+    elif edit == 12:  # leading whitespace
+        lines[at] = rng.choice([" ", "\t"]) + line
+    elif edit == 13:  # no final newline, or one more
+        return "\n".join(lines) + rng.choice(["", "\n\n", "\n \n"])
+    else:            # an escaped, or a raw, character in a literal or name
+        fields = [i for i, ch in enumerate(line) if ch == ":" and line[:2] == "A "]
+        if fields:
+            i = rng.choice(fields) + 1
+            insert = rng.choice(["\\|", "\\\\", "\\n", "\\r", "\r", "\x1c", "é"])
+            lines[at] = line[:i] + insert + line[i:]
+    return "\n".join(lines) + "\n"
+
+
+def test_recorded_digest_iff_text_is_what_dumps_model_writes(datanode_model):
+    import hashlib
+
+    rng = random.Random(15)
+    seen = {"canonical": 0, "other": 0, "rejected": 0}
+    for base in _canonical_corpus(datanode_model):
+        variants = [base] + [_perturbed(base, rng) for _ in range(80)]
+        variants += [_perturbed(_perturbed(base, rng), rng) for _ in range(20)]
+        for text in variants:
+            try:
+                model = loads_model(text)
+            except ModelFormatError:
+                seen["rejected"] += 1
+                continue
+            canonical = dumps_model(model) == text
+            assert model.text_sha256 == (
+                hashlib.sha256(text.encode()).hexdigest() if canonical else None
+            ), repr(text)
+            seen["canonical" if canonical else "other"] += 1
+    assert seen["canonical"] >= 300 and seen["other"] >= 1500 and seen["rejected"], seen
+
+
+def test_only_a_loaded_canonical_text_records_a_digest(datanode_model):
+    import dataclasses
+    import hashlib
+
+    text = dumps_model(datanode_model)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    loaded = loads_model(text)
+    assert loaded.text_sha256 == digest == model_sha256(loaded)
+    assert datanode_model.text_sha256 is None
+    assert model_sha256(datanode_model) == digest
+    assert datanode_model.text_sha256 is None  # a computed digest is not kept
+    assert loaded == datanode_model  # the digest takes no part in equality
+    assert dataclasses.replace(loaded).text_sha256 is None
+    with pytest.raises(TypeError):
+        ProgramModel(methods={}, text_sha256=digest)
 
 
 # ── Loop analysis ────────────────────────────────────────────────────
