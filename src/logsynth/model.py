@@ -31,8 +31,9 @@ serializing the model again.
 
 A logging statement is named by its (method id, LOG activity id) and
 carries no id of its own.  Loop heads are not stored either: an
-execution graph is immutable once built, and derives its entry, exit
-and natural loops once, on first use.
+execution graph is immutable once built, and derives its entry, exit,
+natural loops, reachable set and only walk (when it has no choice)
+once, on first use.
 """
 
 from __future__ import annotations
@@ -225,8 +226,34 @@ class ExecutionGraph:
             into.setdefault(to, []).append((frm, g))
         return {to: tuple(pred) for to, pred in into.items()}
 
-    def reachable_from_entry(self) -> set[ActivityId]:
-        return sweep(self.out_edges, [self.entry])
+    @cached_property
+    def only_walk(self) -> tuple[ActivityId, ...] | None:
+        """The single entry-to-exit walk, found in one forward scan on
+        first use and kept, or None.  It exists when every node on it
+        before EXIT has exactly one out-edge, unguarded, and EXIT has
+        none.  Such a graph has no other edge-simple walk from entry, the
+        walk is feasible, its nodes are the reachable set, and it holds no
+        loop head."""
+        succ = self.out_edges
+        node, exit_, most = self.entry, self.exit, len(self.nodes)
+        walk = [node]
+        while node != exit_:
+            out = succ.get(node, ())
+            if len(out) != 1 or out[0][1] is not None or len(walk) > most:
+                return None  # a choice, a dead end, or a cycle that never exits
+            node = out[0][0]
+            walk.append(node)
+        return tuple(walk) if node not in succ else None
+
+    @cached_property
+    def reachable(self) -> frozenset[ActivityId]:
+        """The nodes reachable from entry: the only walk's nodes when there
+        is one, else one forward sweep; derived on first use and kept."""
+        walk = self.only_walk
+        return frozenset(sweep(self.out_edges, [self.entry]) if walk is None else walk)
+
+    def reachable_from_entry(self) -> frozenset[ActivityId]:
+        return self.reachable
 
 
 def sweep(edges: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]],
@@ -392,7 +419,7 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
         elif isinstance(act, Exit):
             if aid in succ:
                 raise ModelFormatError(f"{where}: EXIT activity {aid} has out-edges")
-    if exit_ not in sweep(succ, [entry]):
+    if cfg.only_walk is None and exit_ not in cfg.reachable:  # an only walk ends at EXIT
         raise ModelFormatError(f"{where}: EXIT not reachable from ENTRY")
     if entry == exit_:  # pragma: no cover - impossible by construction
         raise ModelFormatError(f"{where}: ENTRY and EXIT coincide")

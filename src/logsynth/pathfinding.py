@@ -17,6 +17,12 @@ start/end marks so the generator can replay the region.
 A walk that leaves some loop without ever entering its body is flagged
 (`skips_loop`): it is a legal zero-iteration execution, kept for path
 choice, but the generator only offers it to normal-mode walks.
+
+A method with no choice on its walk (every node before exit has one
+unguarded out-edge) has exactly one walk, and so one path per choice of
+callees.  The walk is read off the graph in one scan, with no search and
+no loop derivation, and its statements are restored in one forward pass
+that keeps the last literal assigned to each variable.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import bisect
 import enum
 import itertools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import LogsynthError
@@ -38,6 +44,7 @@ from .model import (
     Literal,
     Log,
     LogEvent,
+    LoggingStatement,
     MethodId,
     MethodNode,
     ProgramModel,
@@ -180,7 +187,19 @@ def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
     walk is infeasible as soon as one prefix is, so refusing the first
     contradicting edge yields exactly the feasible walks, in the order of
     the unpruned search.  Edges into nodes that cannot reach `target` (one
-    backward sweep) are skipped too: their subtrees yield nothing."""
+    backward sweep) are skipped too: their subtrees yield nothing.
+
+    A graph with an only walk yields that walk's prefix up to `target`,
+    with no search: nothing when `target` is the start or off the walk."""
+    walk = cfg.only_walk
+    if walk is not None and start == cfg.entry:
+        try:
+            i = walk.index(target)
+        except ValueError:
+            return
+        if i:
+            yield walk[:i + 1]
+        return
     succ = cfg.out_edges
     live = sweep(cfg.in_edges, [target])
     loops = cfg.loops
@@ -258,6 +277,13 @@ def _constants_at(cfg: ExecutionGraph, node: int, names: set[str],
     return values if arrivals else {}
 
 
+def _template(stmt: LoggingStatement, consts: dict[str, str]) -> str:
+    """Literals kept, each variable its constant in `consts` or the
+    placeholder token."""
+    return "".join(p.text if isinstance(p, Literal) else consts.get(p.name, PLACEHOLDER)
+                   for p in stmt.parts)
+
+
 def restore_statement(method: MethodNode, node: ActivityId,
                       event_id: int = 0,
                       limits: PathLimits = PathLimits()) -> LogEvent:
@@ -267,14 +293,24 @@ def restore_statement(method: MethodNode, node: ActivityId,
     stmt = method.cfg.nodes[node].stmt
     names = {p.name for p in stmt.parts if isinstance(p, Var)}
     consts = _constants_at(method.cfg, node, names, limits) if names else {}
-    return LogEvent(
-        event_id=event_id,
-        level=stmt.level,
-        template="".join(p.text if isinstance(p, Literal)
-                         else consts.get(p.name, PLACEHOLDER)
-                         for p in stmt.parts),
-        origin=(method.id, node),
-    )
+    return LogEvent(event_id=event_id, level=stmt.level,
+                    template=_template(stmt, consts), origin=(method.id, node))
+
+
+def _restore_walk(cfg: ExecutionGraph,
+                  walk: tuple[ActivityId, ...]) -> dict[ActivityId, str]:
+    """Each LOG activity's template on a graph's only walk, in one forward
+    pass that keeps the last literal assigned to each variable: on the one
+    arrival at a statement, that literal is the variable's constant."""
+    last: dict[str, str] = {}
+    templates: dict[ActivityId, str] = {}
+    for node in walk:
+        act = cfg.nodes[node]
+        if isinstance(act, Log):
+            templates[node] = _template(act.stmt, last)
+        elif isinstance(act, AssignAct):
+            last[act.var] = act.literal
+    return templates
 
 
 # ── Enumerating log-related execution paths ──────────────────────────
@@ -316,15 +352,17 @@ def enumerate_logeps(
     cg_prime: PrunedCallGraph,
     limits: PathLimits = PathLimits(),
     event_ids: dict[int, int] | None = None,
+    first_id: int = 0,
 ) -> list[LogPath]:
     """The distinct projected paths of one kept method's feasible walks,
     in deterministic order: each (steps, skips_loop) is represented by
     the first walk that projects onto it.  The search stops, with a
     truncation warning, at more feasible walks or more distinct paths
-    than `limits` allows; at most that many paths are kept.  Ids are
-    placeholders (-1) until the store assigns them.  `event_ids` maps
-    each LOG activity to its event; by default the method's LOG
-    activities are numbered 0, 1, ... in activity order."""
+    than `limits` allows; at most that many paths are kept, numbered from
+    `first_id`.  A graph with an only walk has no loops to derive, so its
+    paths carry no marks.  `event_ids` maps each LOG activity to its
+    event; by default the method's LOG activities are numbered 0, 1, ...
+    in activity order."""
     cfg = method.cfg
     if event_ids is None:
         event_ids = {aid: i for i, aid in enumerate(
@@ -365,11 +403,12 @@ def enumerate_logeps(
     seen: set[tuple[tuple[int, ...], bool]] = set()
     budget = limits.max_paths_per_method
     truncated = False
+    loops = cfg.loops if cfg.only_walk is None else None
     for walks, visits in enumerate(_iter_walks(cfg, cfg.entry, cfg.exit), start=1):
         if walks > budget:  # more feasible walks than the cap: stop searching
             truncated = True
             break
-        regions, skipped = _regions_and_skips(cfg, visits) if cfg.loops else ((), False)
+        regions, skipped = _regions_and_skips(cfg, visits) if loops else ((), False)
         at = [i for i, node in enumerate(visits) if node in plain]
         # one variant per callee choice at each ambiguous call site
         options = [plain[visits[i]] for i in at]
@@ -386,7 +425,7 @@ def enumerate_logeps(
             if (codes, skipped) in seen:
                 continue
             seen.add((codes, skipped))
-            out.append(LogPath(id=-1, method=method.id,
+            out.append(LogPath(id=first_id + len(out), method=method.id,
                                steps=tuple(built[c] for c in codes),
                                skips_loop=skipped))
             if len(out) > budget:
@@ -414,21 +453,30 @@ def build_store(
     """Restore every reachable logging statement of the kept methods into
     an event table, and enumerate each kept method's paths, in one pass
     over the kept methods in id order.  Events are numbered from 0 in
-    (method, activity) order and paths from 0 in (method, path) order."""
+    (method, activity) order and paths from 0 in (method, path) order.  A
+    method with an only walk restores its statements in one forward pass
+    over that walk; any other searches once per variable-bearing
+    statement."""
     events: dict[EventId, LogEvent] = {}
     by_method: dict[MethodId, list[LogPath]] = {}
-    path_ids = itertools.count()
+    n_paths = 0
     for mid in sorted(cg_prime.kept):
         method = model.methods[mid]
         cfg = method.cfg
-        reachable = cfg.reachable_from_entry()
+        walk = cfg.only_walk
         ids: dict[ActivityId, EventId] = {}  # LOG activity -> event id
-        for aid in sorted(reachable):
-            if isinstance(cfg.nodes[aid], Log):
+        if walk is None:
+            for aid in sorted(cfg.reachable):
+                if isinstance(cfg.nodes[aid], Log):
+                    eid = ids[aid] = len(events)
+                    events[eid] = restore_statement(method, aid, eid, limits)
+        else:
+            for aid, template in sorted(_restore_walk(cfg, walk).items()):
                 eid = ids[aid] = len(events)
-                events[eid] = restore_statement(method, aid, eid, limits)
-        by_method[mid] = [replace(p, id=next(path_ids)) for p in
-                          enumerate_logeps(method, cg_prime, limits, ids)]
+                events[eid] = LogEvent(event_id=eid, level=cfg.nodes[aid].stmt.level,
+                                       template=template, origin=(mid, aid))
+        paths = by_method[mid] = enumerate_logeps(method, cg_prime, limits, ids, n_paths)
+        n_paths += len(paths)
     return PathStore(by_method=by_method, events=events)
 
 

@@ -34,7 +34,12 @@ from .modelgen import (
     structured_program,
     with_ambiguous_calls,
 )
-from .oracles import loops_by_removal, split_fields_by_character, unescape_by_character
+from .oracles import (
+    dfs_all_walks,
+    loops_by_removal,
+    split_fields_by_character,
+    unescape_by_character,
+)
 
 
 def test_golden_model_round_trips(datanode_model, tmp_path):
@@ -441,6 +446,46 @@ def test_natural_loops_match_removal_oracle_on_random_graphs():
         shapes["self-loop heads"] += any((h, h) == e[:2] for h in loops
                                          for e in cfg.edges)
         shapes["unreachable"] += len(cfg.reachable_from_entry()) < len(cfg.nodes)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_only_walk_and_reachable_match_brute_force_on_random_graphs():
+    # unguarded cycles, dead ends, forks, stray guarded edges and edges
+    # out of EXIT all occur
+    shapes = {"only walk": 0, "fork or guard": 0, "no way out": 0, "EXIT leads on": 0}
+    for seed in range(600):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        nodes = {0: Entry(), n + 1: Exit()}
+        edges = set()
+        for frm in range(n + 2):
+            if 0 < frm <= n:
+                nodes[frm] = AssignAct("c", "v")
+            fanout = rng.choice((0, 1, 1, 1, 1, 2)) if frm <= n else int(rng.random() < 0.35)
+            for _ in range(fanout):
+                guard = Guard("c", True) if rng.random() < 0.05 else None
+                edges.add((frm, rng.randrange(1, n + 2), guard))
+        cfg = ExecutionGraph(nodes, frozenset(edges))
+        reach, work = {0}, [0]
+        while work:
+            at = work.pop()
+            for frm, to, _ in edges:
+                if frm == at and to not in reach:
+                    reach.add(to)
+                    work.append(to)
+        assert cfg.reachable_from_entry() == reach, seed
+        out = {a: [g for frm, _, g in edges if frm == a] for a in reach}
+        exits = out.pop(n + 1, None)
+        straight = exits == [] and all(g == [None] for g in out.values())
+        walk = cfg.only_walk
+        assert (walk is not None) == straight, seed
+        if walk is not None:
+            assert [tuple(a for a, _ in v) for v in dfs_all_walks(cfg, cfg.exit)] == [walk]
+            assert set(walk) == reach and loops_by_removal(cfg) == {}
+        shapes["only walk"] += straight
+        shapes["fork or guard"] += any(g != [None] for g in out.values() if g)
+        shapes["no way out"] += n + 1 not in reach
+        shapes["EXIT leads on"] += bool(exits) and all(g == [None] for g in out.values())
     assert min(shapes.values()) >= 20, shapes
 
 

@@ -138,12 +138,23 @@ def test_restore_searches_once_per_statement(monkeypatch):
     assert len(searches) == 1
 
 
+def _oracle_template(cfg, aid, limits: PathLimits = PathLimits()):
+    """The LOG activity's template by `restore_by_walks`, its constants,
+    and None in place of the template when more walks arrive than the
+    budget, where restoration cannot prove uniqueness."""
+    constants, arrivals = restore_by_walks(cfg, aid)
+    template = "".join(
+        p.text if isinstance(p, Literal)
+        else PLACEHOLDER if constants[p.name] is None else constants[p.name]
+        for p in cfg.nodes[aid].stmt.parts)
+    return (None if arrivals > limits.max_paths_per_method else template), constants
+
+
 def test_restore_matches_walk_oracle():
     # every method starts with `a = ""; b = "B";`, so both resolve unless
     # a branch reassigns them; `c` never resolves
     shapes = {"multi-variable": 0, "empty constant": 0, "resolved in a loop": 0,
               "with return": 0}
-    budget = PathLimits().max_paths_per_method
     for seed in range(60):
         source = structured_program(random.Random(seed), 6).replace(
             "() {\n", '() {\n    a = "";\n    b = "B";\n')
@@ -151,13 +162,9 @@ def test_restore_matches_walk_oracle():
         for event in analysis.store.events.values():
             mid, aid = event.origin
             cfg = model.methods[mid].cfg
-            constants, arrivals = restore_by_walks(cfg, aid)
-            if arrivals > budget:
+            expected, constants = _oracle_template(cfg, aid)
+            if expected is None:
                 continue
-            expected = "".join(
-                p.text if isinstance(p, Literal)
-                else PLACEHOLDER if constants[p.name] is None else constants[p.name]
-                for p in cfg.nodes[aid].stmt.parts)
             assert event.template == expected, (seed, mid, aid)
             resolved = any(v is not None for v in constants.values())
             shapes["multi-variable"] += len(constants) > 1
@@ -412,6 +419,124 @@ def test_pruned_walks_are_the_satisfiable_walks():
     assert pruned >= 50, pruned
 
 
+# ── Graphs with an only walk ─────────────────────────────────────────
+
+def _agrees_with_oracles(model, limits: PathLimits = PathLimits()):
+    """Analyze `model` at `limits` and require, for every kept method,
+    that the pruned search to every node, the enumeration and every
+    restored template agree with the brute-force oracles."""
+    analysis = analyze_model(model, limits=limits)
+    kept = set(analysis.pruned.kept)
+    for mid in sorted(kept):
+        cfg = model.methods[mid].cfg
+        for target in cfg.nodes:
+            expected = [tuple(n for n, _ in visits) for visits in dfs_all_walks(cfg, target)
+                        if satisfiable(guard_trace(cfg, visits))]
+            assert list(pathfinding._iter_walks(cfg, cfg.entry, target)) == expected, \
+                (mid, target)
+        stmt_to_event = {ev.origin[1]: eid for eid, ev in analysis.store.events.items()
+                         if ev.origin[0] == mid}
+        expected = dfs_feasible_paths(cfg, kept, stmt_to_event)
+        assert production_paths(analysis.store, mid) == \
+            expected[:limits.max_paths_per_method], mid
+    for event in analysis.store.events.values():
+        mid, aid = event.origin
+        assert event.template == _oracle_template(model.methods[mid].cfg, aid, limits)[0]
+    return analysis
+
+
+def test_only_walk_with_reassignments_matches_oracles():
+    model = parse_program(
+        'void m(){ x = "a"; log(info, "first " + x); x = "b"; y = ""; '
+        'log(warn, x + "-" + y + z); helper(); x = "c"; log(error, x + y); } '
+        'void helper(){ log(info, "h"); }')
+    cfg = model.method_by_name("m").cfg
+    assert cfg.only_walk is not None
+    analysis = _agrees_with_oracles(model)
+    assert [ev.template for ev in analysis.store.events.values()] == \
+        ["first a", "b-<*>", "c", "h"]
+
+
+_AMBIGUOUS_STRAIGHT = "\n".join([
+    "M 0 top", "M 1 a", "M 2 b", "M 3 c",
+    # the walk 0 2 3 4 5 1 6 visits LOG 1 last, after x is assigned
+    "A 0 0 ENTRY", "A 0 1 LOG info|L:late |V:x", "A 0 2 CALL", "A 0 3 ASSIGN x|v",
+    "A 0 4 LOG info|L:mid |V:x", "A 0 5 CALL", "A 0 6 EXIT",
+    *(f"A {m} {a}" for m in (1, 2, 3)
+      for a in ("0 ENTRY", f"1 LOG info|L:in {m}", "2 EXIT")),
+    "E 0 0 2", "E 0 1 6", "E 0 2 3", "E 0 3 4", "E 0 4 5", "E 0 5 1",
+    *(f"E {m} {e}" for m in (1, 2, 3) for e in ("0 1", "1 2")),
+    "C 0 2 1", "C 0 2 2", "C 0 2 3", "C 0 5 1", "C 0 5 2",
+]) + "\n"
+
+
+@pytest.mark.parametrize("cap", [1, 4, 6, 4096])
+def test_only_walk_with_ambiguous_calls_matches_oracles(cap, caplog):
+    # two ambiguous sites, of 3 and 2 callees, on the one walk: 6 variants
+    model = loads_model(_AMBIGUOUS_STRAIGHT)
+    assert model.methods[0].cfg.only_walk == (0, 2, 3, 4, 5, 1, 6)
+    with caplog.at_level("WARNING"):
+        analysis = _agrees_with_oracles(model, PathLimits(cap))
+    store = analysis.store
+    assert len(store.by_method[0]) == min(cap, 6)
+    assert any("truncated" in rec.message for rec in caplog.records) == (cap < 6)
+    assert [p.id for p in store.all_paths()] == list(range(len(store.all_paths())))
+    # events are numbered in activity order, not in walk order
+    assert list(store.events) == list(range(5))
+    assert [(ev.origin, ev.template) for ev in store.events.values()][:2] == \
+        [((0, 1), "late v"), ((0, 4), "mid v")]
+    assert [type(s) for s in store.by_method[0][0].steps] == \
+        [CallStep, LogStep, CallStep, LogStep]
+
+
+def test_only_walk_ignores_unreachable_loop():
+    model = parse_program(
+        'void m(){ x = "a"; log(info, x); return; '
+        'while(c){ log(info, "b"); x = "z"; } log(info, x); }')
+    cfg = model.methods[0].cfg
+    assert cfg.only_walk is not None
+    assert cfg.reachable == set(cfg.only_walk) != set(cfg.nodes)
+    off_walk = set(cfg.nodes) - cfg.reachable
+    assert any(isinstance(cfg.nodes[n], Branch) for n in off_walk)
+    assert loops_by_removal(cfg) == {}
+    # the start and every node off the walk are never arrived at
+    for target in [cfg.entry, *off_walk]:
+        assert list(pathfinding._iter_walks(cfg, cfg.entry, target)) == []
+    analysis = _agrees_with_oracles(model)
+    assert [ev.template for ev in analysis.store.events.values()] == ["a"]
+
+
+def test_unguarded_fork_goes_through_the_search():
+    # ASSIGN 1 has two unguarded out-edges, which validation accepts
+    model = loads_model("\n".join([
+        "M 0 fork", "A 0 0 ENTRY", "A 0 1 ASSIGN x|a", "A 0 2 LOG info|L:left |V:x",
+        "A 0 3 ASSIGN x|b", "A 0 4 LOG info|V:x", "A 0 5 EXIT",
+        "E 0 0 1", "E 0 1 2", "E 0 1 3", "E 0 2 4", "E 0 3 4", "E 0 4 5",
+    ]) + "\n")
+    cfg = model.methods[0].cfg
+    assert cfg.only_walk is None
+    analysis = _agrees_with_oracles(model)
+    assert "in_edges" in cfg.__dict__  # the search swept back from a target
+    assert [ev.template for ev in analysis.store.events.values()] == ["left a", "<*>"]
+    assert len(analysis.store.by_method[0]) == 2
+
+
+def test_long_straight_method_restores_in_one_pass(monkeypatch):
+    n = 2000
+    model = parse_program('void m(){ x = "k"; ' + " ".join(
+        ['log(info, "s" + x);'] * n) + " }")
+    pruned = prune(build_call_graph(model), mark_log_methods(model))
+
+    def searched(*args):
+        raise AssertionError("a straight method searched for constants")
+
+    monkeypatch.setattr(pathfinding, "_constants_at", searched)
+    store = build_store(model, pruned)
+    assert [ev.template for ev in store.events.values()] == ["sk"] * n
+    (path,) = store.by_method[0]
+    assert [s.event for s in path.steps] == list(range(n))
+
+
 def test_identical_model_gives_identical_dump(datanode_path):
     from logsynth.pipeline import load_input
 
@@ -508,11 +633,21 @@ def test_surviving_paths_are_satisfiable():
             assert production_path_set(analysis.store, mid) <= feasible, (seed, mid)
 
 
+def _branching(model, pruned):
+    """The kept methods' graphs, less the straight method `s`, whose only
+    walk needs no loops and no in-edges."""
+    straight = model.method_by_name("s").cfg
+    assert straight.only_walk is not None and model.method_by_name("s").id in pruned.kept
+    return [model.methods[mid].cfg for mid in sorted(pruned.kept)
+            if model.methods[mid].cfg is not straight]
+
+
 def test_build_store_derives_loops_once_per_method(monkeypatch):
     model = parse_program(
         'void m(){ x = "a"; while(c){ log(info, "in " + x); n(); } '
         'log(info, x + y); } '
-        'void n(){ while(d){ log(info, "n"); } if(e){ log(info, "e"); } }'
+        'void n(){ while(d){ log(info, "n"); } if(e){ log(info, "e"); } } '
+        'void s(){ x = "k"; log(info, "s " + x); n(); }'
     )
     pruned = prune(build_call_graph(model), mark_log_methods(model))
     derived = []
@@ -524,8 +659,9 @@ def test_build_store_derives_loops_once_per_method(monkeypatch):
 
     monkeypatch.setattr(model_mod, "natural_loops", counting)
     build_store(model, pruned)
-    assert sorted(derived) == sorted(id(model.methods[mid].cfg)
-                                     for mid in pruned.kept)
+    branching = _branching(model, pruned)
+    assert len(branching) == 2
+    assert sorted(derived) == sorted(map(id, branching))
 
 
 def test_build_store_derives_adjacency_once_per_method(monkeypatch):
@@ -546,16 +682,17 @@ def test_build_store_derives_adjacency_once_per_method(monkeypatch):
         'void m(){ x = "a"; while(c){ log(info, "in " + x); n(); } '
         'log(info, x + y); } '
         'void n(){ while(d){ log(info, "n"); } if(e){ log(info, "e"); } } '
-        'void q(){ if(f){ z = "b"; } }'
+        'void q(){ if(f){ z = "b"; } } '
+        'void s(){ x = "k"; log(info, "s " + x); n(); }'
     )
     pruned = prune(build_call_graph(model), mark_log_methods(model))
     assert sorted(built) == sorted(("out_edges", id(m.cfg))
                                    for m in model.methods.values())
     del built[:]
     build_store(model, pruned)
-    assert len(pruned.kept) == 2
-    assert sorted(built) == sorted(("in_edges", id(model.methods[mid].cfg))
-                                   for mid in pruned.kept)
+    branching = _branching(model, pruned)
+    assert len(pruned.kept) == 3 and len(branching) == 2
+    assert sorted(built) == sorted(("in_edges", id(cfg)) for cfg in branching)
 
 
 def test_long_straight_method_runs_in_process(tmp_path):
