@@ -97,10 +97,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-recursion-depth", type=int, default=1)
     p.add_argument("--inexact-rate", action="store_true",
                    help="draw each label independently instead of exact counts")
-    p.add_argument("--workers", type=int, default=0,
-                   help="most processes to walk with (default 0: one per CPU); "
-                        "a short run starts none, and the output never "
-                        "depends on this")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser(
@@ -126,14 +122,6 @@ def _analysis_from(args):
     model = load_input(args.sources, args.model)
     limits = PathLimits(max_paths_per_method=args.max_paths)
     return analyze_model(model, _api_config(args), limits)
-
-
-def _workers(args) -> int:
-    n = args.workers
-    if n < 0:
-        raise ConfigError("--workers must be >= 0 (0 means one per CPU)")
-    cpus = os.cpu_count() or 1
-    return min(n or cpus, cpus)
 
 
 def _cmd_analyze(args) -> int:
@@ -197,10 +185,8 @@ def _cmd_generate(args) -> int:
         max_recursion_depth=args.max_recursion_depth,
         exact_rate=not args.inexact_rate,
     )
-    ds = generate_dataset(
-        params, analysis.model, infection, analysis.store,
-        analysis.pruned, analysis.call_graph, workers=_workers(args),
-    )
+    ds = generate_dataset(params, analysis.model, infection, analysis.store,
+                          analysis.pruned, analysis.call_graph)
     write_dataset(ds, args.out, analysis.model, ann)
     messages = sum(len(s.events) for s in ds.sequences)
     anomalies = sum(1 for s in ds.sequences if s.label.value == "ANOMALY")

@@ -45,11 +45,9 @@ Every successful walk records its choice trace (path picks and loop
 repetition draws); `replay` re-derives the event list from a trace,
 which is how label soundness and walk legality are checked.
 
-Sequence i is generated from its own RNG derived from (seed, i), so the
-dataset bytes never depend on how many workers ran.  `ordered_map` walks
-in process first and starts a pool, which receives the built walker once
-per worker, only for the sequences left once those walks have outlasted
-its start-up; a short run starts no process.
+Sequence i is generated from its own RNG derived from (seed, i), so no
+sequence's walk depends on any other's.  All walks run in this process,
+one after another in sequence order.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from pathlib import Path
 from .errors import LogsynthError
 from .labeling import AnnotationSet, InfectionMap, Status, dumps_annotations
 from .model import EventId, LogEvent, MethodId, ProgramModel, model_sha256
-from .parallel import ordered_map
 from .pathfinding import CallStep, LogPath, LogStep, Mark, PathStore
 from .probing import CallGraph
 from .pruning import PrunedCallGraph
@@ -509,27 +506,6 @@ def _plan_labels(params: GenParams) -> list[Label | None]:
     return labels
 
 
-def _make_sequence(context, job: tuple[int, Label | None]
-                   ) -> tuple[LogSequence, tuple | None]:
-    """One sequence, plus its choice trace when the caller keeps traces
-    (a pool worker sends back only what is kept)."""
-    walker, normal_entries, anomaly_entries, keep_traces = context
-    seq_id, label = job
-    params = walker.params
-    rng = sequence_rng(params.seed, seq_id)
-    if label is None:
-        label = Label.ANOMALY if rng.random() < params.anomaly_rate else Label.NORMAL
-    pool = anomaly_entries if label is Label.ANOMALY else normal_entries
-    if not pool:
-        raise ConfigError(
-            f"no admissible entry method for a {label.value} sequence"
-        )
-    entry = rng.choice(pool)
-    events, trace = walker.walk(entry, label, rng)
-    return (LogSequence(seq_id=seq_id, label=label, events=events, entry=entry),
-            trace if keep_traces else None)
-
-
 def generate_dataset(
     params: GenParams,
     model: ProgramModel,
@@ -542,8 +518,9 @@ def generate_dataset(
 ) -> LogDataset:
     """The full dataset: exactly round(size * rate) anomalies in exact-rate
     mode, one independent Bernoulli draw per sequence otherwise.  Output
-    is a pure function of (model, annotations, params); the worker count
-    never changes it."""
+    is a pure function of (model, annotations, params).  Each successful
+    walk's choice trace is kept, by sequence id, only with `keep_traces`.
+    `workers` is accepted and ignored: bench/harness.py still passes it."""
     entries = _resolve_entries(params, model, cg_prime)
     walker = Walker(model, store, infection, call_graph, params)
     normal_entries = [m for m in entries if walker.normal_entry_ok(m)]
@@ -567,11 +544,24 @@ def generate_dataset(
     if needs_normal and not normal_entries:
         raise ConfigError("no entry method admits a normal (seed-free) walk")
 
-    results = ordered_map(_make_sequence,
-                          (walker, normal_entries, anomaly_entries, keep_traces),
-                          enumerate(labels), workers)
-    sequences = [seq for seq, _ in results]
-    traces = {seq.seq_id: tr for seq, tr in results} if keep_traces else None
+    sequences: list[LogSequence] = []
+    traces: dict[int, tuple] | None = {} if keep_traces else None
+    for seq_id, label in enumerate(labels):
+        rng = sequence_rng(params.seed, seq_id)
+        if label is None:
+            label = (Label.ANOMALY if rng.random() < params.anomaly_rate
+                     else Label.NORMAL)
+        admissible = anomaly_entries if label is Label.ANOMALY else normal_entries
+        if not admissible:
+            raise ConfigError(
+                f"no admissible entry method for a {label.value} sequence"
+            )
+        entry = rng.choice(admissible)
+        events, trace = walker.walk(entry, label, rng)
+        sequences.append(LogSequence(seq_id=seq_id, label=label,
+                                     events=events, entry=entry))
+        if traces is not None:
+            traces[seq_id] = trace
     return LogDataset(
         sequences=sequences, events=dict(store.events), params=params,
         traces=traces,

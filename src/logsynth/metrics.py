@@ -100,13 +100,10 @@ def measure_throughput(
     store,
     cg_prime,
     call_graph,
-    workers: int = 1,
 ) -> ThroughputReport:
     """Wall-clock messages per minute for one generation run."""
     start = time.perf_counter()
-    ds = generate_dataset(
-        params, model, infection, store, cg_prime, call_graph, workers=workers
-    )
+    ds = generate_dataset(params, model, infection, store, cg_prime, call_graph)
     elapsed = time.perf_counter() - start
     messages = sum(len(s.events) for s in ds.sequences)
     per_minute = messages / elapsed * 60.0 if elapsed > 0 else float("inf")

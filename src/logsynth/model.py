@@ -16,7 +16,9 @@ payload and edge guards use `T:<var>`, `F:<var>`, `TRUE`, or `FALSE`.
 A CALL payload, when present, names an external logging API; internal
 callees come from C records (several C records for one site encode an
 ambiguous dispatch).  In memory, a site's callees live only in its CALL
-activity: the call graph and the C records are both derived from them.
+activity, sorted and distinct however the activity was built, so every
+model round-trips through its text: the call graph and the C records are
+both derived from them.
 
 A model's canonical text is what `dumps_model` writes: the records of
 each kind in ascending key order with none repeated (M by id, A by
@@ -148,6 +150,10 @@ class Log:
 class Call:
     callees: tuple[MethodId, ...] = ()  # >1 encodes ambiguous dispatch
     external: str | None = None         # external logging API name
+
+    def __post_init__(self):
+        if len(self.callees) > 1:
+            object.__setattr__(self, "callees", tuple(sorted(set(self.callees))))
 
 
 @dataclass(frozen=True)
@@ -501,8 +507,7 @@ def dumps_model(model: ProgramModel) -> str:
             act = nodes[aid]
             lines.append(f"A {mid} {aid} {_format_activity(act)}")
             if type(act) is Call:
-                callees = act.callees
-                for callee in sorted(set(callees)) if len(callees) > 1 else callees:
+                for callee in act.callees:
                     calls.append(f"C {mid} {aid} {callee}")
     for mid in sorted(model.methods):
         cfg = model.methods[mid].cfg
@@ -731,7 +736,7 @@ def loads_model(text: str) -> ProgramModel:
 
     for (caller, site), callees in callees_at.items():
         nodes = nodes_of[caller]
-        nodes[site] = Call(tuple(sorted(callees)), nodes[site].external)
+        nodes[site] = Call(tuple(callees), nodes[site].external)
     methods: dict[MethodId, MethodNode] = {}
     for mid in sorted(names):
         # analysis reads activities in dict order, which the file's record order must not set

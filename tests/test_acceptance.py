@@ -15,7 +15,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from logsynth import parallel
 from logsynth.generation import (
     ConfigError,
     GenParams,
@@ -233,31 +232,23 @@ def test_criterion_7_throughput():
         report = measure_throughput(
             GenParams(size=300, anomaly_rate=0.0, seed=2),
             model, infection, analysis.store, analysis.pruned,
-            analysis.call_graph, workers=1,
+            analysis.call_graph,
         )
-        print(f"\n  single worker: {report.per_minute:,.0f} messages/min "
+        print(f"\n  {report.per_minute:,.0f} messages/min "
               f"({report.messages} messages in {report.seconds:.2f}s)")
-        multi = measure_throughput(
-            GenParams(size=300, anomaly_rate=0.0, seed=2),
-            model, infection, analysis.store, analysis.pruned,
-            analysis.call_graph, workers=4,
-        )
-        print(f"  four workers (informational): {multi.per_minute:,.0f} "
-              f"messages/min")
         assert report.per_minute > 10_000
 
 
-def test_criterion_8_determinism(annotated, tmp_path, monkeypatch):
-    monkeypatch.setattr(parallel, "_BUDGET_S", 0)  # pool every sequence
-    with criterion(8, "byte-identical output across reruns and workers 1..8"):
+def test_criterion_8_determinism(annotated, tmp_path):
+    with criterion(8, "byte-identical output across reruns"):
         analysis, ann, infection = annotated
         params = GenParams(size=200, anomaly_rate=0.05, seed=42,
                            max_loop_reps=3)
         outputs = []
-        for run, workers in enumerate([1, 1] + list(range(2, 9))):
+        for run in range(2):
             ds = generate_dataset(
                 params, analysis.model, infection, analysis.store,
-                analysis.pruned, analysis.call_graph, workers=workers,
+                analysis.pruned, analysis.call_graph,
             )
             out = tmp_path / f"run{run}"
             write_dataset(ds, out, analysis.model, ann)
@@ -265,7 +256,7 @@ def test_criterion_8_determinism(annotated, tmp_path, monkeypatch):
                 (out / "sequences.csv").read_bytes(),
                 (out / "templates.csv").read_bytes(),
             ))
-        assert all(o == outputs[0] for o in outputs[1:])
+        assert outputs[0] == outputs[1]
 
 
 def test_criterion_9_detector_property(annotated):

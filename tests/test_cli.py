@@ -1,13 +1,15 @@
 from __future__ import annotations
 
-import argparse
+import ast
 import os
 import random
+from pathlib import Path
 
 import pytest
 
-from logsynth import cli, parallel, pipeline
-from logsynth.cli import _workers, main
+import logsynth
+from logsynth import cli, pipeline
+from logsynth.cli import main
 
 from .modelgen import structured_program
 
@@ -93,23 +95,31 @@ def test_non_positive_max_paths_is_an_error(tmp_path, capsys, value):
     assert not (out / "paths.txt").exists()
 
 
-def test_negative_workers_is_an_error(tmp_path, capsys, artifacts):
-    art, ann = artifacts
-    out = tmp_path / "ds"
-    code, _, err = run(capsys, "generate", "--model", str(art / "model.txt"),
-                       "--annotations", str(ann), "--size", "5",
-                       "--out", str(out), "--workers", "-3")
-    assert code == 1
-    assert "error: --workers must be >= 0" in err
-    assert not (out / "sequences.csv").exists()
+_PROCESS_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
 
 
-def test_analysis_commands_start_no_process(tmp_path, capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+def _imported_modules(source: str) -> set[str]:
+    """Every module an import statement in `source` names, with each
+    `from M import N` also counted as `M.N`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+def test_analysis_commands_start_no_process(tmp_path, capsys):
+    package = Path(logsynth.__file__).parent
+    starters = {
+        (path.name, name)
+        for path in sorted(package.glob("*.py"))
+        for name in _imported_modules(path.read_text(encoding="utf-8"))
+        if any(name == m or name.startswith(m + ".") for m in _PROCESS_MODULES)
+    }
+    assert starters == set()
     art = tmp_path / "art"
     assert run(capsys, "analyze", FIXTURE, "--out", str(art))[0] == 0
     assert run(capsys, "paths", FIXTURE, "--dump")[0] == 0
@@ -117,16 +127,11 @@ def test_analysis_commands_start_no_process(tmp_path, capsys, monkeypatch):
     assert run(capsys, "worksheet", FIXTURE, "--out", str(tmp_path / "ws.txt"))[0] == 0
     ds = tmp_path / "ds"
     assert run(capsys, "generate", "--model", str(art / "model.txt"),
-               "--size", "20", "--workers", "1", "--out", str(ds))[0] == 0
+               "--size", "20", "--out", str(ds))[0] == 0
     code, out, _ = run(capsys, "stats", "--model", str(art / "model.txt"),
                        "--dataset", str(ds))
     assert code == 0
     assert "sequences" in out
-
-
-def test_workers_are_capped_at_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert [_workers(argparse.Namespace(workers=n)) for n in (64, 0, 1)] == [2, 2, 1]
 
 
 def test_non_integer_seed_env_is_an_error(tmp_path, capsys, artifacts,
@@ -203,18 +208,15 @@ def test_generate_without_annotations_rejects_positive_rate(tmp_path, capsys, ar
     assert "annotations" in err
 
 
-def test_generate_seed_determinism_across_workers(tmp_path, capsys, artifacts,
-                                                   monkeypatch):
-    monkeypatch.setattr(parallel, "_BUDGET_S", 0)  # pool every sequence
+def test_generate_seed_determinism(tmp_path, capsys, artifacts):
     art, ann = artifacts
     outputs = []
-    for name, workers in (("a", "1"), ("b", "4")):
+    for name in ("a", "b"):
         ds = tmp_path / name
         code, _, _ = run(
             capsys, "generate", "--model", str(art / "model.txt"),
             "--annotations", str(ann), "--size", "40",
-            "--anomaly-rate", "0.1", "--seed", "3", "--workers", workers,
-            "--out", str(ds),
+            "--anomaly-rate", "0.1", "--seed", "3", "--out", str(ds),
         )
         assert code == 0
         outputs.append((ds / "sequences.csv").read_bytes())
@@ -401,7 +403,7 @@ def test_stats_rejects_a_malformed_dataset(tmp_path, capsys, artifacts,
     art, _ = artifacts
     ds = tmp_path / "ds"
     assert run(capsys, "generate", "--model", str(art / "model.txt"),
-               "--size", "5", "--workers", "1", "--out", str(ds))[0] == 0
+               "--size", "5", "--out", str(ds))[0] == 0
     _rewrite_line(ds / name, lineno, edit)
     code, out, err = run(capsys, "stats", "--model", str(art / "model.txt"),
                          "--dataset", str(ds))

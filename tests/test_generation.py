@@ -7,7 +7,7 @@ from itertools import chain, repeat
 
 import pytest
 
-from logsynth import generation, parallel
+from logsynth import generation
 from logsynth.errors import LogsynthError
 from logsynth.generation import (
     ConfigError,
@@ -492,7 +492,7 @@ def test_walks_on_the_forced_corpus_keep_their_outcomes():
                         outcome = _walk_outcome(walker, entry, mode, seed)
                         digest.update(repr(outcome).encode())
     assert digest.hexdigest() == \
-        "b53a832c76fbaa1144f6b7e01fcd1faec8324ffbdcc145a24ccf918536538053"
+        "2a61d692048e67ac84a729081bbf3130a51bd03d97b7061fcb1a2cab06175098"
 
 
 def _single_path_chain(depth: int):
@@ -651,13 +651,20 @@ def test_inexact_rate_draws_per_sequence(datanode_analysis, datanode_infection):
     )
     anomalies = sum(s.label is Label.ANOMALY for s in ds.sequences)
     assert 60 <= anomalies <= 140  # loose binomial band around 100
-    # labels come from each sequence's own RNG, so workers cannot shift them
-    parallel = generate_dataset(
+
+
+def test_bench_workers_keyword_is_ignored(datanode_analysis, datanode_infection):
+    # bench/harness.py passes `workers=` to both calls; neither may reject
+    # it or let it change a result
+    params = _params(size=400, anomaly_rate=0.25, seed=3, exact_rate=False)
+    runs = [generate_dataset(
         params, datanode_analysis.model, datanode_infection,
         datanode_analysis.store, datanode_analysis.pruned,
-        datanode_analysis.call_graph, workers=3,
-    )
-    assert parallel.sequences == ds.sequences
+        datanode_analysis.call_graph, **kw,
+    ) for kw in ({}, {"workers": 4})]
+    assert runs[1].sequences == runs[0].sequences
+    analysis = analyze_model(datanode_analysis.model, workers=4)
+    assert analysis.store.by_method == datanode_analysis.store.by_method
 
 
 def test_component_indicator_restricts_entries():
@@ -702,18 +709,16 @@ def test_pruned_entry_is_config_error():
         )
 
 
-def test_dataset_determinism_and_worker_independence(
-    tmp_path, monkeypatch, datanode_analysis, datanode_infection,
-    datanode_annotations
+def test_dataset_determinism(
+    tmp_path, datanode_analysis, datanode_infection, datanode_annotations
 ):
-    monkeypatch.setattr(parallel, "_BUDGET_S", 0)  # pool every sequence
     params = _params(size=60, anomaly_rate=0.1, seed=99, max_loop_reps=2)
     runs = []
-    for workers in (1, 1, 2):
+    for _ in range(2):
         ds = generate_dataset(
             params, datanode_analysis.model, datanode_infection,
             datanode_analysis.store, datanode_analysis.pruned,
-            datanode_analysis.call_graph, workers=workers,
+            datanode_analysis.call_graph,
         )
         out = tmp_path / f"run{len(runs)}"
         write_dataset(ds, out, datanode_analysis.model, datanode_annotations)
@@ -721,7 +726,7 @@ def test_dataset_determinism_and_worker_independence(
             (out / name).read_bytes()
             for name in ("sequences.csv", "templates.csv", "manifest.txt")
         ))
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
 
 
 def test_written_dataset_reads_back_equal(
@@ -823,23 +828,18 @@ def test_traces_replay_for_whole_dataset(datanode_analysis, datanode_infection):
         assert walker.replay(seq.entry, ds.traces[seq.seq_id]) == seq.events
 
 
-def test_pooled_traces_are_sent_only_when_kept(
-    monkeypatch, datanode_analysis, datanode_infection
-):
-    monkeypatch.setattr(parallel, "_BUDGET_S", 0)  # pool every sequence
+def test_traces_are_kept_only_when_asked(datanode_analysis, datanode_infection):
     params = _params(size=40, anomaly_rate=0.2, seed=8, max_loop_reps=2)
     runs = [generate_dataset(
         params, datanode_analysis.model, datanode_infection,
         datanode_analysis.store, datanode_analysis.pruned,
-        datanode_analysis.call_graph, workers=2, keep_traces=keep,
+        datanode_analysis.call_graph, keep_traces=keep,
     ) for keep in (False, True)]
     assert runs[0].sequences == runs[1].sequences
     assert runs[0].traces is None
     walker = _walker(datanode_analysis, datanode_infection, params)
     for seq in runs[1].sequences:
         assert walker.replay(seq.entry, runs[1].traces[seq.seq_id]) == seq.events
-    context = (walker, [0], [0], False)
-    assert generation._make_sequence(context, (0, Label.NORMAL))[1] is None
 
 
 def test_label_soundness_via_traces(datanode_analysis, datanode_infection):
