@@ -26,6 +26,14 @@ inline, with the same `getrandbits` calls as `random.Random.sample`
 drawing all of them but without its generic set-up per call; a loop
 region's repetition count is one `randint`.
 
+A call whose candidates are two or more paths that call nothing needs
+only its first pick.  Such a path cannot fail, since log steps and loop
+regions never refuse, and a completed call is closed, so the walk never
+backtracks into that call's order.  `_draw_first` makes every draw of
+the full order, leaving the RNG where `_draw_order` leaves it, but keeps
+only the first pick.  The root draw always builds the full order,
+because a root try can fail and move on to the next root.
+
 Most calls leave the walk no choice.  A call is *forced* when its
 callee is in no recursion cycle and has exactly one candidate path,
 that path has no loop-marked step, and every call on it is forced too.  Such
@@ -57,6 +65,7 @@ import hashlib
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -155,7 +164,38 @@ def _draw_order(rng: random.Random, cands: tuple) -> Sequence:
     return order
 
 
+def _draw_first(rng: random.Random, cands: tuple) -> tuple:
+    """`_draw_order(rng, cands)[:1]` as a tuple.  It makes the same
+    `getrandbits` calls, so `rng` ends in the same state, but after the
+    first index it only rejects: no pool is updated and no order is
+    built.  The later draws go by bit length k, over every m in
+    [2**(k-1), top]."""
+    n = len(cands)
+    if not n:
+        return ()
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    j = getrandbits(k)
+    while j >= n:
+        j = getrandbits(k)
+    top = n - 1
+    while top:
+        k = top.bit_length()
+        low = 1 << (k - 1)
+        for m in range(top, low - 1, -1):
+            while getrandbits(k) >= m:
+                pass
+        top = low - 1
+    return (cands[j],)
+
+
 _TOP_BIT = b"\0\0\0\x80"  # the top bit of a little-endian 32-bit word
+
+
+@lru_cache(maxsize=256)
+def _top_bits(count: int) -> int:
+    """The top bit of each of `count` 32-bit words, first word lowest."""
+    return int.from_bytes(_TOP_BIT * count, "little")
 
 
 def _skip_draws(rng: random.Random, count: int) -> None:
@@ -165,13 +205,13 @@ def _skip_draws(rng: random.Random, count: int) -> None:
     no round fetches a word the one-by-one draws would not."""
     getrandbits = rng.getrandbits
     while count:
-        count = (getrandbits(32 * count)
-                 & int.from_bytes(_TOP_BIT * count, "little")).bit_count()
+        count = (getrandbits(32 * count) & _top_bits(count)).bit_count()
 
 
 class Walker:
     """Shared walk state: admissibility precomputations over the stored
-    paths and infection map, immutable but for the forced-call cache.
+    paths and infection map, immutable but for two caches that walks
+    fill: `first_pick` and `_taken`.
     `clean_completable` holds the non-seed paths whose every callee offers
     such a path, so a normal walk through them finishes without touching
     a seed; `emitting` holds those of them that can produce an event on
@@ -179,6 +219,8 @@ class Walker:
     `PathStore.least_fixpoint`, the mechanism infection propagation uses.
     `candidates[m]` holds method m's admissible paths for a normal walk,
     an anomaly walk before a seed is hit, and one after, in that order.
+    `first_pick` tells, by (method, index), whether a call keeps only its
+    first pick; it is filled as walks first draw from each list.
     `forced` maps each forced call, keyed by (callee, candidate index), to
     its subtree's draw count, whether it hits a seed, the callee's trace
     record, and its plan: the path's event ids and forced child keys.
@@ -272,6 +314,8 @@ class Walker:
                                           tuple(plan))
         # forced calls expanded to (draws, hit, events, trace) once taken
         self._taken: dict[tuple[MethodId, int], tuple] = {}
+        self._calling = store.calling_paths()
+        self.first_pick = _Memo(self._keeps_first_pick)
 
     # entry admissibility per mode
     def normal_entry_ok(self, mid: MethodId) -> bool:
@@ -297,6 +341,7 @@ class Walker:
             )
         status, seed = self.status, Status.SEED
         candidates, forced, taken_of = self.candidates, self.forced, self._taken
+        first_pick = self.first_pick
         scc_of, cycle_sccs = self.scc_of, self.cycle_sccs
         max_depth = self.params.max_recursion_depth
         max_reps = self.params.max_loop_reps
@@ -345,7 +390,9 @@ class Walker:
                             active[scc] = depth + 1
                         else:
                             scc = None
-                        order = _draw_order(rng, candidates.get(callee, _NO_PATHS)[index])
+                        cands = candidates.get(callee, _NO_PATHS)[index]
+                        order = (_draw_first if first_pick[key]
+                                 else _draw_order)(rng, cands)
                         calls.append((iter(order), len(events), len(trace), hit,
                                       scc, len(nodes)))
                         break
@@ -382,6 +429,13 @@ class Walker:
             f"walk from entry method '{self.model.methods[entry].name}' "
             f"({mode.value}) exhausted every choice"
         )
+
+    def _keeps_first_pick(self, key: tuple[MethodId, int]) -> bool:
+        """Whether a call into `key`'s candidate list draws with
+        `_draw_first`: the list holds two or more paths, none of which
+        calls."""
+        cands = self.candidates.get(key[0], _NO_PATHS)[key[1]]
+        return len(cands) > 1 and self._calling.isdisjoint(p.id for p in cands)
 
     def _expand(self, key: tuple[MethodId, int]) -> tuple:
         """A forced call's draw count, seed hit, events and trace records,

@@ -64,8 +64,8 @@ class Mark(str, enum.Enum):
     END = "end"
     BOTH = "both"
 
-    def suffix(self) -> str:
-        return {"none": "", "start": ":S", "end": ":E", "both": ":SE"}[self.value]
+
+_SUFFIX = {Mark.NONE: "", Mark.START: ":S", Mark.END: ":E", Mark.BOTH: ":SE"}
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,10 @@ class PathStore:
 
     def all_paths(self) -> tuple[LogPath, ...]:
         return self._paths
+
+    def calling_paths(self) -> set[int]:
+        """The ids of the paths with at least one call step."""
+        return set().union(*self._callers.values())
 
     def least_fixpoint(self, need: dict[int, int]) -> set[int]:
         """The least set of path ids in which a path `p` is a member once
@@ -481,18 +485,24 @@ def build_store(
 
 
 def format_store_dump(store: PathStore, model: ProgramModel) -> str:
-    """Inspection dump: the event table and every path's steps."""
+    """Inspection dump: the event table and every path's steps.  A
+    method's paths share its step objects, so each step's text is built
+    once and kept by the step's `id`, which the store keeps alive for the
+    whole dump."""
     lines = []
     for eid in sorted(store.events):
         ev = store.events[eid]
         lines.append(f"EV {eid} {ev.level} {ev.template}")
+    names = {mid: m.name for mid, m in model.methods.items()}
+    texts: dict[int, str] = {}
     for path in store.all_paths():
-        steps = []
+        steps = [f"EP {path.id} {names[path.method]}"]
         for s in path.steps:
-            if isinstance(s, LogStep):
-                steps.append(f"L:{s.event}{s.loop_mark.suffix()}")
-            else:
-                steps.append(f"C:{model.methods[s.callee].name}{s.loop_mark.suffix()}")
-        name = model.methods[path.method].name
-        lines.append(" ".join([f"EP {path.id} {name}"] + steps))
+            text = texts.get(id(s))
+            if text is None:
+                text = texts[id(s)] = (
+                    f"L:{s.event}" if type(s) is LogStep
+                    else f"C:{names[s.callee]}") + _SUFFIX[s.loop_mark]
+            steps.append(text)
+        lines.append(" ".join(steps))
     return "\n".join(lines) + "\n"

@@ -280,6 +280,51 @@ def test_draw_order_equals_random_sample():
             assert drawn.getstate() == sampled.getstate(), (n, seed)
 
 
+def test_draw_first_equals_first_drawn():
+    sizes = [*range(41), 63, 64, 65, 127, 128, 129, 1000, 3960, 4096, 4097]
+    for n in sizes:
+        cands = tuple(f"p{i}" for i in range(n))
+        for seed in (0, 1, 7, 2024, 99991):
+            first, ordered = random.Random(seed), random.Random(seed)
+            assert generation._draw_first(first, cands) \
+                == tuple(generation._draw_order(ordered, cands))[:1], (n, seed)
+            assert first.getstate() == ordered.getstate(), (n, seed)
+
+
+def test_only_call_free_lists_draw_their_first_pick(monkeypatch):
+    # leaf's two paths call nothing; b's normal list holds a call into the
+    # cycle {a, b}; a has one path, which calls b, so it is not forced;
+    # one's only path calls nothing
+    analysis, infection = _annotated_analysis(
+        'void e(){ a(); leaf(); one(); }'
+        'void a(){ log(info, "a"); b(); }'
+        'void b(){ if(c){ a(); } else { log(info, "b"); } }'
+        'void leaf(){ if(x){ log(info, "x"); } else { log(warn, "y"); } }'
+        'void one(){ log(info, "one"); }')
+    mid = {m.name: m.id for m in analysis.model.methods.values()}
+    walker = _walker(analysis, infection, _params(max_recursion_depth=1))
+    assert len(walker.candidates[mid["a"]][0]) == 1
+    assert (mid["a"], 0) not in walker.forced
+    assert [walker.first_pick[mid[name], 0]
+            for name in ("leaf", "b", "a", "one")] == [True, False, False, False]
+
+    used = {}  # method -> the draw functions its candidate lists went to
+
+    def recorded(name, draw):
+        def record(rng, cands):
+            used.setdefault(cands[0].method, set()).add(name)
+            return draw(rng, cands)
+        return record
+
+    for name in ("_draw_first", "_draw_order"):
+        monkeypatch.setattr(generation, name,
+                            recorded(name, getattr(generation, name)))
+    for seed in range(20):
+        walker.walk(mid["e"], Label.NORMAL, random.Random(seed))
+    assert used == {mid["e"]: {"_draw_order"}, mid["a"]: {"_draw_order"},
+                    mid["b"]: {"_draw_order"}, mid["leaf"]: {"_draw_first"}}
+
+
 def _draw_corpus(count: int = 40):
     """Seeded structured programs with seed paths and alerting events at
     random.  Odd seeds add ambiguous dispatch; every third one adds a method
@@ -325,7 +370,13 @@ def test_drawn_path_order_keeps_every_dataset(monkeypatch):
         return ds.sequences, ds.traces
 
     mix = dict.fromkeys(["cycles", "loops", "over 64 paths", "datasets",
-                         "anomaly datasets"], 0)
+                         "anomaly datasets", "first-pick calls"], 0)
+    draw_first = generation._draw_first
+
+    def counted_first(rng, cands):
+        mix["first-pick calls"] += 1
+        return draw_first(rng, cands)
+
     for seed, analysis, infection, seeded in _draw_corpus():
         cg, store = analysis.call_graph, analysis.store
         mix["cycles"] += any(cg.in_cycle(m) for m in cg.nodes)
@@ -338,10 +389,14 @@ def test_drawn_path_order_keeps_every_dataset(monkeypatch):
                 params = _params(size=12, anomaly_rate=rate, entries=entries,
                                  seed=seed, max_loop_reps=2,
                                  max_recursion_depth=depth)
-                drawn = outcome(params, analysis, infection)
+                with monkeypatch.context() as patch:
+                    patch.setattr(generation, "_draw_first", counted_first)
+                    drawn = outcome(params, analysis, infection)
                 with monkeypatch.context() as patch:
                     patch.setattr(generation, "_draw_order",
                                   lambda rng, c: rng.sample(c, len(c)))
+                    patch.setattr(generation, "_draw_first",
+                                  lambda rng, c: rng.sample(c, len(c))[:1])
                     sampled = outcome(params, analysis, infection)
                 assert drawn == sampled, (seed, depth, rate)
                 if isinstance(drawn[0], list):
