@@ -17,8 +17,8 @@ repetition, and calls into recursion cycles are bounded by
 max_recursion_depth re-entries.  A walk's call depth is bounded by
 memory, not by Python's recursion limit.  Nothing is rebuilt per step:
 a path's loop regions are decoded on its first visit (`LogPath.regions`),
-and each method's candidate paths per walk state are built once in
-`Walker.__init__`.
+and each call, named by its callee and candidate index, is decided the
+first time a walk makes it (`Walker.calls`).
 
 A walk tries an entry's root paths, and a callee's candidate paths at
 each call step, in a random order.  `_draw_order` draws that order
@@ -208,10 +208,23 @@ def _skip_draws(rng: random.Random, count: int) -> None:
         count = (getrandbits(32 * count) & _top_bits(count)).bit_count()
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with `convert(key)` and keeps it, so
+    each distinct key is converted once per table."""
+
+    def __init__(self, convert) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
 class Walker:
     """Shared walk state: admissibility precomputations over the stored
-    paths and infection map, immutable but for two caches that walks
-    fill: `first_pick` and `_taken`.
+    paths and infection map, immutable but for the call table that walks
+    fill.
     `clean_completable` holds the non-seed paths whose every callee offers
     such a path, so a normal walk through them finishes without touching
     a seed; `emitting` holds those of them that can produce an event on
@@ -219,12 +232,13 @@ class Walker:
     `PathStore.least_fixpoint`, the mechanism infection propagation uses.
     `candidates[m]` holds method m's admissible paths for a normal walk,
     an anomaly walk before a seed is hit, and one after, in that order.
-    `first_pick` tells, by (method, index), whether a call keeps only its
-    first pick; it is filled as walks first draw from each list.
+    `cycle_of` maps each method in a recursion cycle to its component's
+    index in the call graph's `sccs`.
     `forced` maps each forced call, keyed by (callee, candidate index), to
     its subtree's draw count, whether it hits a seed, the callee's trace
     record, and its plan: the path's event ids and forced child keys.
-    `_taken` keeps each forced call's expansion once a walk takes it."""
+    `calls` holds each call's policy by the same key, fixed by `_call` the
+    first time a walk makes that call."""
 
     def __init__(self, model: ProgramModel, store: PathStore,
                  infection: InfectionMap, call_graph: CallGraph,
@@ -233,33 +247,20 @@ class Walker:
         self.store = store
         status = self.status = infection.status
         self.params = params
-        self.scc_of = call_graph.scc_of
         sccs = call_graph.sccs
-        cycle_sccs = self.cycle_sccs = {
-            i for i, members in enumerate(sccs)
-            if call_graph.in_cycle(members[0])
+        cycle_of = self.cycle_of = {
+            m: i for i, members in enumerate(sccs)
+            if call_graph.in_cycle(members[0]) for m in members
         }
         seed, clean, unmarked = Status.SEED, Status.CLEAN, Mark.NONE
-        # one read of each non-seed path's steps serves both fixpoints:
-        # its distinct callees, and whether it logs
-        clean_need: dict[int, int] = {}
-        silent: set[int] = set()
-        for p in store.all_paths():
-            if status[p.id] is seed:
-                continue
-            callees, logs = set(), False
-            for s in p.steps:
-                if type(s) is CallStep:
-                    callees.add(s.callee)
-                else:
-                    logs = True
-            clean_need[p.id] = len(callees)
-            if not logs:
-                silent.add(p.id)
-        clean_completable = self.clean_completable = \
-            store.least_fixpoint(clean_need)
+        clean_completable = self.clean_completable = store.least_fixpoint({
+            p.id: len(p.callees) for p in store.all_paths()
+            if status[p.id] is not seed
+        })
+        # a path that only calls emits through a callee that emits
         self.emitting = store.least_fixpoint({
-            pid: 1 if pid in silent else 0 for pid in clean_completable
+            pid: int(all(type(s) is CallStep for s in store.path(pid).steps))
+            for pid in clean_completable
         })
         candidates: dict[MethodId, tuple[tuple[LogPath, ...], ...]] = {}
         self.candidates = candidates
@@ -285,10 +286,10 @@ class Walker:
         forced: dict[tuple[MethodId, int], tuple] = {}
         self.forced = forced
         forced_get = forced.get
-        for scc, members in enumerate(sccs):
-            if scc in cycle_sccs:
-                continue
+        for members in sccs:
             mid = members[0]
+            if mid in cycle_of:
+                continue
             for index, cands in enumerate(candidates.get(mid, _NO_PATHS)):
                 if len(cands) != 1:
                     continue
@@ -312,10 +313,7 @@ class Walker:
                 else:
                     forced[mid, index] = (draws, hit, ("ep", mid, path.id),
                                           tuple(plan))
-        # forced calls expanded to (draws, hit, events, trace) once taken
-        self._taken: dict[tuple[MethodId, int], tuple] = {}
-        self._calling = store.calling_paths()
-        self.first_pick = _Memo(self._keeps_first_pick)
+        self.calls = _Memo(self._call)
 
     # entry admissibility per mode
     def normal_entry_ok(self, mid: MethodId) -> bool:
@@ -332,28 +330,26 @@ class Walker:
         Each open call keeps the rest of its drawn order, the (events,
         trace, hit) mark to restore before its next candidate, the
         recursion cycle whose count it raised (or None), and where its
-        path sits on `nodes`."""
+        path sits on `nodes`.  A call step reads its policy from the
+        call table `self.calls`."""
         anomaly = mode is Label.ANOMALY
         if anomaly and not self.anomaly_entry_ok(entry):
             raise UnreachableSeedError(
                 f"no seed is reachable from entry method "
                 f"'{self.model.methods[entry].name}'"
             )
-        status, seed = self.status, Status.SEED
-        candidates, forced, taken_of = self.candidates, self.forced, self._taken
-        first_pick = self.first_pick
-        scc_of, cycle_sccs = self.scc_of, self.cycle_sccs
+        status, seed, call_of = self.status, Status.SEED, self.calls
         max_depth = self.params.max_recursion_depth
         max_reps = self.params.max_loop_reps
         randint = rng.randint
-        entry_scc = scc_of[entry]
-        for root in _draw_order(rng, candidates.get(entry, _NO_PATHS)[anomaly]):
+        entry_cycle = self.cycle_of.get(entry)
+        for root in _draw_order(rng, self.candidates.get(entry, _NO_PATHS)[anomaly]):
             for _ in range(_ROOT_TRIES):
                 events: list[EventId] = []
                 trace: list[tuple] = [("ep", entry, root.id)]
                 hit = status[root.id] is seed
                 # a cyclic entry's walk is inside its cycle already
-                active = {entry_scc: 1} if entry_scc in cycle_sccs else {}
+                active = {} if entry_cycle is None else {entry_cycle: 1}
                 nodes = [iter(root.regions)]
                 calls: list[tuple] = []
                 while nodes:
@@ -370,28 +366,20 @@ class Walker:
                         # index 0 normal, 1 anomaly before a seed, 2 after
                         # (normal walks never take a seed path, so their
                         # `hit` stays False)
-                        callee = node.callee
-                        index = anomaly + hit
-                        key = (callee, index)
-                        taken = taken_of.get(key)
-                        if taken is None and key in forced:
-                            taken = taken_of[key] = self._expand(key)
-                        if taken is not None:
-                            _skip_draws(rng, taken[0])
-                            hit = hit or taken[1]
-                            events += taken[2]
-                            trace += taken[3]
+                        call = call_of[node.callee, anomaly + hit]
+                        if len(call) == 4:  # forced: its whole subtree at once
+                            _skip_draws(rng, call[0])
+                            hit = hit or call[1]
+                            events += call[2]
+                            trace += call[3]
                             continue
-                        scc = scc_of[callee]
-                        if scc in cycle_sccs:
+                        cands, first_only, scc = call
+                        if scc is not None:
                             depth = active.get(scc, 0)
                             if depth > max_depth:
                                 break  # refused by the recursion bound
                             active[scc] = depth + 1
-                        else:
-                            scc = None
-                        cands = candidates.get(callee, _NO_PATHS)[index]
-                        order = (_draw_first if first_pick[key]
+                        order = (_draw_first if first_only
                                  else _draw_order)(rng, cands)
                         calls.append((iter(order), len(events), len(trace), hit,
                                       scc, len(nodes)))
@@ -430,24 +418,28 @@ class Walker:
             f"({mode.value}) exhausted every choice"
         )
 
-    def _keeps_first_pick(self, key: tuple[MethodId, int]) -> bool:
-        """Whether a call into `key`'s candidate list draws with
-        `_draw_first`: the list holds two or more paths, none of which
-        calls."""
-        cands = self.candidates.get(key[0], _NO_PATHS)[key[1]]
-        return len(cands) > 1 and self._calling.isdisjoint(p.id for p in cands)
-
-    def _expand(self, key: tuple[MethodId, int]) -> tuple:
-        """A forced call's draw count, seed hit, events and trace records,
-        in walk order, expanded on an explicit stack."""
-        draws, hit, record, plan = self.forced[key]
+    def _call(self, key: tuple[MethodId, int]) -> tuple:
+        """The policy of a call into `key`'s candidate list.  A forced call
+        reads (draw count, seed hit, events, trace records), its subtree
+        expanded in walk order on an explicit stack.  Any other call reads
+        (its candidates, whether it keeps only its first pick, the
+        recursion cycle it enters or None); it keeps only its first pick,
+        drawn with `_draw_first`, when the list holds two or more paths,
+        none of which calls."""
+        forced = self.forced
+        if key not in forced:
+            callee, index = key
+            cands = self.candidates.get(callee, _NO_PATHS)[index]
+            return (cands, len(cands) > 1 and not any(p.callees for p in cands),
+                    self.cycle_of.get(callee))
+        draws, hit, record, plan = forced[key]
         events: list[EventId] = []
         trace = [record]
         stack = [iter(plan)]
         while stack:
             for item in stack[-1]:
                 if isinstance(item, tuple):
-                    _, _, record, plan = self.forced[item]
+                    _, _, record, plan = forced[item]
                     trace.append(record)
                     stack.append(iter(plan))
                     break
@@ -605,12 +597,8 @@ def generate_dataset(
         if label is None:
             label = (Label.ANOMALY if rng.random() < params.anomaly_rate
                      else Label.NORMAL)
-        admissible = anomaly_entries if label is Label.ANOMALY else normal_entries
-        if not admissible:
-            raise ConfigError(
-                f"no admissible entry method for a {label.value} sequence"
-            )
-        entry = rng.choice(admissible)
+        entry = rng.choice(anomaly_entries if label is Label.ANOMALY
+                           else normal_entries)
         events, trace = walker.walk(entry, label, rng)
         sequences.append(LogSequence(seq_id=seq_id, label=label,
                                      events=events, entry=entry))
@@ -626,19 +614,6 @@ def generate_dataset(
 
 def _csv_quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with `convert(key)` and keeps it, so
-    each distinct key is converted once per table."""
-
-    def __init__(self, convert) -> None:
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self.convert(key)
-        return value
 
 
 def write_dataset(ds: LogDataset, outdir, model: ProgramModel,

@@ -35,10 +35,7 @@ class LoweringError(LogsynthError):
 
 def _guards(cond: ml.Condition) -> tuple[Guard, Guard]:
     """(taken, not-taken) edge guards for a condition."""
-    if cond.var is None:
-        taken = Guard(None, not cond.negated)
-    else:
-        taken = Guard(cond.var, not cond.negated)
+    taken = Guard(cond.var, not cond.negated)
     return taken, taken.negation()
 
 

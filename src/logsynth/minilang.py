@@ -397,63 +397,3 @@ def parse_units(sources: list[SourceUnit]) -> list[AstMethod]:
             seen[m.name] = src.path
             methods.append(m)
     return methods
-
-
-# ── Pretty printer (round-trip support) ──────────────────────────────
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _fmt_cond(cond: Condition) -> str:
-    if cond.var is None:
-        return "false" if cond.negated else "true"
-    return ("!" if cond.negated else "") + cond.var
-
-
-def _fmt_stmt(stmt: Statement, indent: int, out: list[str]) -> None:
-    pad = "    " * indent
-    if isinstance(stmt, LogCall):
-        parts = " + ".join(
-            f'"{_escape(p.text)}"' if isinstance(p, StrLit) else p.name
-            for p in stmt.parts
-        )
-        out.append(f"{pad}log({stmt.level}, {parts});")
-    elif isinstance(stmt, Invoke):
-        out.append(f"{pad}{stmt.target}();")
-    elif isinstance(stmt, Assign):
-        out.append(f'{pad}{stmt.var} = "{_escape(stmt.value)}";')
-    elif isinstance(stmt, If):
-        out.append(f"{pad}if ({_fmt_cond(stmt.cond)}) {{")
-        for s in stmt.then:
-            _fmt_stmt(s, indent + 1, out)
-        if stmt.orelse is None:
-            out.append(f"{pad}}}")
-        else:
-            out.append(f"{pad}}} else {{")
-            for s in stmt.orelse:
-                _fmt_stmt(s, indent + 1, out)
-            out.append(f"{pad}}}")
-    elif isinstance(stmt, While):
-        out.append(f"{pad}while ({_fmt_cond(stmt.cond)}) {{")
-        for s in stmt.body:
-            _fmt_stmt(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(stmt, Return):
-        out.append(f"{pad}return;")
-    else:  # pragma: no cover
-        raise TypeError(f"unknown statement {stmt!r}")
-
-
-def pretty_print(methods: list[AstMethod]) -> str:
-    """Render methods back to parseable MiniLang source."""
-    out: list[str] = []
-    for m in methods:
-        if m.component is not None:
-            out.append(f'component "{_escape(m.component)}"')
-        out.append(f"void {m.name}() {{")
-        for s in m.body:
-            _fmt_stmt(s, 1, out)
-        out.append("}")
-        out.append("")
-    return "\n".join(out)

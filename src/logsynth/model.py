@@ -258,9 +258,6 @@ class ExecutionGraph:
         walk = self.only_walk
         return frozenset(sweep(self.out_edges, [self.entry]) if walk is None else walk)
 
-    def reachable_from_entry(self) -> frozenset[ActivityId]:
-        return self.reachable
-
 
 def sweep(edges: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]],
           starts, seen: set[ActivityId] | None = None) -> set[ActivityId]:

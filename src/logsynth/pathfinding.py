@@ -31,7 +31,7 @@ import bisect
 import enum
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import LogsynthError
@@ -91,6 +91,14 @@ class LogPath:
     method: MethodId
     steps: tuple[Step, ...]
     skips_loop: bool = False
+    # the distinct methods the path calls, in first-call order, found once
+    # when the path is built; a cached_property would give each path an
+    # instance dict, which made every full collection slower
+    callees: tuple[MethodId, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "callees", tuple(dict.fromkeys(
+            s.callee for s in self.steps if type(s) is CallStep)))
 
     @cached_property
     def regions(self) -> tuple:
@@ -133,8 +141,7 @@ class PathStore:
         # callee method -> the paths calling it, once per distinct callee
         self._callers: dict[MethodId, list[int]] = {}
         for p in self._paths:
-            for callee in dict.fromkeys(s.callee for s in p.steps
-                                        if isinstance(s, CallStep)):
+            for callee in p.callees:
                 self._callers.setdefault(callee, []).append(p.id)
 
     def path(self, ep_id: int) -> LogPath:
@@ -142,10 +149,6 @@ class PathStore:
 
     def all_paths(self) -> tuple[LogPath, ...]:
         return self._paths
-
-    def calling_paths(self) -> set[int]:
-        """The ids of the paths with at least one call step."""
-        return set().union(*self._callers.values())
 
     def least_fixpoint(self, need: dict[int, int]) -> set[int]:
         """The least set of path ids in which a path `p` is a member once

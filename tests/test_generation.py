@@ -305,8 +305,14 @@ def test_only_call_free_lists_draw_their_first_pick(monkeypatch):
     walker = _walker(analysis, infection, _params(max_recursion_depth=1))
     assert len(walker.candidates[mid["a"]][0]) == 1
     assert (mid["a"], 0) not in walker.forced
-    assert [walker.first_pick[mid[name], 0]
+    # without forced calls, every call reads (candidates, keeps only its
+    # first pick, recursion cycle)
+    general = _walker(analysis, infection, _params(max_recursion_depth=1))
+    general.forced = {}
+    assert [general.calls[mid[name], 0][1]
             for name in ("leaf", "b", "a", "one")] == [True, False, False, False]
+    assert [general.calls[mid[name], 0][2] is not None
+            for name in ("leaf", "b", "a", "one")] == [False, True, True, False]
 
     used = {}  # method -> the draw functions its candidate lists went to
 
@@ -450,7 +456,7 @@ def _forced_mix(walker, mode, trace):
     """The forced calls a walk took, read off its trace against
     `walker.forced`: in all, at candidate index 1 where the call hits a
     seed, and inside a loop region.  A forced call's records in the trace
-    are those `walker` kept for it when it was taken."""
+    are those `walker.calls` kept for it when it was taken."""
     mix = dict.fromkeys(["forced", "forced hits", "forced in loops"], 0)
     pos, hit = 0, False
 
@@ -472,7 +478,7 @@ def _forced_mix(walker, mode, trace):
                 if key not in walker.forced:
                     stack.append((path_nodes(), looping))
                     break
-                _, sub_hit, _, records = walker._taken[key]
+                _, sub_hit, _, records = walker.calls[key]
                 assert trace[pos:pos + len(records)] == records
                 pos += len(records)
                 mix["forced"] += 1

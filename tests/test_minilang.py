@@ -26,13 +26,12 @@ from logsynth.minilang import (
     _position,
     _tokenize,
     parse_unit,
-    pretty_print,
 )
 from logsynth.model import Branch, Call, Entry, Exit, Guard, Log
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph
 
-from .oracles import tokenize_by_character
+from .oracles import pretty_print, tokenize_by_character
 
 
 def parse(text: str):

@@ -438,7 +438,7 @@ def test_natural_loops_match_removal_oracle_on_random_graphs():
         shapes["loops"] += bool(loops)
         shapes["self-loop heads"] += any((h, h) == e[:2] for h in loops
                                          for e in cfg.edges)
-        shapes["unreachable"] += len(cfg.reachable_from_entry()) < len(cfg.nodes)
+        shapes["unreachable"] += len(cfg.reachable) < len(cfg.nodes)
     assert min(shapes.values()) >= 20, shapes
 
 
@@ -466,7 +466,7 @@ def test_only_walk_and_reachable_match_brute_force_on_random_graphs():
                 if frm == at and to not in reach:
                     reach.add(to)
                     work.append(to)
-        assert cfg.reachable_from_entry() == reach, seed
+        assert cfg.reachable == reach, seed
         out = {a: [g for frm, _, g in edges if frm == a] for a in reach}
         exits = out.pop(n + 1, None)
         straight = exits == [] and all(g == [None] for g in out.values())
