@@ -63,6 +63,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -616,6 +617,14 @@ def _csv_quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+# one templates.csv row, whole and by field: as write_dataset writes it,
+# event id, level, and the template in quotes with each '"' doubled, which
+# may span lines (a row edited to end in "\r\n" still reads); or else one
+# line, whose empty fields fail as an event id
+_TEMPLATE_ROW = re.compile(
+    r'(([^,\n]*),([^,\n]*),"([^"]*(?:""[^"]*)*)"(?:\r?\n|\Z)|[^\n]*\n|[^\n]+)')
+
+
 def write_dataset(ds: LogDataset, outdir, model: ProgramModel,
                   ann: AnnotationSet) -> None:
     """sequences.csv, templates.csv, and a manifest; byte-stable for equal
@@ -726,12 +735,18 @@ def read_dataset(outdir, model: ProgramModel) -> LogDataset:
 
     events: dict[int, LogEvent] = {}
     path = out / "templates.csv"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, row in enumerate(lines[1:], 2):
+    # no newline translation: a line break inside quotes is the template's
+    text = path.read_bytes().decode("utf-8")
+    header, newline, _ = text.partition("\n")
+    start = len(header) + len(newline)
+    rows = _TEMPLATE_ROW.findall(text, start)  # they cover the text after the header
+    for row in rows:
+        _, eid_s, level, quoted = row
         try:
-            eid_s, level, quoted = row.split(",", 2)
             eid = int(eid_s)
-        except ValueError:
+        except ValueError:  # an equal row before this one would have failed first
+            at = start + sum(len(r[0]) for r in rows[:rows.index(row)])
+            lineno = text.count("\n", 0, at) + 1
             raise LogsynthError(f"{path}:{lineno}: expected event_id,level,template") from None
-        events[eid] = LogEvent(eid, level, quoted[1:-1].replace('""', '"'))
+        events[eid] = LogEvent(eid, level, quoted.replace('""', '"'))
     return LogDataset(sequences=sequences, events=events, params=params)

@@ -18,11 +18,13 @@ A walk that leaves some loop without ever entering its body is flagged
 (`skips_loop`): it is a legal zero-iteration execution, kept for path
 choice, but the generator only offers it to normal-mode walks.
 
-A method with no choice on its walk (every node before exit has one
-unguarded out-edge) has exactly one walk, and so one path per choice of
-callees.  The walk is read off the graph in one scan, with no search and
-no loop derivation, and its statements are restored in one forward pass
-that keeps the last literal assigned to each variable.
+Logging statements are restored by the same search: one per method
+targets every statement that prints a variable, keeps the last literal
+assigned to each variable, and settles a statement once none of its
+variables can resolve.  A method with no choice on its walk (every node
+before exit has one unguarded out-edge) has exactly one walk, and so one
+path per choice of callees; the walk is read off the graph in one scan,
+with no search and no loop derivation.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .model import (
     Literal,
     Log,
     LogEvent,
-    LoggingStatement,
     MethodId,
     MethodNode,
     ProgramModel,
@@ -177,47 +178,58 @@ class PathStore:
 
 # ── Feasible walks over one execution graph ──────────────────────────
 
-def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
-    """Yield, at every arrival at `target`, the feasible edge-simple walk
-    from `start` as a tuple of nodes.  The search goes on past the target,
+def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId]):
+    """Yield, at every arrival at a node of `targets`, the feasible
+    edge-simple walk from entry as a list of nodes, and the last literal
+    assigned to each variable on it.  Both change as the search goes on
+    past the arrival, so a caller copies what it keeps.  The search runs
     on an explicit stack, so walk length is bounded by the graph and not
-    by the interpreter's recursion limit.  Successors are explored
-    true-guard-first (`out_edges` order).
+    by the recursion limit.  Successors are explored true-guard-first.
 
     Feasibility is decided during the search.  Each frame records what
-    taking its edge taught about guard variables (var -> polarity), and
-    popping the frame undoes it.  An edge is refused when its guard is
-    literal false or contradicts a known polarity.  After an edge is
-    taken, in this order: its guard's polarity becomes known; a back edge
-    into a loop head forgets the head's condition variable, which the
-    head evaluates afresh; and an assignment forgets its variable.  A
-    walk is infeasible as soon as one prefix is, so refusing the first
+    taking its edge taught about guard variables (var -> polarity) and the
+    constant its node assigned, and popping the frame undoes both.  An
+    edge is refused when its guard is literal false or contradicts a known
+    polarity.  After an edge is taken, in this order: its guard's polarity
+    becomes known; a back edge into a loop head forgets the head's
+    condition variable, which the head evaluates afresh; and an assignment
+    forgets its variable's polarity and sets its constant.  A walk is
+    infeasible as soon as one prefix is, so refusing the first
     contradicting edge yields exactly the feasible walks, in the order of
-    the unpruned search.  Edges into nodes that cannot reach `target` (one
-    backward sweep) are skipped too: their subtrees yield nothing.
+    the unpruned search.  Edges into nodes that reach no target (one
+    backward sweep) are skipped too: their subtrees yield nothing.  The
+    caller may remove settled nodes from `targets` between arrivals; the
+    search sweeps again at its next backtrack, and stops once no target
+    is left.
 
-    A graph with an only walk yields that walk's prefix up to `target`,
-    with no search: nothing when `target` is the start or off the walk."""
+    A graph with an only walk yields the arrivals along that walk, with no
+    search: the entry is never arrived at."""
+    nodes = cfg.nodes
+    consts: dict[str, str] = {}
     walk = cfg.only_walk
-    if walk is not None and start == cfg.entry:
-        try:
-            i = walk.index(target)
-        except ValueError:
-            return
-        if i:
-            yield walk[:i + 1]
+    if walk is not None:
+        path = [cfg.entry]
+        for to in walk[1:]:
+            path.append(to)
+            act = nodes[to]
+            if type(act) is AssignAct:
+                consts[act.var] = act.literal
+            if to in targets:
+                yield path, consts
+                if not targets:
+                    return
         return
     succ = cfg.out_edges
-    live = sweep(cfg.in_edges, [target])
+    open_targets = len(targets)
+    live = sweep(cfg.in_edges, targets)
     loops = cfg.loops
-    nodes = cfg.nodes
     # a literal guard tests the variable None, which is always true
     known: dict[str | None, bool] = {None: True}
-    path = [start]
+    path = [cfg.entry]
     used: set[tuple[int, int]] = set()  # (node, out-edge index)
     # per frame: its untried out-edges, the used edge that entered it, and
-    # the (var, previous polarity or None) pairs that undo its knowledge
-    stack = [(enumerate(succ.get(start, ())), None, [])]
+    # the (map, key, previous value or None) triples that undo its facts
+    stack = [(enumerate(succ.get(cfg.entry, ())), None, [])]
     while stack:
         node = path[-1]
         edges, into, undo = stack[-1]
@@ -226,98 +238,91 @@ def _iter_walks(cfg: ExecutionGraph, start: int, target: int):
                     (guard is None or known.get(guard.var, guard.value) == guard.value)):
                 break
         else:
+            if len(targets) != open_targets:  # some settled: prune to the rest
+                if not targets:
+                    return
+                open_targets = len(targets)
+                live = sweep(cfg.in_edges, targets)
             stack.pop()
             path.pop()
             used.discard(into)
-            for var, old in reversed(undo):
+            for held, key, old in reversed(undo):
                 if old is None:
-                    del known[var]
+                    del held[key]
                 else:
-                    known[var] = old
+                    held[key] = old
             continue
         key = (node, i)
         used.add(key)
         path.append(to)
         undo = []  # the new frame's
         if guard is not None and guard.var not in known:
-            undo.append((guard.var, None))
+            undo.append((known, guard.var, None))
             known[guard.var] = guard.value
         act = nodes[to]
         if to in loops and node in loops[to]:
             forget = act.cond.var
             if forget is not None and forget in known:
-                undo.append((forget, known.pop(forget)))
-        if isinstance(act, AssignAct) and act.var in known:
-            undo.append((act.var, known.pop(act.var)))
-        if to == target:
-            yield tuple(path)
+                undo.append((known, forget, known.pop(forget)))
+        if type(act) is AssignAct:
+            if act.var in known:
+                undo.append((known, act.var, known.pop(act.var)))
+            undo.append((consts, act.var, consts.get(act.var)))
+            consts[act.var] = act.literal
+        if to in targets:
+            yield path, consts
         stack.append((enumerate(succ.get(to, ())), key, undo))
 
 
 # ── Restoring logging statements ─────────────────────────────────────
 
-def _constants_at(cfg: ExecutionGraph, node: int, names: set[str],
-                  limits: PathLimits) -> dict[str, str]:
-    """The unique constant each of `names` holds at every feasible arrival
-    at `node`, from one search.  A name is absent when some feasible
-    arrival leaves it unassigned, when two arrivals disagree, when no
-    arrival is feasible, or when more feasible walks arrive than the
-    budget."""
-    values: dict[str, str | None] = dict.fromkeys(names)
-    arrivals = 0
-    for arrivals, visits in enumerate(_iter_walks(cfg, cfg.entry, node), start=1):
-        if arrivals > limits.max_paths_per_method:
-            return {}  # truncated: cannot prove uniqueness
-        last: dict[str, str] = {}
-        for n in visits[:-1]:
-            act = cfg.nodes[n]
-            if isinstance(act, AssignAct) and act.var in values:
-                last[act.var] = act.literal
-        for var, value in list(values.items()):
-            got = last.get(var)
-            if got is None or value not in (None, got):
-                del values[var]
-            else:
-                values[var] = got
-        if not values:
-            return {}
-    return values if arrivals else {}
+def restore_templates(cfg: ExecutionGraph, nodes: list[ActivityId],
+                      limits: PathLimits = PathLimits()) -> dict[ActivityId, str]:
+    """The message template of each LOG activity of `nodes`, in their
+    order, from one search for all of them.  Literals are kept, and each
+    variable becomes the constant it holds at every feasible arrival at
+    its statement, or the placeholder token when some feasible arrival
+    leaves it unassigned, two arrivals disagree, no arrival is feasible,
+    or more feasible walks arrive at the statement than the budget.  A
+    statement leaves the search once all its variables are placeholders."""
+    # each statement that prints variables -> their constants so far (None
+    # before its first arrival); the budget counts its arrivals
+    values: dict[ActivityId, dict[str, str | None]] = {}
+    for node in nodes:
+        names = [p.name for p in cfg.nodes[node].stmt.parts if isinstance(p, Var)]
+        if names:
+            values[node] = dict.fromkeys(names)
+    if values:
+        targets = set(values)
+        arrivals = dict.fromkeys(targets, 0)
+        budget = limits.max_paths_per_method
+        for path, consts in _iter_walks(cfg, targets):
+            node = path[-1]
+            held = values[node]
+            arrivals[node] += 1
+            if arrivals[node] > budget:  # truncated: cannot prove uniqueness
+                held.clear()
+            for var, value in list(held.items()):
+                got = consts.get(var)
+                if got is None or value not in (None, got):
+                    del held[var]
+                else:
+                    held[var] = got
+            if not held:
+                targets.discard(node)
+    return {node: "".join(
+        p.text if isinstance(p, Literal)
+        else PLACEHOLDER if (const := values[node].get(p.name)) is None else const
+        for p in cfg.nodes[node].stmt.parts) for node in nodes}
 
 
-def _template(stmt: LoggingStatement, consts: dict[str, str]) -> str:
-    """Literals kept, each variable its constant in `consts` or the
-    placeholder token."""
-    return "".join(p.text if isinstance(p, Literal) else consts.get(p.name, PLACEHOLDER)
-                   for p in stmt.parts)
-
-
-def restore_statement(method: MethodNode, node: ActivityId,
-                      event_id: int = 0,
+def restore_statement(method: MethodNode, node: ActivityId, event_id: int = 0,
                       limits: PathLimits = PathLimits()) -> LogEvent:
-    """Build the message template of the LOG activity `node`: literals
-    are kept, and each variable becomes its uniquely-dominating in-method
-    constant or the placeholder token."""
-    stmt = method.cfg.nodes[node].stmt
-    names = {p.name for p in stmt.parts if isinstance(p, Var)}
-    consts = _constants_at(method.cfg, node, names, limits) if names else {}
-    return LogEvent(event_id=event_id, level=stmt.level,
-                    template=_template(stmt, consts), origin=(method.id, node))
-
-
-def _restore_walk(cfg: ExecutionGraph,
-                  walk: tuple[ActivityId, ...]) -> dict[ActivityId, str]:
-    """Each LOG activity's template on a graph's only walk, in one forward
-    pass that keeps the last literal assigned to each variable: on the one
-    arrival at a statement, that literal is the variable's constant."""
-    last: dict[str, str] = {}
-    templates: dict[ActivityId, str] = {}
-    for node in walk:
-        act = cfg.nodes[node]
-        if isinstance(act, Log):
-            templates[node] = _template(act.stmt, last)
-        elif isinstance(act, AssignAct):
-            last[act.var] = act.literal
-    return templates
+    """The event of the LOG activity `node`, its template restored by
+    `restore_templates` alone."""
+    return LogEvent(event_id=event_id, level=method.cfg.nodes[node].stmt.level,
+                    template=restore_templates(method.cfg, [node], limits)[node],
+                    origin=(method.id, node))
 
 
 # ── Enumerating log-related execution paths ──────────────────────────
@@ -411,7 +416,7 @@ def enumerate_logeps(
     budget = limits.max_paths_per_method
     truncated = False
     loops = cfg.loops if cfg.only_walk is None else None
-    for walks, visits in enumerate(_iter_walks(cfg, cfg.entry, cfg.exit), start=1):
+    for walks, (visits, _) in enumerate(_iter_walks(cfg, {cfg.exit}), start=1):
         if walks > budget:  # more feasible walks than the cap: stop searching
             truncated = True
             break
@@ -460,28 +465,23 @@ def build_store(
     """Restore every reachable logging statement of the kept methods into
     an event table, and enumerate each kept method's paths, in one pass
     over the kept methods in id order.  Events are numbered from 0 in
-    (method, activity) order and paths from 0 in (method, path) order.  A
-    method with an only walk restores its statements in one forward pass
-    over that walk; any other searches once per variable-bearing
-    statement."""
+    (method, activity) order and paths from 0 in (method, path) order.
+    Each method's statements are restored in one search, and its paths
+    enumerated in one more."""
     events: dict[EventId, LogEvent] = {}
     by_method: dict[MethodId, list[LogPath]] = {}
     n_paths = 0
     for mid in sorted(cg_prime.kept):
         method = model.methods[mid]
         cfg = method.cfg
-        walk = cfg.only_walk
+        nodes = cfg.nodes
+        logs = sorted([aid for aid in (cfg.only_walk or cfg.reachable)
+                       if type(nodes[aid]) is Log])
         ids: dict[ActivityId, EventId] = {}  # LOG activity -> event id
-        if walk is None:
-            for aid in sorted(cfg.reachable):
-                if isinstance(cfg.nodes[aid], Log):
-                    eid = ids[aid] = len(events)
-                    events[eid] = restore_statement(method, aid, eid, limits)
-        else:
-            for aid, template in sorted(_restore_walk(cfg, walk).items()):
-                eid = ids[aid] = len(events)
-                events[eid] = LogEvent(event_id=eid, level=cfg.nodes[aid].stmt.level,
-                                       template=template, origin=(mid, aid))
+        for aid, template in restore_templates(cfg, logs, limits).items():
+            eid = ids[aid] = len(events)
+            events[eid] = LogEvent(event_id=eid, level=nodes[aid].stmt.level,
+                                   template=template, origin=(mid, aid))
         paths = by_method[mid] = enumerate_logeps(method, cg_prime, limits, ids, n_paths)
         n_paths += len(paths)
     return PathStore(by_method=by_method, events=events)

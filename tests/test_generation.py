@@ -24,6 +24,7 @@ from logsynth.generation import (
     write_dataset,
 )
 from logsynth.labeling import AnnotationSet, Status, propagate
+from logsynth.model import loads_model
 from logsynth.pathfinding import CallStep, LogStep
 from logsynth.pipeline import analyze_model
 
@@ -805,6 +806,38 @@ def test_written_dataset_reads_back_equal(
     assert again.params == ds.params
     assert again.sequences == ds.sequences
     assert again.events == ds.events
+
+
+def test_templates_with_line_separators_read_back_equal(tmp_path):
+    # str.splitlines() would split each of these templates; write_dataset
+    # quotes them whole, and read_dataset must read them whole
+    model = loads_model("\n".join([
+        "M 0 m", "A 0 0 ENTRY", "A 0 1 LOG info|L:left\u2028right",
+        "A 0 2 LOG warn|L:two\\nlines", 'A 0 3 LOG error|L:"q",\\r\x85\x1c\x1d\x1e\x0b\x0c,',
+        "A 0 4 EXIT", "E 0 0 1", "E 0 1 2", "E 0 2 3", "E 0 3 4",
+    ]) + "\n")
+    analysis = analyze_model(model)
+    ann = AnnotationSet(frozenset(), frozenset())
+    ds = generate_dataset(_params(size=3), model, propagate(analysis.store, ann),
+                          analysis.store, analysis.pruned, analysis.call_graph)
+    write_dataset(ds, tmp_path / "ds", model, ann)
+    templates = ["left\u2028right", "two\nlines", '"q",\r\x85\x1c\x1d\x1e\x0b\x0c,']
+    assert [ev.template for ev in ds.events.values()] == templates
+    assert (tmp_path / "ds" / "templates.csv").read_bytes() == (
+        'event_id,level,template\n0,info,"left\u2028right"\n1,warn,"two\nlines"\n'
+        '2,error,"""q"",\r\x85\x1c\x1d\x1e\x0b\x0c,"\n').encode()
+    again = read_dataset(tmp_path / "ds", model)
+    assert again.events == ds.events
+    assert again.sequences == ds.sequences
+    # rows re-saved with "\r\n" endings keep their templates
+    path = tmp_path / "ds" / "templates.csv"
+    path.write_bytes(path.read_bytes().replace(b'"\n', b'"\r\n'))
+    assert read_dataset(tmp_path / "ds", model).events == ds.events
+    # a bad row is named by its line, counting the lines inside templates
+    path.write_bytes(path.read_bytes() + b'3,info\n4,info,"x"\n')
+    with pytest.raises(LogsynthError, match=(
+            rf"^{re.escape(str(path))}:6: expected event_id,level,template$")):
+        read_dataset(tmp_path / "ds", model)
 
 
 def test_sequences_csv_matches_per_message_rendering(

@@ -121,11 +121,9 @@ def test_restore_past_the_walk_budget_is_a_placeholder():
     assert restore_statement(method, aid, limits=PathLimits(15)).template == "<*>"
 
 
-def test_restore_searches_once_per_statement(monkeypatch):
-    model = parse_program(
-        'void m(){ a = "1"; b = "2"; c = ""; log(info, a + "-" + b + c + a); }'
-    )
-    method, aid = _stmt(model, "m")
+def _count_searches(monkeypatch) -> list:
+    """A list that gets one entry for each `_iter_walks` search started
+    from now on."""
     searches = []
     real = pathfinding._iter_walks
 
@@ -134,6 +132,15 @@ def test_restore_searches_once_per_statement(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(pathfinding, "_iter_walks", counting)
+    return searches
+
+
+def test_restore_searches_once_per_statement(monkeypatch):
+    model = parse_program(
+        'void m(){ a = "1"; b = "2"; c = ""; log(info, a + "-" + b + c + a); }'
+    )
+    method, aid = _stmt(model, "m")
+    searches = _count_searches(monkeypatch)
     assert restore_statement(method, aid).template == "1-21"
     assert len(searches) == 1
 
@@ -152,25 +159,30 @@ def _oracle_template(cfg, aid, limits: PathLimits = PathLimits()):
 
 def test_restore_matches_walk_oracle():
     # every method starts with `a = ""; b = "B";`, so both resolve unless
-    # a branch reassigns them; `c` never resolves
+    # a branch reassigns them; `c` never resolves.  At caps 2 and 5 some
+    # statements pass the budget and settle while others keep the
+    # method's one search going; shapes are counted at the default cap.
     shapes = {"multi-variable": 0, "empty constant": 0, "resolved in a loop": 0,
               "with return": 0}
     for seed in range(60):
         source = structured_program(random.Random(seed), 6).replace(
             "() {\n", '() {\n    a = "";\n    b = "B";\n')
-        model, analysis = _analysis(source)
-        for event in analysis.store.events.values():
-            mid, aid = event.origin
-            cfg = model.methods[mid].cfg
-            expected, constants = _oracle_template(cfg, aid)
-            if expected is None:
-                continue
-            assert event.template == expected, (seed, mid, aid)
-            resolved = any(v is not None for v in constants.values())
-            shapes["multi-variable"] += len(constants) > 1
-            shapes["empty constant"] += "" in constants.values()
-            shapes["resolved in a loop"] += resolved and bool(loops_by_removal(cfg))
-            shapes["with return"] += resolved and "return;" in source
+        model = parse_program(source)
+        for limits in (PathLimits(2), PathLimits(5), PathLimits()):
+            analysis = analyze_model(model, limits=limits)
+            for event in analysis.store.events.values():
+                mid, aid = event.origin
+                cfg = model.methods[mid].cfg
+                expected, constants = _oracle_template(cfg, aid, limits)
+                if expected is None:
+                    continue
+                assert event.template == expected, (seed, limits, mid, aid)
+                if limits == PathLimits():
+                    resolved = any(v is not None for v in constants.values())
+                    shapes["multi-variable"] += len(constants) > 1
+                    shapes["empty constant"] += "" in constants.values()
+                    shapes["resolved in a loop"] += resolved and bool(loops_by_removal(cfg))
+                    shapes["with return"] += resolved and "return;" in source
     assert min(shapes.values()) >= 20, shapes
 
 
@@ -401,6 +413,12 @@ def test_enumeration_matches_ordered_dfs_oracle():
     assert min(shapes.values()) >= 25, shapes
 
 
+def _walks_to(cfg, target):
+    """The pruned search's walks to `target` alone, each copied when it
+    arrives."""
+    return [tuple(path) for path, _ in pathfinding._iter_walks(cfg, {target})]
+
+
 def test_pruned_walks_are_the_satisfiable_walks():
     # the pruned search, to the exit and to every statement, yields the
     # unpruned search's walks that the trace decision procedure accepts
@@ -413,8 +431,7 @@ def test_pruned_walks_are_the_satisfiable_walks():
             walks = dfs_all_walks(cfg, target)
             expected = [tuple(n for n, _ in visits) for visits in walks
                         if satisfiable(guard_trace(cfg, visits))]
-            assert list(pathfinding._iter_walks(cfg, cfg.entry, target)) == expected, \
-                (seed, target)
+            assert _walks_to(cfg, target) == expected, (seed, target)
             pruned += target == cfg.exit and len(expected) < len(walks)
     assert pruned >= 50, pruned
 
@@ -432,8 +449,7 @@ def _agrees_with_oracles(model, limits: PathLimits = PathLimits()):
         for target in cfg.nodes:
             expected = [tuple(n for n, _ in visits) for visits in dfs_all_walks(cfg, target)
                         if satisfiable(guard_trace(cfg, visits))]
-            assert list(pathfinding._iter_walks(cfg, cfg.entry, target)) == expected, \
-                (mid, target)
+            assert _walks_to(cfg, target) == expected, (mid, target)
         stmt_to_event = {ev.origin[1]: eid for eid, ev in analysis.store.events.items()
                          if ev.origin[0] == mid}
         expected = dfs_feasible_paths(cfg, kept, stmt_to_event)
@@ -501,7 +517,7 @@ def test_only_walk_ignores_unreachable_loop():
     assert loops_by_removal(cfg) == {}
     # the start and every node off the walk are never arrived at
     for target in [cfg.entry, *off_walk]:
-        assert list(pathfinding._iter_walks(cfg, cfg.entry, target)) == []
+        assert _walks_to(cfg, target) == []
     analysis = _agrees_with_oracles(model)
     assert [ev.template for ev in analysis.store.events.values()] == ["a"]
 
@@ -521,20 +537,51 @@ def test_unguarded_fork_goes_through_the_search():
     assert len(analysis.store.by_method[0]) == 2
 
 
+def test_dead_end_statements_match_oracles():
+    # LOG 2 and LOG 6 lie on a dead end (a node other than EXIT with no
+    # out-edges), LOG 4 on the way to EXIT, so the statements reach back
+    # through different nodes; LOG 2 settles at its first arrival
+    model = loads_model("\n".join([
+        "M 0 dead", "A 0 0 ENTRY", "A 0 1 ASSIGN x|a", "A 0 2 LOG info|L:stuck |V:y",
+        "A 0 3 ASSIGN x|b", "A 0 4 LOG info|L:out |V:x", "A 0 5 EXIT",
+        "A 0 6 LOG warn|L:then |V:x",
+        "E 0 0 1", "E 0 1 2", "E 0 1 3", "E 0 2 6", "E 0 3 4", "E 0 4 5",
+    ]) + "\n")
+    analysis = _agrees_with_oracles(model)
+    assert [(ev.origin[1], ev.template) for ev in analysis.store.events.values()] == \
+        [(2, "stuck <*>"), (4, "out b"), (6, "then a")]
+    assert [p.steps for p in analysis.store.by_method[0]] == [(LogStep(1),)]
+
+
 def test_long_straight_method_restores_in_one_pass(monkeypatch):
     n = 2000
     model = parse_program('void m(){ x = "k"; ' + " ".join(
         ['log(info, "s" + x);'] * n) + " }")
     pruned = prune(build_call_graph(model), mark_log_methods(model))
-
-    def searched(*args):
-        raise AssertionError("a straight method searched for constants")
-
-    monkeypatch.setattr(pathfinding, "_constants_at", searched)
+    searches = _count_searches(monkeypatch)
     store = build_store(model, pruned)
     assert [ev.template for ev in store.events.values()] == ["sk"] * n
     (path,) = store.by_method[0]
     assert [s.event for s in path.steps] == list(range(n))
+    # one pass over the only walk restores, one enumerates, and neither
+    # derives what only a search needs
+    assert len(searches) == 2
+    assert not {"in_edges", "loops"} & model.methods[0].cfg.__dict__.keys()
+
+
+def test_branching_method_restores_in_one_search(monkeypatch):
+    # per statement: x resolves, y is assigned on one arm only, z never;
+    # statements settle at different arrivals while the rest stay open
+    n = 200
+    model = parse_program('void m(){ x = "k"; if (c) { y = "v"; } ' + " ".join(
+        ['log(info, "s" + x); log(info, "t" + y); log(info, "u" + z);'] * n) + " }")
+    pruned = prune(build_call_graph(model), mark_log_methods(model))
+    searches = _count_searches(monkeypatch)
+    store = build_store(model, pruned)
+    assert [ev.template for ev in store.events.values()] == ["sk", "t<*>", "u<*>"] * n
+    (path,) = store.by_method[0]  # both walks project onto one path
+    assert [s.event for s in path.steps] == list(range(3 * n))
+    assert len(searches) == 2  # one restores every statement, one enumerates
 
 
 def test_identical_model_gives_identical_dump(datanode_path):
