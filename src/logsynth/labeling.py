@@ -4,10 +4,12 @@ The worksheet is plain text so annotators need no tooling:
 
     EVT <event-id> <level> <method> <template>
 
-An annotator appends ` ALERT` to the events that indicate a potential
-anomaly and adds `SEED <path-id>` lines for the paths that must produce
-one.  Import reads the marker after the event's template as the store
-holds it, so a template that itself ends in "ALERT" marks nothing.
+A row shows a template's line breaks as the escapes `\\n` and `\\r`, so
+it stays on one line.  An annotator appends ` ALERT` to the events that
+indicate a potential anomaly and adds `SEED <path-id>` lines for the
+paths that must produce one.  Import reads the marker after the event's
+template as the row shows it, so a template that itself ends in "ALERT"
+marks nothing.
 Comment lines starting with `#` carry context (source lines, candidate
 paths per event) and are ignored on import.
 
@@ -49,6 +51,11 @@ class InfectionMap:
     status: dict[int, Status]
 
 
+def _one_line(template: str) -> str:
+    """A template as its EVT row shows it, with its line breaks escaped."""
+    return template.replace("\n", "\\n").replace("\r", "\\r")
+
+
 def export_worksheet(store: PathStore, model: ProgramModel, path) -> None:
     """One EVT row per restored event, plus commented context: the source
     line when known, and each path containing the event."""
@@ -69,7 +76,7 @@ def export_worksheet(store: PathStore, model: ProgramModel, path) -> None:
             lines.append(f"# {method.name} line {stmt.line}")
         for p in paths_by_event.get(eid, []):
             lines.append(f"# candidate path {p.id} in {model.methods[p.method].name}")
-        lines.append(f"EVT {eid} {ev.level} {method.name} {ev.template}")
+        lines.append(f"EVT {eid} {ev.level} {method.name} {_one_line(ev.template)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -95,7 +102,7 @@ def import_annotations(path, store: PathStore) -> AnnotationSet:
                 if eid not in store.events:
                     raise AnnotationError(f"line {lineno}: unknown event id {eid}")
                 shown = toks[4].strip() if len(toks) == 5 else ""
-                template = store.events[eid].template.strip()
+                template = _one_line(store.events[eid].template).strip()
                 if shown != template:
                     head, _, mark = shown.rpartition(" ")
                     if mark != "ALERT" or head.rstrip() != template:

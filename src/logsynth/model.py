@@ -373,6 +373,8 @@ def validate_model(model: ProgramModel) -> None:
             raise ModelFormatError(f"method {mid} carries mismatched id {m.id}")
         if not m.name or m.name in names:
             raise ModelFormatError(f"method {mid}: missing or duplicate name {m.name!r}")
+        if "," in m.name:  # a dataset's entry column and entries= list split on ","
+            raise ModelFormatError(f"method {mid}: name {m.name!r} holds a comma")
         names.add(m.name)
         _validate_cfg(mid, m.cfg)
     for mid, comp in model.components.items():

@@ -18,13 +18,14 @@ A walk that leaves some loop without ever entering its body is flagged
 (`skips_loop`): it is a legal zero-iteration execution, kept for path
 choice, but the generator only offers it to normal-mode walks.
 
-Logging statements are restored by the same search: one per method
-targets every statement that prints a variable, keeps the last literal
-assigned to each variable, and settles a statement once none of its
-variables can resolve.  A method with no choice on its walk (every node
-before exit has one unguarded out-edge) has exactly one walk, and so one
-path per choice of callees; the walk is read off the graph in one scan,
-with no search and no loop derivation.
+One search per method restores its logging statements and enumerates
+its paths.  It targets exit and every statement that prints a variable,
+keeps the last literal assigned to each variable, settles a statement
+once none of its variables can resolve, and settles exit at the path
+cap.  A method with no choice on its walk (every node before exit has
+one unguarded out-edge) has exactly one walk, and so one path per choice
+of callees; the walk is read off the graph in one scan, with no search
+and no loop derivation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import bisect
 import enum
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import LogsynthError
@@ -274,57 +275,6 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId]):
         stack.append((enumerate(succ.get(to, ())), key, undo))
 
 
-# ── Restoring logging statements ─────────────────────────────────────
-
-def restore_templates(cfg: ExecutionGraph, nodes: list[ActivityId],
-                      limits: PathLimits = PathLimits()) -> dict[ActivityId, str]:
-    """The message template of each LOG activity of `nodes`, in their
-    order, from one search for all of them.  Literals are kept, and each
-    variable becomes the constant it holds at every feasible arrival at
-    its statement, or the placeholder token when some feasible arrival
-    leaves it unassigned, two arrivals disagree, no arrival is feasible,
-    or more feasible walks arrive at the statement than the budget.  A
-    statement leaves the search once all its variables are placeholders."""
-    # each statement that prints variables -> their constants so far (None
-    # before its first arrival); the budget counts its arrivals
-    values: dict[ActivityId, dict[str, str | None]] = {}
-    for node in nodes:
-        names = [p.name for p in cfg.nodes[node].stmt.parts if isinstance(p, Var)]
-        if names:
-            values[node] = dict.fromkeys(names)
-    if values:
-        targets = set(values)
-        arrivals = dict.fromkeys(targets, 0)
-        budget = limits.max_paths_per_method
-        for path, consts in _iter_walks(cfg, targets):
-            node = path[-1]
-            held = values[node]
-            arrivals[node] += 1
-            if arrivals[node] > budget:  # truncated: cannot prove uniqueness
-                held.clear()
-            for var, value in list(held.items()):
-                got = consts.get(var)
-                if got is None or value not in (None, got):
-                    del held[var]
-                else:
-                    held[var] = got
-            if not held:
-                targets.discard(node)
-    return {node: "".join(
-        p.text if isinstance(p, Literal)
-        else PLACEHOLDER if (const := values[node].get(p.name)) is None else const
-        for p in cfg.nodes[node].stmt.parts) for node in nodes}
-
-
-def restore_statement(method: MethodNode, node: ActivityId, event_id: int = 0,
-                      limits: PathLimits = PathLimits()) -> LogEvent:
-    """The event of the LOG activity `node`, its template restored by
-    `restore_templates` alone."""
-    return LogEvent(event_id=event_id, level=method.cfg.nodes[node].stmt.level,
-                    template=restore_templates(method.cfg, [node], limits)[node],
-                    origin=(method.id, node))
-
-
 # ── Enumerating log-related execution paths ──────────────────────────
 
 def _regions_and_skips(cfg: ExecutionGraph, visits):
@@ -363,31 +313,48 @@ def enumerate_logeps(
     method: MethodNode,
     cg_prime: PrunedCallGraph,
     limits: PathLimits = PathLimits(),
-    event_ids: dict[int, int] | None = None,
+    events: dict[EventId, LogEvent] | None = None,
     first_id: int = 0,
 ) -> list[LogPath]:
-    """The distinct projected paths of one kept method's feasible walks,
-    in deterministic order: each (steps, skips_loop) is represented by
-    the first walk that projects onto it.  The search stops, with a
-    truncation warning, at more feasible walks or more distinct paths
-    than `limits` allows; at most that many paths are kept, numbered from
-    `first_id`.  A graph with an only walk has no loops to derive, so its
-    paths carry no marks.  `event_ids` maps each LOG activity to its
-    event; by default the method's LOG activities are numbered 0, 1, ...
-    in activity order."""
+    """Restore one kept method's logging statements and enumerate its
+    paths, in one search.
+
+    Each reachable LOG activity is added to `events` (by default a new
+    table) under the next free id, in activity order.  Its template keeps
+    the literals, and each variable becomes the constant it holds at every
+    feasible arrival at the statement, or the placeholder token when some
+    feasible arrival leaves it unassigned, two arrivals disagree, no
+    arrival is feasible, or more feasible walks arrive than the budget.  A
+    statement leaves the search once all its variables are placeholders.
+
+    The paths are the distinct projections of the feasible walks, in
+    deterministic order: each (steps, skips_loop) is represented by the
+    first walk that projects onto it.  At more feasible walks or more
+    distinct paths than `limits` allows, exit leaves the search with a
+    truncation warning, and the search goes on for the open statements; at
+    most that many paths are kept, numbered from `first_id`.  A graph with
+    an only walk has no loops to derive, so its paths carry no marks."""
     cfg = method.cfg
-    if event_ids is None:
-        event_ids = {aid: i for i, aid in enumerate(
-            sorted(a for a, act in cfg.nodes.items() if isinstance(act, Log)))}
-    # node -> (step kind, its choices): an event id, or the kept callees;
-    # a statement without an event is unreachable, so on no walk
+    nodes = cfg.nodes
+    if events is None:
+        events = {}
+    first_event = len(events)
+    # one scan numbers the LOG activities, finds each statement that
+    # prints variables -> their constants so far (None before its first
+    # arrival), and each node's step kind and choices: its event id, or the
+    # kept callees
+    logs: list[ActivityId] = []
+    values: dict[ActivityId, dict[str, str | None]] = {}
     shown: dict[int, tuple[type, tuple[int, ...]]] = {}
-    for node, act in cfg.nodes.items():
-        if isinstance(act, Log):
-            eid = event_ids.get(node)
-            if eid is not None:
-                shown[node] = (LogStep, (eid,))
-        elif isinstance(act, Call):
+    for node in sorted(cfg.only_walk or cfg.reachable):
+        act = nodes[node]
+        if type(act) is Log:
+            shown[node] = (LogStep, (first_event + len(logs),))
+            logs.append(node)
+            names = [p.name for p in act.stmt.parts if isinstance(p, Var)]
+            if names:
+                values[node] = dict.fromkeys(names)
+        elif type(act) is Call:
             kept = tuple(c for c in act.callees if c in cg_prime.kept)
             if kept:
                 shown[node] = (CallStep, kept)
@@ -414,12 +381,32 @@ def enumerate_logeps(
     out: list[LogPath] = []
     seen: set[tuple[tuple[int, ...], bool]] = set()
     budget = limits.max_paths_per_method
-    truncated = False
+    exit_ = cfg.exit
+    targets = {*values, exit_}
+    # the budget counts each statement's arrivals, and exit's
+    arrivals = dict.fromkeys(values, 0)
+    walks = 0
     loops = cfg.loops if cfg.only_walk is None else None
-    for walks, (visits, _) in enumerate(_iter_walks(cfg, {cfg.exit}), start=1):
-        if walks > budget:  # more feasible walks than the cap: stop searching
-            truncated = True
-            break
+    for visits, consts in _iter_walks(cfg, targets):
+        node = visits[-1]
+        if node != exit_:
+            held = values[node]
+            arrivals[node] += 1
+            if arrivals[node] > budget:  # truncated: cannot prove uniqueness
+                held.clear()
+            for var, value in list(held.items()):
+                got = consts.get(var)
+                if got is None or value not in (None, got):
+                    del held[var]
+                else:
+                    held[var] = got
+            if not held:
+                targets.discard(node)
+            continue
+        walks += 1
+        if walks > budget:  # more feasible walks than the cap: stop at exit
+            targets.discard(exit_)
+            continue
         regions, skipped = _regions_and_skips(cfg, visits) if loops else ((), False)
         at = [i for i, node in enumerate(visits) if node in plain]
         # one variant per callee choice at each ambiguous call site
@@ -441,18 +428,34 @@ def enumerate_logeps(
                                steps=tuple(built[c] for c in codes),
                                skips_loop=skipped))
             if len(out) > budget:
-                truncated = True
+                targets.discard(exit_)
                 break
-        if truncated:
-            break
 
-    if truncated:
+    for eid, node in enumerate(logs, start=first_event):
+        stmt = nodes[node].stmt
+        held = values.get(node, {})
+        events[eid] = LogEvent(event_id=eid, level=stmt.level, template="".join(
+            p.text if isinstance(p, Literal)
+            else PLACEHOLDER if (const := held.get(p.name)) is None else const
+            for p in stmt.parts), origin=(method.id, node))
+    if exit_ not in targets:
         out = out[:budget]
         log.warning(
             "method %s: path enumeration truncated at %d paths",
             method.name, budget,
         )
     return out
+
+
+def restore_statement(method: MethodNode, node: ActivityId, event_id: int = 0,
+                      limits: PathLimits = PathLimits()) -> LogEvent:
+    """The event of the LOG activity `node`, which must be reachable, its
+    template restored by the search of `enumerate_logeps` with no callee
+    kept."""
+    events: dict[EventId, LogEvent] = {}
+    enumerate_logeps(method, PrunedCallGraph(frozenset(), frozenset(), {}), limits, events)
+    (event,) = [ev for ev in events.values() if ev.origin[1] == node]
+    return replace(event, event_id=event_id)
 
 
 # ── Assembling the store ─────────────────────────────────────────────
@@ -463,26 +466,15 @@ def build_store(
     limits: PathLimits = PathLimits(),
 ) -> PathStore:
     """Restore every reachable logging statement of the kept methods into
-    an event table, and enumerate each kept method's paths, in one pass
-    over the kept methods in id order.  Events are numbered from 0 in
-    (method, activity) order and paths from 0 in (method, path) order.
-    Each method's statements are restored in one search, and its paths
-    enumerated in one more."""
+    an event table, and enumerate each kept method's paths, in one search
+    per kept method, in id order.  Events are numbered from 0 in
+    (method, activity) order and paths from 0 in (method, path) order."""
     events: dict[EventId, LogEvent] = {}
     by_method: dict[MethodId, list[LogPath]] = {}
     n_paths = 0
     for mid in sorted(cg_prime.kept):
-        method = model.methods[mid]
-        cfg = method.cfg
-        nodes = cfg.nodes
-        logs = sorted([aid for aid in (cfg.only_walk or cfg.reachable)
-                       if type(nodes[aid]) is Log])
-        ids: dict[ActivityId, EventId] = {}  # LOG activity -> event id
-        for aid, template in restore_templates(cfg, logs, limits).items():
-            eid = ids[aid] = len(events)
-            events[eid] = LogEvent(event_id=eid, level=nodes[aid].stmt.level,
-                                   template=template, origin=(mid, aid))
-        paths = by_method[mid] = enumerate_logeps(method, cg_prime, limits, ids, n_paths)
+        paths = by_method[mid] = enumerate_logeps(
+            model.methods[mid], cg_prime, limits, events, n_paths)
         n_paths += len(paths)
     return PathStore(by_method=by_method, events=events)
 

@@ -14,6 +14,7 @@ from logsynth.labeling import (
     propagate,
     validate_annotations,
 )
+from logsynth.model import loads_model
 from logsynth.pathfinding import CallStep
 from logsynth.pipeline import analyze_model
 
@@ -140,6 +141,20 @@ def test_empty_template_survives_worksheet_round_trip(tmp_path):
             line += " ALERT"
         marked.append(line)
     ws.write_text("\n".join(marked) + "\n", encoding="utf-8")
+    assert import_annotations(ws, analysis.store).alerting == frozenset({0})
+
+
+def test_line_break_template_survives_worksheet_round_trip(tmp_path):
+    # a model file can hold line breaks in a literal; the worksheet row
+    # shows them escaped, so the row stays one line and imports as written
+    model = loads_model("M 0 m\nA 0 0 ENTRY\nA 0 1 LOG error|L:disk\\nfailed\\rretry\n"
+                        "A 0 2 EXIT\nE 0 0 1\nE 0 1 2\n")
+    analysis = analyze_model(model)
+    assert analysis.store.events[0].template == "disk\nfailed\rretry"
+    ws, lines = _worksheet_lines(tmp_path, analysis)
+    assert lines[-1] == "EVT 0 error m disk\\nfailed\\rretry"
+    assert import_annotations(ws, analysis.store).alerting == frozenset()
+    ws.write_text("\n".join(lines) + " ALERT\n", encoding="utf-8")
     assert import_annotations(ws, analysis.store).alerting == frozenset({0})
 
 

@@ -186,6 +186,8 @@ def _with_records(*records: str) -> str:
     (("A 0 2 BRANCH T:x", "E 0 2 1 T:x", "E 0 2 1 T:y"),
      "method 0: branch 2 out-guards are not complementary"),
     (("E 0 1 0",), "method 0: EXIT activity 1 has out-edges"),
+    (("M 1 a,b", "A 1 0 ENTRY", "A 1 1 EXIT", "E 1 0 1"),
+     "method 1: name 'a,b' holds a comma"),
 ])
 def test_malformed_records_are_model_format_errors(records, message):
     import re

@@ -563,9 +563,9 @@ def test_long_straight_method_restores_in_one_pass(monkeypatch):
     assert [ev.template for ev in store.events.values()] == ["sk"] * n
     (path,) = store.by_method[0]
     assert [s.event for s in path.steps] == list(range(n))
-    # one pass over the only walk restores, one enumerates, and neither
-    # derives what only a search needs
-    assert len(searches) == 2
+    # one pass over the only walk restores and enumerates, and derives
+    # nothing that only a search needs
+    assert len(searches) == 1
     assert not {"in_edges", "loops"} & model.methods[0].cfg.__dict__.keys()
 
 
@@ -581,7 +581,7 @@ def test_branching_method_restores_in_one_search(monkeypatch):
     assert [ev.template for ev in store.events.values()] == ["sk", "t<*>", "u<*>"] * n
     (path,) = store.by_method[0]  # both walks project onto one path
     assert [s.event for s in path.steps] == list(range(3 * n))
-    assert len(searches) == 2  # one restores every statement, one enumerates
+    assert len(searches) == 1  # it restores every statement and enumerates
 
 
 def test_identical_model_gives_identical_dump(datanode_path):
@@ -621,6 +621,18 @@ def test_path_cap_counts_feasible_walks(caplog):
         cut = enumerate_logeps(model.methods[0], pruned, PathLimits(4))
     # the second path's first walk is the 5th: past the cap, never seen
     assert [tuple(s.event for s in p.steps) for p in cut] == [(0, 1)]
+    assert any("truncated" in rec.message for rec in caplog.records)
+
+
+def test_statement_past_the_walk_cap_still_restores(caplog):
+    # the true arm's 32 walks pass the cap before any walk reaches the
+    # else arm: exit leaves the search, which goes on for the statement
+    model = parse_program('void m(){ if(c){ ' + "".join(
+        f"if(d{i}){{}} " for i in range(5)) + '} else { x = "k"; log(info, "s" + x); } }')
+    pruned = prune(build_call_graph(model), mark_log_methods(model))
+    with caplog.at_level("WARNING"):
+        store = build_store(model, pruned, PathLimits(4))
+    assert [ev.template for ev in store.events.values()] == ["sk"]
     assert any("truncated" in rec.message for rec in caplog.records)
 
 
