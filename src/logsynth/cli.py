@@ -158,16 +158,7 @@ def _cmd_worksheet(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    analysis = _analysis_from(args)
-    if args.annotations:
-        ann = import_annotations(args.annotations, analysis.store)
-    else:
-        ann = AnnotationSet(alerting=frozenset(), seed_anomaly=frozenset())
-        if args.anomaly_rate > 0:
-            raise ConfigError(
-                "anomaly rate > 0 requires --annotations with seed paths"
-            )
-    infection = propagate(analysis.store, ann)
+    # the parameters are checked before the model is loaded and analyzed
     seed = args.seed
     if seed is None:
         raw = os.environ.get("LOGSYNTH_SEED", "0")
@@ -185,6 +176,12 @@ def _cmd_generate(args) -> int:
         max_recursion_depth=args.max_recursion_depth,
         exact_rate=not args.inexact_rate,
     )
+    if args.anomaly_rate > 0 and not args.annotations:
+        raise ConfigError("anomaly rate > 0 requires --annotations with seed paths")
+    analysis = _analysis_from(args)
+    ann = (import_annotations(args.annotations, analysis.store) if args.annotations
+           else AnnotationSet(alerting=frozenset(), seed_anomaly=frozenset()))
+    infection = propagate(analysis.store, ann)
     ds = generate_dataset(params, analysis.model, infection, analysis.store,
                           analysis.pruned, analysis.call_graph)
     write_dataset(ds, args.out, analysis.model, ann)

@@ -525,6 +525,8 @@ def _resolve_entries(params: GenParams, model: ProgramModel,
                     "reaches a logging method)"
                 )
             out.append(m.id)
+    elif not cg_prime.kept:
+        raise ConfigError("no method logs or reaches a logging method")
     else:
         out = cg_prime.entry_candidates()
         if not out:

@@ -33,8 +33,10 @@ serializing the model again.
 
 A logging statement is named by its (method id, LOG activity id) and
 carries no id of its own.  Loop heads are not stored either: an
-execution graph is immutable once built, and derives its entry, exit,
-natural loops, reachable set and only walk (when it has no choice)
+execution graph is immutable once built.  It builds its entry, exit,
+out-edges, and its only walk (when it has no choice) or else its
+reachable set, in one pass when it is constructed, and derives its
+in-edges and natural loops, which only a branching graph's search needs,
 once, on first use.
 """
 
@@ -179,49 +181,78 @@ _KIND_NAMES = {
 
 @dataclass(frozen=True)
 class ExecutionGraph:
+    """A method's activities and guarded edges, immutable once built.
+
+    Construction builds, in one pass, the tables that validation and path
+    finding read: `entry`, `exit`, `out_edges` (each node's out-edges, true
+    guard first; nodes without one are absent) and `only_walk`, the single
+    entry-to-exit walk when every node on it before EXIT has exactly one
+    out-edge, unguarded, and EXIT has none (else None).  Such a graph has
+    no other edge-simple walk from entry, the walk is feasible, its nodes
+    are the `reachable` set, and it holds no loop head; any other graph's
+    reachable set is built too.  Construction never raises: a graph
+    without exactly one ENTRY or EXIT raises when `entry` or `exit` is
+    read, and reaches no node.  `in_edges` and `loops`, which only a
+    branching graph's search needs, are derived on first use and kept."""
+
     nodes: dict[ActivityId, Activity]
     edges: frozenset[tuple[ActivityId, ActivityId, Guard | None]]
 
+    def __post_init__(self):
+        nodes, entries, exits = self.nodes, [], []
+        for a, act in nodes.items():
+            if type(act) is Entry:
+                entries.append(a)
+            elif type(act) is Exit:
+                exits.append(a)
+        out: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]] = {}
+        for frm, to, g in self.edges:
+            out[frm] = out.get(frm, ()) + ((to, g),)
+        for frm, succ in out.items():
+            if len(succ) > 1:
+                out[frm] = tuple(sorted(succ, key=_edge_order))
+        ends = walk = reach = None
+        if len(entries) == len(exits) == 1:
+            (entry,), (exit_,) = entries, exits
+            ends, node, path = (entry, exit_), entry, [entry]
+            for _ in nodes:  # a longer walk cycles and never exits
+                succ = out.get(node, ())
+                if node == exit_ or len(succ) != 1 or succ[0][1] is not None:
+                    break
+                node = succ[0][0]
+                path.append(node)
+            if node == exit_ and exit_ not in out:
+                walk = tuple(path)
+            else:
+                reach = frozenset(sweep(out, [entry]))
+        self.__dict__.update(out_edges=out, only_walk=walk, _reach=reach, _ends=ends)
+
+    def _end(self, i: int) -> ActivityId:
+        if self._ends is None:  # ENTRY's count is checked first
+            for kind in (Entry, Exit):
+                found = sum(type(act) is kind for act in self.nodes.values())
+                if found != 1:
+                    raise ModelFormatError(f"execution graph must have exactly one "
+                                           f"{_KIND_NAMES[kind]} node, found {found}")
+        return self._ends[i]
+
+    @property
+    def reachable(self) -> frozenset[ActivityId]:
+        # a straight graph keeps no set of its walk's nodes: one per method adds up
+        return frozenset(self.only_walk or ()) if self._reach is None else self._reach
+
     @property
     def entry(self) -> ActivityId:
-        return self._ends[0]
+        return self._end(0)
 
     @property
     def exit(self) -> ActivityId:
-        return self._ends[1]
+        return self._end(1)
 
     @cached_property
     def loops(self) -> dict[ActivityId, set[ActivityId]]:
         """`natural_loops(self)`, derived on first use and kept."""
         return natural_loops(self)
-
-    @cached_property
-    def _ends(self) -> tuple[ActivityId, ActivityId]:
-        """The ENTRY and EXIT nodes, found in one scan on first use."""
-        found: dict[type, list[ActivityId]] = {Entry: [], Exit: []}
-        for a, act in self.nodes.items():
-            if type(act) in found:
-                found[type(act)].append(a)
-        for kind, ids in found.items():
-            if len(ids) != 1:
-                raise ModelFormatError(
-                    f"execution graph must have exactly one {_KIND_NAMES[kind]} node, found {len(ids)}"
-                )
-        return found[Entry][0], found[Exit][0]
-
-    @cached_property
-    def out_edges(self) -> dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]]:
-        """Each node's out-edges in a deterministic order (true guard
-        first), built in one pass on first use and kept; nodes without
-        out-edges are absent."""
-        out: dict[ActivityId, list[tuple[ActivityId, Guard | None]]] = {}
-        for frm, to, g in self.edges:
-            out.setdefault(frm, []).append((to, g))
-        for succ in out.values():
-            if len(succ) > 1:
-                succ.sort(key=lambda e: (0 if (e[1] is not None and e[1].value) else 1,
-                                         e[0], format_guard(e[1]) if e[1] else ""))
-        return {frm: tuple(succ) for frm, succ in out.items()}
 
     @cached_property
     def in_edges(self) -> dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]]:
@@ -232,31 +263,10 @@ class ExecutionGraph:
             into.setdefault(to, []).append((frm, g))
         return {to: tuple(pred) for to, pred in into.items()}
 
-    @cached_property
-    def only_walk(self) -> tuple[ActivityId, ...] | None:
-        """The single entry-to-exit walk, found in one forward scan on
-        first use and kept, or None.  It exists when every node on it
-        before EXIT has exactly one out-edge, unguarded, and EXIT has
-        none.  Such a graph has no other edge-simple walk from entry, the
-        walk is feasible, its nodes are the reachable set, and it holds no
-        loop head."""
-        succ = self.out_edges
-        node, exit_, most = self.entry, self.exit, len(self.nodes)
-        walk = [node]
-        while node != exit_:
-            out = succ.get(node, ())
-            if len(out) != 1 or out[0][1] is not None or len(walk) > most:
-                return None  # a choice, a dead end, or a cycle that never exits
-            node = out[0][0]
-            walk.append(node)
-        return tuple(walk) if node not in succ else None
 
-    @cached_property
-    def reachable(self) -> frozenset[ActivityId]:
-        """The nodes reachable from entry: the only walk's nodes when there
-        is one, else one forward sweep; derived on first use and kept."""
-        walk = self.only_walk
-        return frozenset(sweep(self.out_edges, [self.entry]) if walk is None else walk)
+def _edge_order(edge: tuple[ActivityId, Guard | None]):
+    to, g = edge
+    return (0 if (g is not None and g.value) else 1, to, format_guard(g) if g else "")
 
 
 def sweep(edges: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]],
@@ -368,6 +378,7 @@ def validate_model(model: ProgramModel) -> None:
     if mids != list(range(len(mids))):
         raise ModelFormatError(f"method ids must be dense 0..N-1, got {mids}")
     names: set[str] = set()
+    bad_call = None  # the first CALL fault's message, raised after the component checks
     for mid, m in model.methods.items():
         if m.id != mid:
             raise ModelFormatError(f"method {mid} carries mismatched id {m.id}")
@@ -376,25 +387,19 @@ def validate_model(model: ProgramModel) -> None:
         if "," in m.name:  # a dataset's entry column and entries= list split on ","
             raise ModelFormatError(f"method {mid}: name {m.name!r} holds a comma")
         names.add(m.name)
-        _validate_cfg(mid, m.cfg)
+        bad_call = _validate_cfg(mid, m.cfg, model.methods, bad_call)
     for mid, comp in model.components.items():
         if mid not in model.methods:
             raise ModelFormatError(f"component entry for missing method id {mid}")
         if not comp or any(c not in _COMPONENT_OK for c in comp):
             raise ModelFormatError(f"method {mid}: invalid component name {comp!r}")
-    for mid, m in model.methods.items():
-        for aid, act in m.cfg.nodes.items():
-            if isinstance(act, Call):
-                if act.external is not None and act.callees:
-                    raise ModelFormatError(
-                        f"method {mid} activity {aid}: CALL cannot be both external and internal"
-                    )
-                for callee in act.callees:
-                    if callee not in model.methods:
-                        raise ModelFormatError(f"call edge to missing method id {callee}")
+    if bad_call:
+        raise ModelFormatError(bad_call)
 
 
-def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
+def _validate_cfg(mid: MethodId, cfg: ExecutionGraph, methods, bad_call: str | None) -> str | None:
+    """Raise at the first fault of `cfg`'s structure; return `bad_call`, or
+    when it is None, the message of `cfg`'s first CALL fault, if any."""
     where = f"method {mid}"
     entry, exit_ = cfg.entry, cfg.exit
     for frm, to, guard in cfg.edges:
@@ -424,10 +429,17 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph) -> None:
         elif isinstance(act, Exit):
             if aid in succ:
                 raise ModelFormatError(f"{where}: EXIT activity {aid} has out-edges")
+        elif isinstance(act, Call) and bad_call is None:
+            if act.external is not None and act.callees:
+                bad_call = f"method {mid} activity {aid}: CALL cannot be both external and internal"
+            for callee in act.callees:
+                if callee not in methods and bad_call is None:
+                    bad_call = f"call edge to missing method id {callee}"
     if cfg.only_walk is None and exit_ not in cfg.reachable:  # an only walk ends at EXIT
         raise ModelFormatError(f"{where}: EXIT not reachable from ENTRY")
     if entry == exit_:  # pragma: no cover - impossible by construction
         raise ModelFormatError(f"{where}: ENTRY and EXIT coincide")
+    return bad_call
 
 
 # ── Serialization ────────────────────────────────────────────────────

@@ -23,9 +23,10 @@ its paths.  It targets exit and every statement that prints a variable,
 keeps the last literal assigned to each variable, settles a statement
 once none of its variables can resolve, and settles exit at the path
 cap.  A method with no choice on its walk (every node before exit has
-one unguarded out-edge) has exactly one walk, and so one path per choice
-of callees; the walk is read off the graph in one scan, with no search
-and no loop derivation.
+one unguarded out-edge) has exactly one walk, which its graph finds as
+it is built, and so one path per choice of callees; its templates and
+paths are read off that walk in one pass, with no search and no loop
+derivation.
 """
 
 from __future__ import annotations
@@ -201,25 +202,11 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId]):
     backward sweep) are skipped too: their subtrees yield nothing.  The
     caller may remove settled nodes from `targets` between arrivals; the
     search sweeps again at its next backtrack, and stops once no target
-    is left.
-
-    A graph with an only walk yields the arrivals along that walk, with no
-    search: the entry is never arrived at."""
+    is left.  A graph with an only walk is searched like any other;
+    `enumerate_logeps` reads its walk off `only_walk` and never calls
+    this."""
     nodes = cfg.nodes
     consts: dict[str, str] = {}
-    walk = cfg.only_walk
-    if walk is not None:
-        path = [cfg.entry]
-        for to in walk[1:]:
-            path.append(to)
-            act = nodes[to]
-            if type(act) is AssignAct:
-                consts[act.var] = act.literal
-            if to in targets:
-                yield path, consts
-                if not targets:
-                    return
-        return
     succ = cfg.out_edges
     open_targets = len(targets)
     live = sweep(cfg.in_edges, targets)
@@ -317,7 +304,7 @@ def enumerate_logeps(
     first_id: int = 0,
 ) -> list[LogPath]:
     """Restore one kept method's logging statements and enumerate its
-    paths, in one search.
+    paths, in one search or, given an only walk, in one pass over it.
 
     Each reachable LOG activity is added to `events` (by default a new
     table) under the next free id, in activity order.  Its template keeps
@@ -339,98 +326,119 @@ def enumerate_logeps(
     if events is None:
         events = {}
     first_event = len(events)
-    # one scan numbers the LOG activities, finds each statement that
-    # prints variables -> their constants so far (None before its first
-    # arrival), and each node's step kind and choices: its event id, or the
-    # kept callees
-    logs: list[ActivityId] = []
-    values: dict[ActivityId, dict[str, str | None]] = {}
-    shown: dict[int, tuple[type, tuple[int, ...]]] = {}
-    for node in sorted(cfg.only_walk or cfg.reachable):
-        act = nodes[node]
-        if type(act) is Log:
-            shown[node] = (LogStep, (first_event + len(logs),))
-            logs.append(node)
-            names = [p.name for p in act.stmt.parts if isinstance(p, Var)]
-            if names:
-                values[node] = dict.fromkeys(names)
-        elif type(act) is Call:
-            kept = tuple(c for c in act.callees if c in cg_prime.kept)
-            if kept:
-                shown[node] = (CallStep, kept)
-    # each distinct step is built once and named by its index in `built`;
-    # a node offers one step code per choice, under each loop mark
-    built: list[Step] = []
-    index: dict[Step, int] = {}
-    offers: dict[tuple[int, int], tuple[int, ...]] = {}  # (node, mark) -> codes
-
-    def offer(node: int, mark: int) -> tuple[int, ...]:
-        if (node, mark) not in offers:
-            kind, xs = shown[node]
-            codes = []
-            for x in xs:
-                step = kind(x, _MARKS[mark])
-                if step not in index:
-                    index[step] = len(built)
-                    built.append(step)
-                codes.append(index[step])
-            offers[node, mark] = tuple(codes)
-        return offers[node, mark]
-
-    plain = {node: offer(node, 0) for node in shown}
-    out: list[LogPath] = []
-    seen: set[tuple[tuple[int, ...], bool]] = set()
     budget = limits.max_paths_per_method
-    exit_ = cfg.exit
-    targets = {*values, exit_}
-    # the budget counts each statement's arrivals, and exit's
-    arrivals = dict.fromkeys(values, 0)
-    walks = 0
-    loops = cfg.loops if cfg.only_walk is None else None
-    for visits, consts in _iter_walks(cfg, targets):
-        node = visits[-1]
-        if node != exit_:
-            held = values[node]
-            arrivals[node] += 1
-            if arrivals[node] > budget:  # truncated: cannot prove uniqueness
-                held.clear()
-            for var, value in list(held.items()):
-                got = consts.get(var)
-                if got is None or value not in (None, got):
-                    del held[var]
-                else:
-                    held[var] = got
-            if not held:
-                targets.discard(node)
-            continue
-        walks += 1
-        if walks > budget:  # more feasible walks than the cap: stop at exit
-            targets.discard(exit_)
-            continue
-        regions, skipped = _regions_and_skips(cfg, visits) if loops else ((), False)
-        at = [i for i, node in enumerate(visits) if node in plain]
-        # one variant per callee choice at each ambiguous call site
-        options = [plain[visits[i]] for i in at]
-        # a region marks the first and last recorded step inside it
-        marks: dict[int, int] = {}
-        for start, end in regions:
-            first, last = bisect.bisect_left(at, start), bisect.bisect_right(at, end) - 1
-            if first <= last:
-                marks[first] = marks.get(first, 0) | 1
-                marks[last] = marks.get(last, 0) | 2
-        for j, mark in marks.items():
-            options[j] = offer(visits[at[j]], mark)
-        for codes in itertools.product(*options):
-            if (codes, skipped) in seen:
-                continue
-            seen.add((codes, skipped))
-            out.append(LogPath(id=first_id + len(out), method=method.id,
-                               steps=tuple(built[c] for c in codes),
-                               skips_loop=skipped))
-            if len(out) > budget:
-                targets.discard(exit_)
-                break
+    # LOG activity -> each variable it prints -> its constant so far (None
+    # before its first arrival); the search holds only those that print one
+    values: dict[ActivityId, dict[str, str | None]] = {}
+    if cfg.only_walk is not None:  # read the statements and paths off it
+        consts: dict[str, str] = {}
+        slots: list = []  # per recorded node: its LOG activity, or its kept callees' steps
+        for node in cfg.only_walk:
+            act = nodes[node]
+            if type(act) is AssignAct:
+                consts[act.var] = act.literal
+            elif type(act) is Log:
+                slots.append(node)
+                values[node] = {p.name: consts.get(p.name) for p in act.stmt.parts if type(p) is Var}
+            elif type(act) is Call and (
+                    kept := [CallStep(c) for c in act.callees if c in cg_prime.kept]):
+                slots.append(kept)
+        logs = sorted(values)  # events in activity order
+        step = {node: (LogStep(eid),) for eid, node in enumerate(logs, first_event)}
+        variants = itertools.product(*[step[x] if type(x) is int else x for x in slots])
+        out = [LogPath(first_id + i, method.id, path)
+               for i, path in enumerate(itertools.islice(variants, budget + 1))]
+        truncated = len(out) > budget
+    else:
+        # one scan numbers the LOG activities, finds each statement that
+        # prints variables, and each node's step kind and choices: its
+        # event id, or the kept callees
+        logs: list[ActivityId] = []
+        shown: dict[int, tuple[type, tuple[int, ...]]] = {}
+        for node in sorted(cfg.reachable):
+            act = nodes[node]
+            if type(act) is Log:
+                shown[node] = (LogStep, (first_event + len(logs),))
+                logs.append(node)
+                names = [p.name for p in act.stmt.parts if isinstance(p, Var)]
+                if names:
+                    values[node] = dict.fromkeys(names)
+            elif type(act) is Call:
+                kept = tuple(c for c in act.callees if c in cg_prime.kept)
+                if kept:
+                    shown[node] = (CallStep, kept)
+        # each distinct step is built once and named by its index in `built`;
+        # a node offers one step code per choice, under each loop mark
+        built: list[Step] = []
+        index: dict[Step, int] = {}
+        offers: dict[tuple[int, int], tuple[int, ...]] = {}  # (node, mark) -> codes
 
+        def offer(node: int, mark: int) -> tuple[int, ...]:
+            if (node, mark) not in offers:
+                kind, xs = shown[node]
+                codes = []
+                for x in xs:
+                    step = kind(x, _MARKS[mark])
+                    if step not in index:
+                        index[step] = len(built)
+                        built.append(step)
+                    codes.append(index[step])
+                offers[node, mark] = tuple(codes)
+            return offers[node, mark]
+
+        plain = {node: offer(node, 0) for node in shown}
+        out: list[LogPath] = []
+        seen: set[tuple[tuple[int, ...], bool]] = set()
+        exit_ = cfg.exit
+        targets = {*values, exit_}
+        # the budget counts each statement's arrivals, and exit's
+        arrivals = dict.fromkeys(values, 0)
+        walks = 0
+        loops = cfg.loops
+        for visits, consts in _iter_walks(cfg, targets):
+            node = visits[-1]
+            if node != exit_:
+                held = values[node]
+                arrivals[node] += 1
+                if arrivals[node] > budget:  # truncated: cannot prove uniqueness
+                    held.clear()
+                for var, value in list(held.items()):
+                    got = consts.get(var)
+                    if got is None or value not in (None, got):
+                        del held[var]
+                    else:
+                        held[var] = got
+                if not held:
+                    targets.discard(node)
+                continue
+            walks += 1
+            if walks > budget:  # more feasible walks than the cap: stop at exit
+                targets.discard(exit_)
+                continue
+            regions, skipped = _regions_and_skips(cfg, visits) if loops else ((), False)
+            at = [i for i, node in enumerate(visits) if node in plain]
+            # one variant per callee choice at each ambiguous call site
+            options = [plain[visits[i]] for i in at]
+            # a region marks the first and last recorded step inside it
+            marks: dict[int, int] = {}
+            for start, end in regions:
+                first, last = bisect.bisect_left(at, start), bisect.bisect_right(at, end) - 1
+                if first <= last:
+                    marks[first] = marks.get(first, 0) | 1
+                    marks[last] = marks.get(last, 0) | 2
+            for j, mark in marks.items():
+                options[j] = offer(visits[at[j]], mark)
+            for codes in itertools.product(*options):
+                if (codes, skipped) in seen:
+                    continue
+                seen.add((codes, skipped))
+                out.append(LogPath(id=first_id + len(out), method=method.id,
+                                   steps=tuple(built[c] for c in codes),
+                                   skips_loop=skipped))
+                if len(out) > budget:
+                    targets.discard(exit_)
+                    break
+        truncated = exit_ not in targets
     for eid, node in enumerate(logs, start=first_event):
         stmt = nodes[node].stmt
         held = values.get(node, {})
@@ -438,7 +446,7 @@ def enumerate_logeps(
             p.text if isinstance(p, Literal)
             else PLACEHOLDER if (const := held.get(p.name)) is None else const
             for p in stmt.parts), origin=(method.id, node))
-    if exit_ not in targets:
+    if truncated:
         out = out[:budget]
         log.warning(
             "method %s: path enumeration truncated at %d paths",

@@ -16,6 +16,7 @@ parsed AST back to MiniLang source for the parser's round-trip test.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 from logsynth.generation import Label
@@ -35,8 +36,10 @@ from logsynth.minilang import (
     StrLit,
     While,
 )
-from logsynth.model import AssignAct, Branch, Call, ExecutionGraph, Log, ModelFormatError, Var
-from logsynth.pathfinding import LogStep, Mark
+from logsynth.model import (
+    AssignAct, Branch, Call, ExecutionGraph, Log, LogEvent, ModelFormatError, Var,
+)
+from logsynth.pathfinding import PLACEHOLDER, CallStep, LogPath, LogStep, Mark, _iter_walks
 
 
 # ── Pruning oracle: per-node DFS reachability ────────────────────────
@@ -411,6 +414,44 @@ def oracle_path_set(cfg: ExecutionGraph, kept: set[int],
             continue
         out.update(project_walk(cfg, visits, kept, stmt_to_event))
     return out
+
+
+def logeps_by_search(method, kept, cap: int, first_event: int = 0, first_id: int = 0):
+    """The events, paths and truncation flag that `enumerate_logeps` gives
+    a method without loops, found by driving the general `_iter_walks`
+    search to every reachable statement and to exit.  Events are numbered
+    from `first_event` in activity order; a variable's constant is kept
+    when every arrival at the statement agrees on one.  Each walk to exit
+    gives one path per choice of callees in `kept` at each call site; the
+    first `cap` distinct paths are kept, numbered from `first_id`, and the
+    flag says whether there were more."""
+    cfg = method.cfg
+    logs = sorted(n for n in cfg.reachable if isinstance(cfg.nodes[n], Log))
+    event_of = {n: first_event + i for i, n in enumerate(logs)}
+    arrivals: dict[int, list[dict]] = {n: [] for n in logs}
+    found: dict[tuple, None] = {}
+    for visits, consts in _iter_walks(cfg, {*logs, cfg.exit}):
+        if visits[-1] != cfg.exit:
+            arrivals[visits[-1]].append(dict(consts))
+            continue
+        options = []
+        for n in visits:
+            act = cfg.nodes[n]
+            if isinstance(act, Log):
+                options.append([LogStep(event_of[n])])
+            elif isinstance(act, Call) and any(c in kept for c in act.callees):
+                options.append([CallStep(c) for c in act.callees if c in kept])
+        found.update(dict.fromkeys(itertools.product(*options)))
+    events = []
+    for n in logs:
+        stmt = cfg.nodes[n].stmt
+        text = []
+        for p in stmt.parts:
+            held = {c.get(p.name) for c in arrivals[n]} if isinstance(p, Var) else {p.text}
+            text.append(held.pop() if len(held) == 1 and None not in held else PLACEHOLDER)
+        events.append(LogEvent(event_of[n], stmt.level, "".join(text), origin=(method.id, n)))
+    paths = [LogPath(first_id + i, method.id, steps) for i, steps in enumerate(found)]
+    return events, paths[:cap], len(paths) > cap
 
 
 def production_paths(store, method_id: int) -> list[tuple]:

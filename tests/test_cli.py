@@ -208,6 +208,37 @@ def test_generate_without_annotations_rejects_positive_rate(tmp_path, capsys, ar
     assert "annotations" in err
 
 
+def test_generate_checks_its_parameters_before_analysis(tmp_path, capsys, monkeypatch,
+                                                        artifacts):
+    art, _ = artifacts
+
+    def no_analysis(args):
+        raise AssertionError("generate analyzed the model before checking its parameters")
+
+    monkeypatch.setattr(cli, "_analysis_from", no_analysis)
+    base = ("generate", "--model", str(art / "model.txt"), "--out", str(tmp_path / "ds"))
+    for extra, message in [
+        (("--size", "0"), "size must be >= 1"),
+        (("--size", "5", "--anomaly-rate", "1.5"), "anomaly rate must be within [0, 1]"),
+        (("--size", "5", "--anomaly-rate", "0.5"),
+         "anomaly rate > 0 requires --annotations with seed paths"),
+        (("--size", "5", "--max-loop-reps", "0"), "max loop repetitions must be >= 1"),
+    ]:
+        assert run(capsys, *base, *extra) == (1, "", f"error: {message}\n"), extra
+    monkeypatch.setenv("LOGSYNTH_SEED", "x")
+    assert run(capsys, *base, "--size", "5") == \
+        (1, "", "error: LOGSYNTH_SEED must be an integer, got 'x'\n")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_generate_says_when_no_method_is_kept(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text("M 0 a\nA 0 0 ENTRY\nA 0 1 EXIT\nE 0 0 1\n", encoding="utf-8")
+    assert run(capsys, "generate", "--model", str(model), "--size", "3",
+               "--out", str(tmp_path / "ds")) == \
+        (1, "", "error: no method logs or reaches a logging method\n")
+
+
 def test_generate_seed_determinism(tmp_path, capsys, artifacts):
     art, ann = artifacts
     outputs = []

@@ -14,6 +14,7 @@ from logsynth.model import (
     ExecutionGraph,
     Exit,
     Guard,
+    MethodNode,
     ModelFormatError,
     ProgramModel,
     _split_parts,
@@ -448,6 +449,7 @@ def test_only_walk_and_reachable_match_brute_force_on_random_graphs():
     # unguarded cycles, dead ends, forks, stray guarded edges and edges
     # out of EXIT all occur
     shapes = {"only walk": 0, "fork or guard": 0, "no way out": 0, "EXIT leads on": 0}
+    loaded = 0
     for seed in range(600):
         rng = random.Random(seed)
         n = rng.randint(1, 8)
@@ -481,7 +483,32 @@ def test_only_walk_and_reachable_match_brute_force_on_random_graphs():
         shapes["fork or guard"] += any(g != [None] for g in out.values() if g)
         shapes["no way out"] += n + 1 not in reach
         shapes["EXIT leads on"] += bool(exits) and all(g == [None] for g in out.values())
-    assert min(shapes.values()) >= 20, shapes
+        # the graph's twin read back from its text builds the same tables
+        try:
+            twin = loads_model(dumps_model(ProgramModel({0: MethodNode(0, "m", cfg)})))
+        except ModelFormatError:
+            continue
+        loaded += 1
+        twin = twin.methods[0].cfg
+        assert (twin.entry, twin.exit, twin.out_edges, twin.only_walk, twin.reachable) == \
+            (cfg.entry, cfg.exit, cfg.out_edges, walk, reach), seed
+    assert min(shapes.values()) >= 20 and loaded >= 100, (shapes, loaded)
+
+
+def test_graph_without_one_entry_builds_and_is_rejected_when_used():
+    cfg = ExecutionGraph({0: Entry(), 1: Entry(), 2: Exit()},
+                         frozenset({(0, 2, None), (1, 2, None)}))
+    assert cfg.out_edges == {0: ((2, None),), 1: ((2, None),)}
+    assert cfg.only_walk is None and cfg.reachable == frozenset()
+    message = "execution graph must have exactly one ENTRY node, found 2"
+    for end in ("entry", "exit"):  # ENTRY's count is checked first
+        with pytest.raises(ModelFormatError, match=message):
+            getattr(cfg, end)
+    with pytest.raises(ModelFormatError, match=message):
+        loads_model(dumps_model(ProgramModel({0: MethodNode(0, "m", cfg)})))
+    cfg = ExecutionGraph({0: Entry(), 1: AssignAct("c", "v")}, frozenset({(0, 1, None)}))
+    with pytest.raises(ModelFormatError, match="exactly one EXIT node, found 0"):
+        cfg.exit
 
 
 def test_natural_loops_skip_irreducible_cycles():

@@ -22,8 +22,11 @@ from logsynth.generation import GenParams, generate_dataset
 from logsynth.labeling import AnnotationSet, export_worksheet, propagate
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph, mark_log_methods
-from logsynth.pruning import prune
-from logsynth.model import AssignAct, Branch, Call, Literal, Log, dumps_model, loads_model
+from logsynth.pruning import PrunedCallGraph, prune
+from logsynth.model import (
+    AssignAct, Branch, Call, Entry, ExecutionGraph, Exit, Literal, Log, LogEvent,
+    LoggingStatement, MethodNode, Var, dumps_model, loads_model,
+)
 
 from .conftest import (
     EP_A_CALLB,
@@ -44,6 +47,7 @@ from .oracles import (
     dfs_all_walks,
     dfs_feasible_paths,
     guard_trace,
+    logeps_by_search,
     loops_by_removal,
     oracle_path_set,
     production_path_set,
@@ -142,6 +146,12 @@ def test_restore_searches_once_per_statement(monkeypatch):
     method, aid = _stmt(model, "m")
     searches = _count_searches(monkeypatch)
     assert restore_statement(method, aid).template == "1-21"
+    assert searches == []  # a straight method's only walk needs no search
+    model = parse_program(
+        'void m(){ a = "1"; if (c) { b = "2"; } log(info, a + "-" + b); }'
+    )
+    method, aid = _stmt(model, "m")
+    assert restore_statement(method, aid).template == "1-<*>"
     assert len(searches) == 1
 
 
@@ -505,6 +515,68 @@ def test_only_walk_with_ambiguous_calls_matches_oracles(cap, caplog):
         [CallStep, LogStep, CallStep, LogStep]
 
 
+def _random_straight_method(rng: random.Random) -> MethodNode:
+    """A straight method whose activity ids are shuffled against its walk:
+    assignments and reassignments of x and y, statements that print them
+    and the never-assigned z, and call sites of one to three of the
+    methods 1-4."""
+    n = rng.randint(0, 16)
+    walk = rng.sample(range(n + 2), n + 2)
+    nodes = {walk[0]: Entry(), walk[-1]: Exit()}
+    for aid in walk[1:-1]:
+        kind = rng.random()
+        if kind < 0.3:
+            nodes[aid] = AssignAct(rng.choice("xy"), rng.choice(("a", "b", "")))
+        elif kind < 0.7:
+            parts = [rng.choice((Literal("t "), Var("x"), Var("y"), Var("z")))
+                     for _ in range(rng.randint(1, 3))]
+            nodes[aid] = Log(LoggingStatement(rng.choice(("info", "warn")), tuple(parts)))
+        else:
+            nodes[aid] = Call(tuple(rng.sample(range(1, 5), rng.randint(1, 3))))
+    cfg = ExecutionGraph(nodes, frozenset((a, b, None) for a, b in zip(walk, walk[1:])))
+    assert cfg.only_walk == tuple(walk)
+    return MethodNode(0, "m", cfg)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 4096])
+def test_straight_read_off_matches_the_search(cap, caplog):
+    shapes = {"reassigned": 0, "never assigned": 0, "ambiguous": 0, "pruned callee": 0,
+              "truncated": 0, "out of walk order": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        method = _random_straight_method(rng)
+        kept = frozenset({0, *rng.sample(range(1, 5), rng.randint(0, 4))})
+        first_event, first_id = rng.randint(0, 3), rng.randint(0, 3)
+        events = {e: LogEvent(e, "info", "before") for e in range(first_event)}
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            paths = enumerate_logeps(method, PrunedCallGraph(kept, frozenset(), {}),
+                                     PathLimits(cap), events, first_id)
+        want_events, want_paths, truncated = logeps_by_search(
+            method, kept, cap, first_event, first_id)
+        got = [(e.event_id, e.level, e.template, e.origin) for e in events.values()]
+        assert got[first_event:] == [(e.event_id, e.level, e.template, e.origin)
+                                     for e in want_events], seed
+        assert list(events) == list(range(len(events))), seed
+        assert paths == want_paths, seed
+        assert any("truncated" in r.message for r in caplog.records) == truncated, seed
+        nodes, walk = method.cfg.nodes, method.cfg.only_walk
+        assigned = [nodes[a].var for a in walk if type(nodes[a]) is AssignAct]
+        shown = {p.name for a in walk if type(nodes[a]) is Log
+                 for p in nodes[a].stmt.parts if type(p) is Var}
+        calls = [nodes[a].callees for a in walk if type(nodes[a]) is Call]
+        logs = [a for a in walk if type(nodes[a]) is Log]
+        shapes["reassigned"] += len(assigned) > len(set(assigned))
+        shapes["never assigned"] += "z" in shown
+        shapes["ambiguous"] += any(len([c for c in cs if c in kept]) > 1 for cs in calls)
+        shapes["pruned callee"] += any(c not in kept for cs in calls for c in cs)
+        shapes["truncated"] += truncated
+        shapes["out of walk order"] += logs != sorted(logs)
+    truncations = shapes.pop("truncated")
+    assert min(shapes.values()) >= 20 and (truncations >= 20) == (cap < 4096), \
+        (shapes, truncations)
+
+
 def test_only_walk_ignores_unreachable_loop():
     model = parse_program(
         'void m(){ x = "a"; log(info, x); return; '
@@ -563,9 +635,9 @@ def test_long_straight_method_restores_in_one_pass(monkeypatch):
     assert [ev.template for ev in store.events.values()] == ["sk"] * n
     (path,) = store.by_method[0]
     assert [s.event for s in path.steps] == list(range(n))
-    # one pass over the only walk restores and enumerates, and derives
-    # nothing that only a search needs
-    assert len(searches) == 1
+    # one pass over the only walk restores and enumerates, with no search
+    # and nothing derived that only a search needs
+    assert searches == []
     assert not {"in_edges", "loops"} & model.methods[0].cfg.__dict__.keys()
 
 
@@ -725,18 +797,16 @@ def test_build_store_derives_loops_once_per_method(monkeypatch):
 
 def test_build_store_derives_adjacency_once_per_method(monkeypatch):
     built = []
-    for name in ("out_edges", "in_edges"):
-        real = model_mod.ExecutionGraph.__dict__[name].func
+    real = model_mod.ExecutionGraph.__dict__["in_edges"].func
 
-        def counting(graph, _real=real, _name=name):
-            built.append((_name, id(graph)))
-            return _real(graph)
+    def counting(graph):
+        built.append(id(graph))
+        return real(graph)
 
-        cached = cached_property(counting)
-        cached.__set_name__(model_mod.ExecutionGraph, name)
-        monkeypatch.setattr(model_mod.ExecutionGraph, name, cached)
-    # the model is validated, so each graph's out-edges exist before
-    # build_store; `q` logs nothing and is pruned
+    cached = cached_property(counting)
+    cached.__set_name__(model_mod.ExecutionGraph, "in_edges")
+    monkeypatch.setattr(model_mod.ExecutionGraph, "in_edges", cached)
+    # each graph's out-edges are built with it; `q` logs nothing and is pruned
     model = parse_program(
         'void m(){ x = "a"; while(c){ log(info, "in " + x); n(); } '
         'log(info, x + y); } '
@@ -745,13 +815,13 @@ def test_build_store_derives_adjacency_once_per_method(monkeypatch):
         'void s(){ x = "k"; log(info, "s " + x); n(); }'
     )
     pruned = prune(build_call_graph(model), mark_log_methods(model))
-    assert sorted(built) == sorted(("out_edges", id(m.cfg))
-                                   for m in model.methods.values())
-    del built[:]
+    out_edges = {mid: m.cfg.out_edges for mid, m in model.methods.items()}
+    assert built == []
     build_store(model, pruned)
+    assert all(m.cfg.out_edges is out_edges[mid] for mid, m in model.methods.items())
     branching = _branching(model, pruned)
     assert len(pruned.kept) == 3 and len(branching) == 2
-    assert sorted(built) == sorted(("in_edges", id(cfg)) for cfg in branching)
+    assert sorted(built) == sorted(map(id, branching))
 
 
 def test_long_straight_method_runs_in_process(tmp_path):
