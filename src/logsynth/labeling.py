@@ -88,6 +88,8 @@ def import_annotations(path, store: PathStore) -> AnnotationSet:
     known_paths = {p.id for p in store.all_paths()}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if raw[0] == "#":  # most rows of an exported worksheet
+                continue
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

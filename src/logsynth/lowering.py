@@ -4,7 +4,10 @@ Each method gets an execution graph with one ENTRY node (id 0), one node
 per statement in source order, and one EXIT node allocated last.  If and
 while statements lower to a single branch node; arms and loop bodies are
 wired by edges, so joins are edge merges rather than nodes.  `return`
-redirects control to the shared EXIT node and allocates nothing.
+redirects control to the shared EXIT node and allocates nothing.  A
+method lowers in one loop that keeps its open blocks on an explicit
+stack, so nesting depth is bounded by memory, not by Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from . import minilang as ml
 from .errors import LogsynthError
 from .model import (
+    Activity,
     AssignAct,
     Branch,
     Call,
@@ -39,78 +43,74 @@ def _guards(cond: ml.Condition) -> tuple[Guard, Guard]:
     return taken, taken.negation()
 
 
-class _CfgBuilder:
-    def __init__(self, name_to_id: dict[str, int]):
-        self.name_to_id = name_to_id
-        self.nodes = {0: Entry()}
-        self.edges: set[tuple[int, int, Guard | None]] = set()
-        self.next_id = 1
-        self.returns: list[tuple[int, Guard | None]] = []
-
-    def _add(self, activity) -> int:
-        aid = self.next_id
-        self.next_id += 1
-        self.nodes[aid] = activity
-        return aid
-
-    def _connect(self, dangling: list[tuple[int, Guard | None]], target: int) -> None:
-        for frm, guard in dangling:
-            self.edges.add((frm, target, guard))
-
-    def lower_block(
-        self,
-        stmts: tuple[ml.Statement, ...],
-        incoming: list[tuple[int, Guard | None]],
-        method: str,
-    ) -> list[tuple[int, Guard | None]]:
-        cur = incoming
+def _lower_body(body: tuple[ml.Statement, ...], method: str,
+                name_to_id: dict[str, int]) -> ExecutionGraph:
+    """One method's graph.  Statements get node ids in source order, an
+    if's then-arm before its else-arm, as a walk of the AST that visits
+    each statement before its blocks would number them.  The blocks
+    still open wait on a stack, each with what its statement does when
+    the block closes."""
+    nodes: dict[int, Activity] = {0: Entry()}
+    edges: set[tuple[int, int, Guard | None]] = set()
+    returns: list[tuple[int, Guard | None]] = []
+    # the open edges into the next statement
+    cur: list[tuple[int, Guard | None]] = [(0, None)]
+    stmts = iter(body)
+    # the blocks still open around `stmts`: (the rest of the outer block,
+    # the branch node, its not-taken guard, the statement, and for an if
+    # whose then-arm has ended that arm's open edges)
+    stack: list[tuple] = []
+    while True:
         for stmt in stmts:
             if isinstance(stmt, ml.Return):
-                self.returns.extend(cur)
+                returns += cur
                 cur = []
                 continue
+            nid = len(nodes)
             if isinstance(stmt, ml.LogCall):
                 parts = tuple(
                     Literal(p.text) if isinstance(p, ml.StrLit) else Var(p.name)
                     for p in stmt.parts
                 )
-                nid = self._add(Log(LoggingStatement(stmt.level, parts,
-                                                     line=stmt.line or None)))
+                nodes[nid] = Log(LoggingStatement(stmt.level, parts, line=stmt.line or None))
             elif isinstance(stmt, ml.Invoke):
-                callee = self.name_to_id.get(stmt.target)
+                callee = name_to_id.get(stmt.target)
                 if callee is None:
                     raise LoweringError(
                         f"method {method}: call to undeclared method '{stmt.target}'"
                     )
-                nid = self._add(Call(callees=(callee,)))
+                nodes[nid] = Call(callees=(callee,))
             elif isinstance(stmt, ml.Assign):
-                nid = self._add(AssignAct(stmt.var, stmt.value))
-            elif isinstance(stmt, ml.If):
+                nodes[nid] = AssignAct(stmt.var, stmt.value)
+            elif isinstance(stmt, (ml.If, ml.While)):
                 taken, other = _guards(stmt.cond)
-                nid = self._add(Branch(taken))
-                self._connect(cur, nid)
-                then_out = self.lower_block(stmt.then, [(nid, taken)], method)
-                else_out = self.lower_block(stmt.orelse or (), [(nid, other)], method)
-                cur = then_out + else_out
-                continue
-            elif isinstance(stmt, ml.While):
-                taken, other = _guards(stmt.cond)
-                nid = self._add(Branch(taken))
-                self._connect(cur, nid)
-                body_out = self.lower_block(stmt.body, [(nid, taken)], method)
-                self._connect(body_out, nid)  # back edges
-                cur = [(nid, other)]
-                continue
+                nodes[nid] = Branch(taken)
+                edges.update((frm, nid, guard) for frm, guard in cur)
+                stack.append((stmts, nid, other, stmt, None))
+                stmts = iter(stmt.then if isinstance(stmt, ml.If) else stmt.body)
+                cur = [(nid, taken)]
+                break
             else:  # pragma: no cover
                 raise TypeError(f"unknown statement {stmt!r}")
-            self._connect(cur, nid)
+            edges.update((frm, nid, guard) for frm, guard in cur)
             cur = [(nid, None)]
-        return cur
-
-    def finish(self, dangling: list[tuple[int, Guard | None]]) -> ExecutionGraph:
-        exit_id = self._add(Exit())
-        self._connect(dangling + self.returns, exit_id)
-        return ExecutionGraph(self.nodes, frozenset(self.edges))
+        else:  # the innermost open block has ended
+            if not stack:
+                break
+            stmts, nid, other, stmt, then_out = stack.pop()
+            if isinstance(stmt, ml.While):
+                edges.update((frm, nid, guard) for frm, guard in cur)  # back edges
+                cur = [(nid, other)]
+            elif then_out is None:  # lower the else-arm next
+                stack.append((stmts, nid, other, stmt, cur))
+                stmts = iter(stmt.orelse or ())
+                cur = [(nid, other)]
+            else:
+                cur = then_out + cur
+    exit_id = len(nodes)
+    nodes[exit_id] = Exit()
+    edges.update((frm, exit_id, guard) for frm, guard in cur + returns)
+    return ExecutionGraph(nodes, frozenset(edges))
 
 
 def lower_to_model(methods: list[ml.AstMethod]) -> ProgramModel:
@@ -123,9 +123,7 @@ def lower_to_model(methods: list[ml.AstMethod]) -> ProgramModel:
     nodes: dict[int, MethodNode] = {}
     components: dict[int, str] = {}
     for mid, ast in enumerate(methods):
-        builder = _CfgBuilder(name_to_id)
-        dangling = builder.lower_block(ast.body, [(0, None)], ast.name)
-        cfg = builder.finish(dangling)
+        cfg = _lower_body(ast.body, ast.name, name_to_id)
         nodes[mid] = MethodNode(id=mid, name=ast.name, cfg=cfg)
         if ast.component is not None:
             components[mid] = ast.component

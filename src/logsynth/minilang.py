@@ -21,6 +21,13 @@ with `\\"` and `\\\\` escapes.  IDENT is a word that is not a keyword:
 one character that `str.isalpha` accepts or `_`, then any characters
 that `str.isalnum` accepts or `_`, so `é` and `x²` are identifiers and
 `²x` is not.
+
+The lexer splits a unit's text with one compiled pattern and keeps its
+tokens in three flat lists: kinds, texts and offsets.  The parser walks
+those lists with an integer cursor and keeps the open blocks of a method
+on an explicit stack, so nesting depth is bounded by memory, not by
+Python's recursion limit.  Positions are computed from offsets only for
+an error or a logging statement's line.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import LogsynthError
 from .model import LEVELS
@@ -136,27 +144,16 @@ class AstMethod:
 
 # ── Lexer ────────────────────────────────────────────────────────────
 
-# A class, not a tuple: a 3-tuple has the size of the short identifier
-# strings the AST keeps, so freed token tuples would leave holes in their
-# allocator pools (1.4 MB more peak RSS on bench's deep-chains workload).
-@dataclass
-class Token:
-    kind: str  # IDENT, STRING, EOF, or the text of a keyword or punctuation
-    text: str
-    at: int    # offset into the source text
-
-
-# Whitespace and comments match no group.  A string's body takes any
-# character but `"`, `\` and a newline, or one of the escapes `\"` and
-# `\\`; without its closing quote, what follows the body names the error.
-_TOKEN = re.compile(r"""
-    [ \t\r\n]+ | //[^\n]*
-  | (?P<word>\w+)
-  | (?P<punct>[{}();=+!,])
-  | "(?P<open>(?:[^"\\\n]|\\["\\])*)(?P<string>")?
-  | (?P<bad>.)
-""", re.VERBOSE)
+# One group captures every token: a `//` comment, a word, a punctuation
+# character or a whole string literal, whose body takes any character
+# but `"`, `\` and a newline, or one of the escapes `\"` and `\\`.
+# `re.split` leaves what lies between two tokens at the even positions
+# of its result, and the text lexes when all of that is whitespace.
+_TOKEN = re.compile(r'(//[^\n]*|\w+|[{}();=+!,]|"[^"\\\n]*(?:\\["\\][^"\\\n]*)*")')
+_OPEN_STRING = re.compile(r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*')
 _ESCAPED = re.compile(r"\\(.)")
+_BLANK = " \t\r\n"
+_KINDS = {word: word for word in (*KEYWORDS, *"{}();=+!,")}
 
 
 def _position(text: str, at: int) -> tuple[int, int]:
@@ -165,207 +162,209 @@ def _position(text: str, at: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, at - line_start + 1
 
 
-def _tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastgroup
-        if group is None:
-            continue
-        at = m.start()
-        if group == "word":
-            word = m.group()
-            # \w also matches digits and other numerals, which cannot start a word
-            if not (word[0].isalpha() or word[0] == "_"):
-                raise ParseError(*_position(text, at), f"unexpected character {word[0]!r}")
-            toks.append(Token(word if word in KEYWORDS else "IDENT", word, at))
-        elif group == "punct":
-            toks.append(Token(m.group(), m.group(), at))
-        elif group == "string":
-            toks.append(Token("STRING", _ESCAPED.sub(r"\1", m.group("open")), at))
-        elif group == "open":
-            end = m.end()
-            if end + 1 < len(text) and text[end] == "\\":
-                raise ParseError(*_position(text, end),
-                                 f"invalid escape '\\{text[end + 1]}' in string")
-            raise ParseError(*_position(text, at), "unterminated string literal")
-        else:
-            raise ParseError(*_position(text, at), f"unexpected character {m.group()!r}")
-    toks.append(Token("EOF", "", len(text)))
-    return toks
+def _lex_error(text: str, at: int) -> ParseError:
+    """The error for the character at `at`, which starts no token: a
+    string without its closing quote, or a character no token takes."""
+    if text[at] == '"':
+        end = _OPEN_STRING.match(text, at).end()
+        if end + 1 < len(text) and text[end] == "\\":
+            return ParseError(*_position(text, end),
+                              f"invalid escape '\\{text[end + 1]}' in string")
+        return ParseError(*_position(text, at), "unterminated string literal")
+    return ParseError(*_position(text, at), f"unexpected character {text[at]!r}")
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kinds, texts and offsets of `text`'s tokens, ending with an
+    EOF token at len(text).  A kind is IDENT, STRING, EOF, or the text of
+    a keyword or punctuation; a string's text is its unescaped body."""
+    pieces = _TOKEN.split(text)
+    starts = list(accumulate(map(len, pieces), initial=0))
+    bad = len(text)  # the first character outside every token
+    if "".join(pieces[0::2]).strip(_BLANK):
+        for g in range(0, len(pieces), 2):
+            rest = pieces[g].lstrip(_BLANK)
+            if rest:
+                bad = starts[g + 1] - len(rest)
+                break
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    for piece, at in zip(pieces[1::2], starts[1::2]):
+        kind = _KINDS.get(piece)
+        if kind is None:
+            first = piece[0]
+            if first == '"':
+                kind = "STRING"
+                piece = piece[1:-1]
+                if "\\" in piece:
+                    piece = _ESCAPED.sub(r"\1", piece)
+            elif first == "/":
+                continue
+            elif first.isalpha() or first == "_":
+                kind = "IDENT"
+            else:  # \w also matches digits and other numerals
+                raise _lex_error(text, min(at, bad))
+        kinds.append(kind)
+        texts.append(piece)
+        offsets.append(at)
+    if bad < len(text):
+        raise _lex_error(text, bad)
+    kinds.append("EOF")
+    texts.append("")
+    offsets.append(len(text))
+    return kinds, texts, offsets
 
 
 # ── Parser ───────────────────────────────────────────────────────────
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-        # offsets of the newlines, for the line of each logging statement
-        self.newlines = [m.start() for m in re.finditer("\n", text)]
+# token runs the parser checks with one comparison each
+_PARAMS_AND_BODY = ["(", ")", "{"]
+_COND_END = [")", "{"]
+_CALL_END = [")", ";"]
 
-    def _cur(self) -> Token:
-        return self.toks[self.pos]
 
-    def _advance(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+def _parse(text: str) -> list[AstMethod]:
+    """The methods of one unit, parsed on a cursor over the token lists.
+    The open if, else and while blocks of a method wait on a stack, each
+    with the statement list it will join when it closes."""
+    kinds, texts, offsets = _tokenize(text)
+    # offsets of the newlines, for the line of each logging statement
+    newlines = [m.start() for m in re.finditer("\n", text)]
 
-    def _error(self, message: str, at: int | None = None) -> ParseError:
-        if at is None:
-            at = self._cur().at
-        return ParseError(*_position(self.text, at), message)
+    def fail(message: str, i: int) -> ParseError:
+        return ParseError(*_position(text, offsets[i]), message)
 
-    def _expect(self, kind: str) -> Token:
-        """Consume the keyword or punctuation `kind`."""
-        tok = self._cur()
-        if tok.kind != kind:
-            raise self._error(f"expected '{kind}', found {tok.text or 'end of file'!r}")
-        return self._advance()
+    def expected(what: str, i: int) -> ParseError:
+        return fail(f"expected {what}, found {texts[i] or 'end of file'!r}", i)
 
-    def _expect_ident(self, what: str = "identifier") -> Token:
-        tok = self._cur()
-        if tok.kind != "IDENT":
-            raise self._error(f"expected {what}, found {tok.text or 'end of file'!r}")
-        return self._advance()
+    def mismatch(i: int, run: list[str]) -> ParseError:
+        """The error for the first token from `i` on that breaks `run`."""
+        while kinds[i] == run[0]:
+            i += 1
+            run = run[1:]
+        return expected(f"'{run[0]}'", i)
 
-    def _at(self, kind: str) -> bool:
-        return self._cur().kind == kind
-
-    # unit := { annot? method }
-    def parse_unit(self) -> list[AstMethod]:
-        methods: list[AstMethod] = []
-        seen: dict[str, int] = {}
-        while self._cur().kind != "EOF":
-            component = None
-            if self._at("component"):
-                self._advance()
-                tok = self._cur()
-                if tok.kind != "STRING":
-                    raise self._error("expected component name string")
-                component = tok.text
-                self._advance()
-            name_tok = self._cur()
-            method = self._parse_method(component)
-            if method.name in seen:
-                raise self._error(f"duplicate method name '{method.name}'", name_tok.at)
-            seen[method.name] = 1
-            methods.append(method)
-        return methods
-
-    # method := "void" IDENT "(" ")" block
-    def _parse_method(self, component: str | None) -> AstMethod:
-        self._expect("void")
-        name = self._expect_ident("method name").text
-        self._expect("(")
-        self._expect(")")
-        body = self._parse_block()
-        return AstMethod(name, body, component)
-
-    def _parse_block(self) -> tuple[Statement, ...]:
-        self._expect("{")
-        stmts: list[Statement] = []
-        while not self._at("}"):
-            if self._cur().kind == "EOF":
-                raise self._error("expected '}', found end of file")
-            stmts.append(self._parse_statement())
-        self._advance()
-        return tuple(stmts)
-
-    def _parse_statement(self) -> Statement:
-        if self._at("log"):
-            return self._parse_log()
-        if self._at("if"):
-            return self._parse_if()
-        if self._at("while"):
-            return self._parse_while()
-        if self._at("return"):
-            self._advance()
-            self._expect(";")
-            return Return()
-        tok = self._cur()
-        if tok.kind != "IDENT":
-            raise self._error(f"expected statement, found {tok.text or 'end of file'!r}")
-        self._advance()
-        if self._at("("):
-            self._advance()
-            self._expect(")")
-            self._expect(";")
-            return Invoke(tok.text)
-        if self._at("="):
-            self._advance()
-            val = self._cur()
-            if val.kind != "STRING":
-                raise self._error("expected string literal on right-hand side")
-            self._advance()
-            self._expect(";")
-            return Assign(tok.text, val.text)
-        raise self._error("expected '(' or '=' after identifier")
-
-    # log := "log" "(" LEVEL "," part { "+" part } ")" ";"
-    def _parse_log(self) -> LogCall:
-        kw = self._expect("log")
-        self._expect("(")
-        level_tok = self._cur()
-        if level_tok.kind != "IDENT" or level_tok.text not in LEVELS:
-            raise self._error("expected log level (info, warn, or error)")
-        self._advance()
-        self._expect(",")
-        parts: list[StrLit | VarRef] = [self._parse_part()]
-        while self._at("+"):
-            self._advance()
-            parts.append(self._parse_part())
-        self._expect(")")
-        self._expect(";")
-        return LogCall(level_tok.text, tuple(parts),
-                       line=bisect_left(self.newlines, kw.at) + 1)
-
-    def _parse_part(self) -> StrLit | VarRef:
-        tok = self._cur()
-        if tok.kind == "STRING":
-            self._advance()
-            return StrLit(tok.text)
-        if tok.kind == "IDENT":
-            self._advance()
-            return VarRef(tok.text)
-        raise self._error("expected string literal or variable in log message")
-
-    def _parse_if(self) -> If:
-        self._expect("if")
-        self._expect("(")
-        cond = self._parse_cond()
-        self._expect(")")
-        then = self._parse_block()
-        orelse = None
-        if self._at("else"):
-            self._advance()
-            orelse = self._parse_block()
-        return If(cond, then, orelse)
-
-    def _parse_while(self) -> While:
-        self._expect("while")
-        self._expect("(")
-        cond = self._parse_cond()
-        self._expect(")")
-        body = self._parse_block()
-        return While(cond, body)
-
-    # cond := "true" | "false" | [ "!" ] IDENT
-    def _parse_cond(self) -> Condition:
-        if self._at("true"):
-            self._advance()
-            return COND_TRUE
-        if self._at("false"):
-            self._advance()
-            return COND_FALSE
-        negated = False
-        if self._at("!"):
-            self._advance()
-            negated = True
-        name = self._expect_ident("condition variable").text
-        return Condition(name, negated)
+    methods: list[AstMethod] = []
+    names: set[str] = set()
+    i = 0
+    while kinds[i] != "EOF":
+        component = None
+        if kinds[i] == "component":
+            if kinds[i + 1] != "STRING":
+                raise fail("expected component name string", i + 1)
+            component = texts[i + 1]
+            i += 2
+        start = i
+        if kinds[i] != "void":
+            raise expected("'void'", i)
+        if kinds[i + 1] != "IDENT":
+            raise expected("method name", i + 1)
+        name = texts[i + 1]
+        i += 2
+        if kinds[i:i + 3] != _PARAMS_AND_BODY:
+            raise mismatch(i, _PARAMS_AND_BODY)
+        i += 3
+        body: list[Statement] = []
+        stmts = body  # the innermost open block's statements
+        stack: list[tuple] = []  # (keyword, cond, outer stmts, then-block)
+        while True:
+            kind = kinds[i]
+            if kind == "IDENT":
+                follow = kinds[i + 1]
+                if follow == "(":
+                    if kinds[i + 2:i + 4] != _CALL_END:
+                        raise mismatch(i + 2, _CALL_END)
+                    stmts.append(Invoke(texts[i]))
+                elif follow == "=":
+                    if kinds[i + 2] != "STRING":
+                        raise fail("expected string literal on right-hand side", i + 2)
+                    if kinds[i + 3] != ";":
+                        raise expected("';'", i + 3)
+                    stmts.append(Assign(texts[i], texts[i + 2]))
+                else:
+                    raise fail("expected '(' or '=' after identifier", i + 1)
+                i += 4
+            elif kind == "log":
+                if kinds[i + 1] != "(":
+                    raise expected("'('", i + 1)
+                level = texts[i + 2]
+                if kinds[i + 2] != "IDENT" or level not in LEVELS:
+                    raise fail("expected log level (info, warn, or error)", i + 2)
+                if kinds[i + 3] != ",":
+                    raise expected("','", i + 3)
+                line = bisect_left(newlines, offsets[i]) + 1
+                i += 4
+                parts: list[StrLit | VarRef] = []
+                while True:
+                    part = kinds[i]
+                    if part == "STRING":
+                        parts.append(StrLit(texts[i]))
+                    elif part == "IDENT":
+                        parts.append(VarRef(texts[i]))
+                    else:
+                        raise fail("expected string literal or variable in log message", i)
+                    if kinds[i + 1] != "+":
+                        break
+                    i += 2
+                if kinds[i + 1:i + 3] != _CALL_END:
+                    raise mismatch(i + 1, _CALL_END)
+                i += 3
+                stmts.append(LogCall(level, tuple(parts), line=line))
+            elif kind == "}":
+                i += 1
+                if not stack:
+                    break
+                keyword, cond, outer, then = stack.pop()
+                block = tuple(stmts)
+                stmts = outer
+                if keyword == "while":
+                    outer.append(While(cond, block))
+                elif keyword == "else":
+                    outer.append(If(cond, then, block))
+                elif kinds[i] == "else":
+                    if kinds[i + 1] != "{":
+                        raise expected("'{'", i + 1)
+                    i += 2
+                    stack.append(("else", cond, outer, block))
+                    stmts = []
+                else:
+                    outer.append(If(cond, block))
+            elif kind == "if" or kind == "while":
+                # cond := "true" | "false" | [ "!" ] IDENT
+                if kinds[i + 1] != "(":
+                    raise expected("'('", i + 1)
+                i += 2
+                if kinds[i] == "true":
+                    cond = COND_TRUE
+                elif kinds[i] == "false":
+                    cond = COND_FALSE
+                else:
+                    negated = kinds[i] == "!"
+                    if negated:
+                        i += 1
+                    if kinds[i] != "IDENT":
+                        raise expected("condition variable", i)
+                    cond = Condition(texts[i], negated)
+                if kinds[i + 1:i + 3] != _COND_END:
+                    raise mismatch(i + 1, _COND_END)
+                i += 3
+                stack.append((kind, cond, stmts, None))
+                stmts = []
+            elif kind == "return":
+                if kinds[i + 1] != ";":
+                    raise expected("';'", i + 1)
+                i += 2
+                stmts.append(Return())
+            elif kind == "EOF":
+                raise fail("expected '}', found end of file", i)
+            else:
+                raise expected("statement", i)
+        if name in names:
+            raise fail(f"duplicate method name '{name}'", start)
+        names.add(name)
+        methods.append(AstMethod(name, tuple(body), component))
+    return methods
 
 
 def parse_unit(source: SourceUnit) -> list[AstMethod]:
@@ -374,7 +373,7 @@ def parse_unit(source: SourceUnit) -> list[AstMethod]:
     Raises ParseError at the first syntax error; duplicate method names
     are also a ParseError.
     """
-    return _Parser(source.text).parse_unit()
+    return _parse(source.text)
 
 
 def parse_units(sources: list[SourceUnit]) -> list[AstMethod]:

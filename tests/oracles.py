@@ -10,8 +10,10 @@ enumeration instead of random walking, repeated full sweeps instead
 of the worklist fixpoint, logging coverage counted one message at a
 time instead of one sequence at a time, and MiniLang tokens and
 model-file payload fields scanned one character at a time instead of
-by compiled patterns.  It also holds the pretty printer that renders a
-parsed AST back to MiniLang source for the parser's round-trip test.
+by compiled patterns, and MiniLang units parsed by recursive descent
+instead of on an explicit stack.  It also holds the pretty printer that
+renders a parsed AST back to MiniLang source for the parser's round-trip
+test.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from logsynth.minilang import (
     Return,
     Statement,
     StrLit,
+    VarRef,
     While,
 )
 from logsynth.model import (
-    AssignAct, Branch, Call, ExecutionGraph, Log, LogEvent, ModelFormatError, Var,
+    LEVELS, AssignAct, Branch, Call, ExecutionGraph, Log, LogEvent, ModelFormatError, Var,
 )
 from logsynth.pathfinding import PLACEHOLDER, CallStep, LogPath, LogStep, Mark, _iter_walks
 
@@ -687,6 +690,177 @@ def tokenize_by_character(text: str) -> list[tuple[str, str, int, int]]:
         raise ParseError(line, col, f"unexpected character {c!r}")
     toks.append(("EOF", "", line, col))
     return toks
+
+
+# ── Parser oracle: recursive descent ─────────────────────────────────
+
+def parse_by_descent(text: str) -> list[AstMethod]:
+    """A unit's methods parsed by recursive descent, one method per
+    grammar rule, over the tokens of `tokenize_by_character`.  Raises
+    ParseError as the parser must; it recurses three frames per nested
+    block, so keep its inputs shallow."""
+    return _Descent(text).parse_unit()
+
+
+class _Descent:
+    def __init__(self, text: str):
+        self.toks = tokenize_by_character(text)
+        self.pos = 0
+
+    def _cur(self) -> tuple[str, str, int, int]:
+        return self.toks[self.pos]
+
+    def _advance(self) -> tuple[str, str, int, int]:
+        tok = self.toks[self.pos]
+        if tok[0] != "EOF":
+            self.pos += 1
+        return tok
+
+    def _error(self, message: str, tok=None) -> ParseError:
+        _, _, line, col = tok or self._cur()
+        return ParseError(line, col, message)
+
+    def _expect(self, kind: str) -> tuple[str, str, int, int]:
+        """Consume the keyword or punctuation `kind`."""
+        tok = self._cur()
+        if tok[0] != kind:
+            raise self._error(f"expected '{kind}', found {tok[1] or 'end of file'!r}")
+        return self._advance()
+
+    def _expect_ident(self, what: str = "identifier") -> tuple[str, str, int, int]:
+        tok = self._cur()
+        if tok[0] != "IDENT":
+            raise self._error(f"expected {what}, found {tok[1] or 'end of file'!r}")
+        return self._advance()
+
+    def _at(self, kind: str) -> bool:
+        return self._cur()[0] == kind
+
+    # unit := { annot? method }
+    def parse_unit(self) -> list[AstMethod]:
+        methods: list[AstMethod] = []
+        seen: set[str] = set()
+        while not self._at("EOF"):
+            component = None
+            if self._at("component"):
+                self._advance()
+                if not self._at("STRING"):
+                    raise self._error("expected component name string")
+                component = self._advance()[1]
+            name_tok = self._cur()
+            method = self._parse_method(component)
+            if method.name in seen:
+                raise self._error(f"duplicate method name '{method.name}'", name_tok)
+            seen.add(method.name)
+            methods.append(method)
+        return methods
+
+    # method := "void" IDENT "(" ")" block
+    def _parse_method(self, component: str | None) -> AstMethod:
+        self._expect("void")
+        name = self._expect_ident("method name")[1]
+        self._expect("(")
+        self._expect(")")
+        return AstMethod(name, self._parse_block(), component)
+
+    def _parse_block(self) -> tuple[Statement, ...]:
+        self._expect("{")
+        stmts: list[Statement] = []
+        while not self._at("}"):
+            if self._at("EOF"):
+                raise self._error("expected '}', found end of file")
+            stmts.append(self._parse_statement())
+        self._advance()
+        return tuple(stmts)
+
+    def _parse_statement(self) -> Statement:
+        if self._at("log"):
+            return self._parse_log()
+        if self._at("if"):
+            return self._parse_if()
+        if self._at("while"):
+            return self._parse_while()
+        if self._at("return"):
+            self._advance()
+            self._expect(";")
+            return Return()
+        tok = self._cur()
+        if tok[0] != "IDENT":
+            raise self._error(f"expected statement, found {tok[1] or 'end of file'!r}")
+        self._advance()
+        if self._at("("):
+            self._advance()
+            self._expect(")")
+            self._expect(";")
+            return Invoke(tok[1])
+        if self._at("="):
+            self._advance()
+            if not self._at("STRING"):
+                raise self._error("expected string literal on right-hand side")
+            value = self._advance()[1]
+            self._expect(";")
+            return Assign(tok[1], value)
+        raise self._error("expected '(' or '=' after identifier")
+
+    # log := "log" "(" LEVEL "," part { "+" part } ")" ";"
+    def _parse_log(self) -> LogCall:
+        kw = self._expect("log")
+        self._expect("(")
+        kind, level, _, _ = self._cur()
+        if kind != "IDENT" or level not in LEVELS:
+            raise self._error("expected log level (info, warn, or error)")
+        self._advance()
+        self._expect(",")
+        parts: list[StrLit | VarRef] = [self._parse_part()]
+        while self._at("+"):
+            self._advance()
+            parts.append(self._parse_part())
+        self._expect(")")
+        self._expect(";")
+        return LogCall(level, tuple(parts), line=kw[2])
+
+    def _parse_part(self) -> StrLit | VarRef:
+        kind, text, _, _ = self._cur()
+        if kind == "STRING":
+            self._advance()
+            return StrLit(text)
+        if kind == "IDENT":
+            self._advance()
+            return VarRef(text)
+        raise self._error("expected string literal or variable in log message")
+
+    def _parse_if(self) -> If:
+        self._expect("if")
+        self._expect("(")
+        cond = self._parse_cond()
+        self._expect(")")
+        then = self._parse_block()
+        orelse = None
+        if self._at("else"):
+            self._advance()
+            orelse = self._parse_block()
+        return If(cond, then, orelse)
+
+    def _parse_while(self) -> While:
+        self._expect("while")
+        self._expect("(")
+        cond = self._parse_cond()
+        self._expect(")")
+        return While(cond, self._parse_block())
+
+    # cond := "true" | "false" | [ "!" ] IDENT
+    def _parse_cond(self) -> Condition:
+        if self._at("true"):
+            self._advance()
+            return Condition(None, False)
+        if self._at("false"):
+            self._advance()
+            return Condition(None, True)
+        negated = False
+        if self._at("!"):
+            self._advance()
+            negated = True
+        return Condition(self._expect_ident("condition variable")[1], negated)
 
 
 # ── Model payload oracles: one character at a time ───────────────────

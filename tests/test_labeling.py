@@ -99,6 +99,18 @@ def test_empty_annotation_file_is_all_normal(tmp_path, datanode_analysis):
     assert ann == AnnotationSet(frozenset(), frozenset())
 
 
+def test_indented_and_crlf_comments_are_skipped(tmp_path, datanode_analysis):
+    path, lines = _worksheet_lines(tmp_path, datanode_analysis)
+    rows = [line + " ALERT" if line.startswith("EVT 2 ") else line
+            for line in lines if line.startswith("EVT ")]
+    text = "\r\n".join(["# a CRLF comment", "  # an indented comment",
+                         "\t# a tabbed comment", "   ", *rows, f"SEED {EP_D}",
+                         " # SEED 99"]) + "\r\n"
+    path.write_bytes(text.encode("utf-8"))
+    ann = import_annotations(path, datanode_analysis.store)
+    assert ann == AnnotationSet(frozenset({EV_DELETE_FAILED}), frozenset({EP_D}))
+
+
 def test_seed_without_alerting_event_is_rejected(tmp_path, datanode_analysis):
     path = tmp_path / "bad.txt"
     path.write_text(f"SEED {EP_B}\n", encoding="utf-8")

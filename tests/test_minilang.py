@@ -31,7 +31,7 @@ from logsynth.model import Branch, Call, Entry, Exit, Guard, Log
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph
 
-from .oracles import pretty_print, tokenize_by_character
+from .oracles import parse_by_descent, pretty_print, tokenize_by_character
 
 
 def parse(text: str):
@@ -133,7 +133,7 @@ def _lexed(lex, text):
 
 
 def _tokens_with_positions(text):
-    return [(tok.kind, tok.text, *_position(text, tok.at)) for tok in _tokenize(text)]
+    return [(kind, tok, *_position(text, at)) for kind, tok, at in zip(*_tokenize(text))]
 
 
 @pytest.mark.parametrize("pieces", [_NOISY_PIECES, _CLEAN_PIECES], ids=["noisy", "clean"])
@@ -147,15 +147,84 @@ def test_tokenize_matches_character_loop_reference(pieces):
             _lexed(tokenize_by_character, text), text
 
 
+# Statement-level pieces for the parser differential: method headers,
+# block openers and closers, whole statements, and, in the noisy set,
+# broken pieces with a token missing, wrong or extra, so that every
+# parser and lexer error fires somewhere inside otherwise valid units.
+_HEADERS = ("void m() {", "void n(){\n", 'component "core" void k() {', "void p()\n{")
+_OPENERS = ("if (c) {", "if (!c) {", "if (true) {", "while (false) {", "while (d) {")
+_STATEMENTS = ('log(info, "a");', 'log(warn, "b \\" c" + x);', 'log(error, x + y + "z");',
+               'log\n(info, "n");', "m();", 'x = "v";', "return;", "\n", " ", "// note\n")
+_BROKEN = ('log(debug, "x");', 'log("info", x);', "log(info);", "log(info, );",
+           'log(info, "a" +);', 'log(info, "a")', "log", "x = y;", "x;", '"s";', '""',
+           "if c {", "if () {", "if (!) {", "else {", "while (c)", "m()", "m(;",
+           "return", "void () {", "void m {", "void m(", "component m", "component",
+           "{", "(", ")", ";", "}", "} else {", "} else", "9", "$", '"', '"\\q"')
+
+
+def _unit_text(rng, noisy):
+    """A unit of up to 24 pieces whose blocks all close at its end; in a
+    noisy unit, one piece in twenty is broken."""
+    out, open_blocks = [], []
+    for _ in range(rng.randint(0, 24)):
+        if noisy and rng.random() < 0.05:
+            out.append(rng.choice(_BROKEN))
+        elif not open_blocks:
+            out.append(rng.choice(_HEADERS))
+            open_blocks.append("void")
+        elif rng.random() < 0.2:
+            opener = rng.choice(_OPENERS)
+            out.append(opener)
+            open_blocks.append(opener[:2])
+        elif rng.random() < 0.3:
+            if open_blocks.pop() == "if" and rng.random() < 0.5:
+                out.append("} else {")
+                open_blocks.append("else")
+            else:
+                out.append("}")
+        else:
+            out.append(rng.choice(_STATEMENTS))
+    return "".join(out) + "}" * len(open_blocks)
+
+
+def _log_lines(body):
+    lines = []
+    for stmt in body:
+        if isinstance(stmt, LogCall):
+            lines.append(stmt.line)
+        elif isinstance(stmt, If):
+            lines += _log_lines(stmt.then) + _log_lines(stmt.orelse or ())
+        elif isinstance(stmt, While):
+            lines += _log_lines(stmt.body)
+    return lines
+
+
+def _parsed(parser, text):
+    try:
+        methods = parser(text)
+    except ParseError as exc:
+        return exc.line, exc.column, exc.message
+    return methods, [_log_lines(m.body) for m in methods]
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "clean"])
+def test_parse_matches_recursive_descent_reference(noisy):
+    rng = random.Random(noisy)
+    parsed = 0
+    for _ in range(10_000):
+        text = _unit_text(rng, noisy)
+        result = _parsed(parse, text)
+        assert result == _parsed(parse_by_descent, text), text
+        parsed += isinstance(result[0], list)
+    assert parsed > (3_000 if noisy else 6_000)  # most units parse to the end
+
+
 def test_log_call_lines_count_newlines_before_the_log_keyword():
     (m,) = parse('void m(){\n  x = "a";\r\n  // log(info, "no")\n\n'
                  '  log(info, "one"); log(warn, "two");\n  log(error, "three"); }')
     assert [s.line for s in m.body if isinstance(s, LogCall)] == [5, 5, 6]
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason=(
-    "the parser recurses three frames per nested block (329 levels parse, "
-    "330 raise), and lower_block recurses once per level"))
 def test_thousand_nested_ifs_parse_lower_and_analyze():
     depth = 1000
     text = ("void m(){ " + "if (c) { " * depth + 'log(info, "deep"); '

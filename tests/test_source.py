@@ -7,16 +7,9 @@ from pathlib import Path
 
 import logsynth
 
-# The frontend still recurses once per nested block; the strict xfail
-# `test_thousand_nested_ifs_parse_lower_and_analyze` pins the crash.
-# Making them iterative empties this set.
-KNOWN_RECURSIVE = {
-    "minilang._Parser._parse_block",
-    "minilang._Parser._parse_statement",
-    "minilang._Parser._parse_if",
-    "minilang._Parser._parse_while",
-    "lowering._CfgBuilder.lower_block",
-}
+# Functions allowed to reach themselves.  Parsing, lowering and path
+# finding run on explicit stacks, so none is; a new recursion fails here.
+KNOWN_RECURSIVE: set[str] = set()
 
 
 def _call_graph(tree: ast.Module, module: str) -> dict[str, set[str]]:
