@@ -145,17 +145,11 @@ def _draw_order(rng: random.Random, cands: tuple) -> Sequence:
     with the same `getrandbits` calls, so `rng` ends where sample leaves it.
     With k == n, sample (CPython 3.10-3.13) takes its pool branch and draws
     each index below m by rejection on m.bit_length() bits; a single
-    candidate still costs that one draw."""
-    n = len(cands)
-    if n < 2:
-        if n:
-            while rng.getrandbits(1):
-                pass
-        return cands
+    candidate still costs that one draw, and none costs nothing."""
     getrandbits = rng.getrandbits
     pool = list(cands)
     order = []
-    for m in range(n, 0, -1):
+    for m in range(len(cands), 0, -1):
         k = m.bit_length()
         j = getrandbits(k)
         while j >= m:

@@ -33,11 +33,12 @@ serializing the model again.
 
 A logging statement is named by its (method id, LOG activity id) and
 carries no id of its own.  Loop heads are not stored either: an
-execution graph is immutable once built.  It builds its entry, exit,
-out-edges, and its only walk (when it has no choice) or else its
-reachable set, in one pass when it is constructed, and derives its
-in-edges and natural loops, which only a branching graph's search needs,
-once, on first use.
+execution graph is a value, complete once built.  It builds its entry,
+exit, out-edges, and its only walk (when it has no choice) or else its
+reachable set, in one pass when it is constructed, and holds nothing
+more.  A branching graph's path search derives the in-edges and natural
+loops it needs with `in_edges` and `natural_loops`, and keeps them only
+while it runs.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import LogsynthError
 
@@ -192,8 +192,8 @@ class ExecutionGraph:
     are the `reachable` set, and it holds no loop head; any other graph's
     reachable set is built too.  Construction never raises: a graph
     without exactly one ENTRY or EXIT raises when `entry` or `exit` is
-    read, and reaches no node.  `in_edges` and `loops`, which only a
-    branching graph's search needs, are derived on first use and kept."""
+    read, and reaches no node.  The graph holds nothing beyond what its
+    constructor builds: a search derives its in-edges and loops itself."""
 
     nodes: dict[ActivityId, Activity]
     edges: frozenset[tuple[ActivityId, ActivityId, Guard | None]]
@@ -249,20 +249,6 @@ class ExecutionGraph:
     def exit(self) -> ActivityId:
         return self._end(1)
 
-    @cached_property
-    def loops(self) -> dict[ActivityId, set[ActivityId]]:
-        """`natural_loops(self)`, derived on first use and kept."""
-        return natural_loops(self)
-
-    @cached_property
-    def in_edges(self) -> dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]]:
-        """Each node's in-edges as (source, guard), in no fixed order,
-        built on first use and kept; nodes without in-edges are absent."""
-        into: dict[ActivityId, list[tuple[ActivityId, Guard | None]]] = {}
-        for frm, to, g in self.edges:
-            into.setdefault(to, []).append((frm, g))
-        return {to: tuple(pred) for to, pred in into.items()}
-
 
 def _edge_order(edge: tuple[ActivityId, Guard | None]):
     to, g = edge
@@ -273,8 +259,8 @@ def sweep(edges: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]],
           starts, seen: set[ActivityId] | None = None) -> set[ActivityId]:
     """`seen` (empty by default) grown by `starts` and every node they
     reach along `edges`, a map from each node to its (successor, label)
-    pairs such as `out_edges` or `in_edges`, without passing through a
-    node already in `seen`."""
+    pairs such as `out_edges` or `in_edges(graph)`, without passing
+    through a node already in `seen`."""
     seen = set() if seen is None else seen
     work = [n for n in starts if n not in seen]
     seen.update(work)
@@ -286,9 +272,19 @@ def sweep(edges: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]],
     return seen
 
 
-def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
+def in_edges(graph: ExecutionGraph) -> dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]]:
+    """Each node's in-edges as (source, guard), in no fixed order; nodes
+    without in-edges are absent."""
+    into: dict[ActivityId, list[tuple[ActivityId, Guard | None]]] = {}
+    for frm, to, g in graph.edges:
+        into.setdefault(to, []).append((frm, g))
+    return {to: tuple(pred) for to, pred in into.items()}
+
+
+def natural_loops(graph: ExecutionGraph, preds) -> dict[ActivityId, set[ActivityId]]:
     """Per loop head, its natural loop: the head plus everything that
-    reaches one of its back-edge sources without passing through it.
+    reaches one of its back-edge sources without passing through it, read
+    backwards along `preds`, the graph's `in_edges`.
 
     A loop head is a branch that dominates the source of one of its
     in-edges (the edge is then a back edge).  Such an edge returns to a
@@ -321,7 +317,6 @@ def natural_loops(graph: ExecutionGraph) -> dict[ActivityId, set[ActivityId]]:
             on_stack.discard(node)
 
     loops = {}
-    preds = graph.in_edges if candidates else {}
     for head in sorted(candidates):
         alive = sweep(succ, [entry], {head})
         alive.discard(head)

@@ -31,7 +31,6 @@ derivation.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import logging
@@ -52,6 +51,8 @@ from .model import (
     MethodNode,
     ProgramModel,
     Var,
+    in_edges,
+    natural_loops,
     sweep,
 )
 from .pruning import PrunedCallGraph
@@ -180,11 +181,13 @@ class PathStore:
 
 # ── Feasible walks over one execution graph ──────────────────────────
 
-def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId]):
+def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId], preds, loops):
     """Yield, at every arrival at a node of `targets`, the feasible
     edge-simple walk from entry as a list of nodes, and the last literal
     assigned to each variable on it.  Both change as the search goes on
-    past the arrival, so a caller copies what it keeps.  The search runs
+    past the arrival, so a caller copies what it keeps.  `preds` and
+    `loops` are the graph's `in_edges` and `natural_loops`, which the
+    caller builds once per search.  The search runs
     on an explicit stack, so walk length is bounded by the graph and not
     by the recursion limit.  Successors are explored true-guard-first.
 
@@ -209,8 +212,7 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId]):
     consts: dict[str, str] = {}
     succ = cfg.out_edges
     open_targets = len(targets)
-    live = sweep(cfg.in_edges, targets)
-    loops = cfg.loops
+    live = sweep(preds, targets)
     # a literal guard tests the variable None, which is always true
     known: dict[str | None, bool] = {None: True}
     path = [cfg.entry]
@@ -230,7 +232,7 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId]):
                 if not targets:
                     return
                 open_targets = len(targets)
-                live = sweep(cfg.in_edges, targets)
+                live = sweep(preds, targets)
             stack.pop()
             path.pop()
             used.discard(into)
@@ -264,33 +266,42 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId]):
 
 # ── Enumerating log-related execution paths ──────────────────────────
 
-def _regions_and_skips(cfg: ExecutionGraph, visits):
-    """Closed loop regions on one walk as (start, end) visit-index ranges,
-    plus whether the walk skipped some loop entirely."""
-    loops = cfg.loops
-    regions: list[tuple[int, int]] = []
-    open_stack: list[tuple[int, int]] = []  # (head, content start index)
-    body_taken: set[int] = set()
-    exit_taken: set[int] = set()
-    for i in range(1, len(visits)):
-        prev = visits[i - 1]
-        node = visits[i]
+def _project(visits, plain, loops):
+    """One walk's projection, in one pass over its visits: the positions
+    of the visits to `plain`'s nodes (the recorded steps), the mark bits
+    (1 start, 2 end) by step index, and whether the walk leaves some loop
+    of `loops` without ever entering its body.  A region opens when the
+    walk enters a head's body and closes when it is back at that head,
+    dropping any unclosed inner regions opened after it; its first and
+    last recorded step carry the marks.  A head has at most one open
+    region, since the walk is at the head just before it opens one."""
+    at: list[int] = []
+    marks: dict[int, int] = {}
+    regions: list[tuple[ActivityId, int]] = []  # open: (head, len(at) at opening)
+    open_heads: set[ActivityId] = set()
+    entered: set[ActivityId] = set()
+    left: set[ActivityId] = set()
+    prev = None
+    for i, node in enumerate(visits):
         if prev in loops:
             if node in loops[prev]:
-                body_taken.add(prev)
-                open_stack.append((prev, i))
+                entered.add(prev)
+                regions.append((prev, len(at)))
+                open_heads.add(prev)
             else:
-                exit_taken.add(prev)
-        if node in loops and any(h == node for h, _ in open_stack):
-            # back at an open head: close its region, dropping any
-            # unclosed inner regions opened after it
-            while open_stack:
-                head, start = open_stack.pop()
-                if head == node:
-                    regions.append((start, i - 1))
-                    break
-    skipped = any(h in exit_taken and h not in body_taken for h in loops)
-    return regions, skipped
+                left.add(prev)
+        if node in open_heads:
+            head = None
+            while head != node:
+                head, first = regions.pop()
+                open_heads.discard(head)
+            if first < len(at):
+                marks[first] = marks.get(first, 0) | 1
+                marks[len(at) - 1] = marks.get(len(at) - 1, 0) | 2
+        if node in plain:
+            at.append(i)
+        prev = node
+    return at, marks, not left <= entered
 
 
 _MARKS = (Mark.NONE, Mark.START, Mark.END, Mark.BOTH)  # by bits: 1 start, 2 end
@@ -319,8 +330,10 @@ def enumerate_logeps(
     first walk that projects onto it.  At more feasible walks or more
     distinct paths than `limits` allows, exit leaves the search with a
     truncation warning, and the search goes on for the open statements; at
-    most that many paths are kept, numbered from `first_id`.  A graph with
-    an only walk has no loops to derive, so its paths carry no marks."""
+    most that many paths are kept, numbered from `first_id`.  The search
+    builds the graph's `in_edges` and `natural_loops` once and hands them
+    to `_iter_walks` and `_project`; a graph with an only walk builds
+    neither, has no loops, and its paths carry no marks."""
     cfg = method.cfg
     nodes = cfg.nodes
     if events is None:
@@ -394,8 +407,9 @@ def enumerate_logeps(
         # the budget counts each statement's arrivals, and exit's
         arrivals = dict.fromkeys(values, 0)
         walks = 0
-        loops = cfg.loops
-        for visits, consts in _iter_walks(cfg, targets):
+        preds = in_edges(cfg)
+        loops = natural_loops(cfg, preds)
+        for visits, consts in _iter_walks(cfg, targets, preds, loops):
             node = visits[-1]
             if node != exit_:
                 held = values[node]
@@ -415,17 +429,9 @@ def enumerate_logeps(
             if walks > budget:  # more feasible walks than the cap: stop at exit
                 targets.discard(exit_)
                 continue
-            regions, skipped = _regions_and_skips(cfg, visits) if loops else ((), False)
-            at = [i for i, node in enumerate(visits) if node in plain]
+            at, marks, skipped = _project(visits, plain, loops)
             # one variant per callee choice at each ambiguous call site
             options = [plain[visits[i]] for i in at]
-            # a region marks the first and last recorded step inside it
-            marks: dict[int, int] = {}
-            for start, end in regions:
-                first, last = bisect.bisect_left(at, start), bisect.bisect_right(at, end) - 1
-                if first <= last:
-                    marks[first] = marks.get(first, 0) | 1
-                    marks[last] = marks.get(last, 0) | 2
             for j, mark in marks.items():
                 options[j] = offer(visits[at[j]], mark)
             for codes in itertools.product(*options):

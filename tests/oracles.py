@@ -41,6 +41,7 @@ from logsynth.minilang import (
 )
 from logsynth.model import (
     LEVELS, AssignAct, Branch, Call, ExecutionGraph, Log, LogEvent, ModelFormatError, Var,
+    in_edges, natural_loops,
 )
 from logsynth.pathfinding import PLACEHOLDER, CallStep, LogPath, LogStep, Mark, _iter_walks
 
@@ -433,7 +434,9 @@ def logeps_by_search(method, kept, cap: int, first_event: int = 0, first_id: int
     event_of = {n: first_event + i for i, n in enumerate(logs)}
     arrivals: dict[int, list[dict]] = {n: [] for n in logs}
     found: dict[tuple, None] = {}
-    for visits, consts in _iter_walks(cfg, {*logs, cfg.exit}):
+    preds = in_edges(cfg)
+    for visits, consts in _iter_walks(cfg, {*logs, cfg.exit}, preds,
+                                      natural_loops(cfg, preds)):
         if visits[-1] != cfg.exit:
             arrivals[visits[-1]].append(dict(consts))
             continue

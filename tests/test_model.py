@@ -20,6 +20,7 @@ from logsynth.model import (
     _split_parts,
     _unescape_text,
     dumps_model,
+    in_edges,
     loads_model,
     load_model,
     model_sha256,
@@ -436,7 +437,7 @@ def test_natural_loops_match_removal_oracle_on_random_graphs():
     shapes = {"loops": 0, "self-loop heads": 0, "unreachable": 0}
     for seed in range(400):
         cfg = _random_graph(random.Random(seed))
-        loops = natural_loops(cfg)
+        loops = natural_loops(cfg, in_edges(cfg))
         assert loops == loops_by_removal(cfg), seed
         shapes["loops"] += bool(loops)
         shapes["self-loop heads"] += any((h, h) == e[:2] for h in loops
@@ -520,11 +521,11 @@ def test_natural_loops_skip_irreducible_cycles():
              (2, 3, Guard("d", True)), (2, 4, Guard("d", False)),
              (3, 2, Guard("e", True)), (3, 3, Guard("e", False))}
     cfg = ExecutionGraph(nodes, frozenset(edges))
-    assert natural_loops(cfg) == loops_by_removal(cfg) == {3: {3}}
+    assert natural_loops(cfg, in_edges(cfg)) == loops_by_removal(cfg) == {3: {3}}
 
 
 def test_natural_loops_match_removal_oracle_on_structured_programs():
     for seed in range(40):
         model = parse_program(structured_program(random.Random(seed), 5))
         for m in model.methods.values():
-            assert natural_loops(m.cfg) == loops_by_removal(m.cfg), (seed, m.name)
+            assert natural_loops(m.cfg, in_edges(m.cfg)) == loops_by_removal(m.cfg), (seed, m.name)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from functools import cached_property
 
 import pytest
 
@@ -24,8 +23,8 @@ from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph, mark_log_methods
 from logsynth.pruning import PrunedCallGraph, prune
 from logsynth.model import (
-    AssignAct, Branch, Call, Entry, ExecutionGraph, Exit, Literal, Log, LogEvent,
-    LoggingStatement, MethodNode, Var, dumps_model, loads_model,
+    AssignAct, Branch, Call, Entry, ExecutionGraph, Exit, Guard, Literal, Log, LogEvent,
+    LoggingStatement, MethodNode, Var, dumps_model, in_edges, loads_model, natural_loops,
 )
 
 from .conftest import (
@@ -44,6 +43,8 @@ from .modelgen import (
     with_ambiguous_calls,
 )
 from .oracles import (
+    assignment_feasible,
+    bfs_all_walks,
     dfs_all_walks,
     dfs_feasible_paths,
     guard_trace,
@@ -52,9 +53,11 @@ from .oracles import (
     oracle_path_set,
     production_path_set,
     production_paths,
+    project_walk,
     restore_by_walks,
     satisfiable,
 )
+from .test_model import _random_graph
 
 
 def _analysis(source: str):
@@ -137,6 +140,23 @@ def _count_searches(monkeypatch) -> list:
 
     monkeypatch.setattr(pathfinding, "_iter_walks", counting)
     return searches
+
+
+def _count_tables(monkeypatch) -> dict[str, list]:
+    """Per table that a search derives (`in_edges`, `natural_loops`), a
+    list that gets the id of the graph each time path finding builds it
+    from now on."""
+    built: dict[str, list] = {}
+    for name in ("in_edges", "natural_loops"):
+        calls = built[name] = []
+        real = getattr(pathfinding, name)
+
+        def counting(graph, *rest, real=real, calls=calls):
+            calls.append(id(graph))
+            return real(graph, *rest)
+
+        monkeypatch.setattr(pathfinding, name, counting)
+    return built
 
 
 def test_restore_searches_once_per_statement(monkeypatch):
@@ -381,6 +401,80 @@ def test_path_sets_match_bruteforce_oracle():
     assert compared >= 40
 
 
+def _projections_agree(cfg: ExecutionGraph, kept: set[int]) -> tuple[int, int]:
+    """Require `_project` to mark every feasible walk's recorded steps and
+    flag its skipped loops as `project_walk` does; return how many walks
+    carry a mark and how many skip a loop.  A graph of more than 2,000
+    walks is passed over: the oracle derives the loops again per walk."""
+    walks = bfs_all_walks(cfg)
+    if len(walks) > 2000:
+        return 0, 0
+    recorded = {n for n, act in cfg.nodes.items() if type(act) is Log
+                or type(act) is Call and any(c in kept for c in act.callees)}
+    loops = natural_loops(cfg, in_edges(cfg))
+    stmt_to_event = {n: n for n, act in cfg.nodes.items() if type(act) is Log}
+    marked = skipping = 0
+    for visits in walks:
+        if not assignment_feasible(cfg, visits):
+            continue
+        walk = [n for n, _ in visits]
+        at, marks, skipped = pathfinding._project(walk, recorded, loops)
+        steps, expected_skip = project_walk(cfg, visits, kept, stmt_to_event)[0]
+        assert [walk[i] for i in at] == [n for n in walk if n in recorded]
+        got = [pathfinding._MARKS[marks.get(j, 0)] for j in range(len(at))]
+        assert (got, skipped) == ([mark for _, _, mark in steps], expected_skip), walk
+        marked += bool(marks)
+        skipping += skipped
+    return marked, skipping
+
+
+def _log(text: str) -> Log:
+    return Log(LoggingStatement("info", (Literal(text),)))
+
+
+def test_projection_matches_walk_oracle():
+    # the head's two out-edges both stay in its loop, so the walk 0 1 2 1
+    # 3 4 5 opens the head's region twice, and closes it once
+    nodes = {0: Entry(), 1: Branch(Guard("c", True)), 2: _log("a"), 3: _log("b"),
+             4: Branch(Guard("d", True)), 5: Exit()}
+    edges = {(0, 1, None), (1, 2, Guard("c", True)), (1, 3, Guard("c", False)),
+             (2, 1, None), (3, 4, None), (4, 1, Guard("d", True)), (4, 5, Guard("d", False))}
+    cfg = ExecutionGraph(nodes, frozenset(edges))
+    loops = natural_loops(cfg, in_edges(cfg))
+    assert loops == {1: {1, 2, 3, 4}}
+    assert pathfinding._project([0, 1, 2, 1, 3, 4, 5], {2, 3}, loops) == ([2, 4], {0: 3}, False)
+    assert _projections_agree(cfg, set()) == (1, 0)
+    # the inner loop (head 3) can jump back to the outer head: on the walk
+    # 0 1 2 3 4 5 1 6 the outer region closes and drops the open inner one
+    nodes = {0: Entry(), 1: Branch(Guard("c", True)), 2: _log("o"),
+             3: Branch(Guard("d", True)), 4: _log("a"), 5: Branch(Guard("e", True)), 6: Exit()}
+    edges = {(0, 1, None), (1, 2, Guard("c", True)), (1, 6, Guard("c", False)),
+             (2, 3, None), (3, 4, Guard("d", True)), (3, 1, Guard("d", False)), (4, 5, None),
+             (5, 3, Guard("e", True)), (5, 1, Guard("e", False))}
+    cfg = ExecutionGraph(nodes, frozenset(edges))
+    loops = natural_loops(cfg, in_edges(cfg))
+    assert loops == {1: {1, 2, 3, 4, 5}, 3: {3, 4, 5}}
+    assert pathfinding._project([0, 1, 2, 3, 4, 5, 1, 6], {2, 4}, loops) == \
+        ([2, 4], {0: 1, 1: 2}, False)
+    assert _projections_agree(cfg, set())[0] > 0
+    # random graphs record no step, so they pin `skips_loop` on irreducible
+    # cycles, self-loops and parallel edges; the programs pin the marks too
+    shapes = {"random graph walks that skip": 0, "program walks that skip": 0,
+              "marked program walks": 0}
+    for seed in range(200):
+        shapes["random graph walks that skip"] += _projections_agree(
+            _random_graph(random.Random(seed)), set())[1]
+        rng = random.Random(seed)
+        model = parse_program(structured_program(rng, 4))
+        if seed % 2:
+            model = with_ambiguous_calls(model, rng)
+        for m in model.methods.values():
+            marked, skipping = _projections_agree(m.cfg, set(model.methods))
+            shapes["marked program walks"] += marked
+            shapes["program walks that skip"] += skipping
+    assert min(shapes.values()) >= 100, shapes
+
+
 def _pruning_corpus():
     """150 seeded `main` methods with loops, literal guards, two or three
     variables that are tested and reassigned, and ambiguous dispatch at
@@ -426,7 +520,9 @@ def test_enumeration_matches_ordered_dfs_oracle():
 def _walks_to(cfg, target):
     """The pruned search's walks to `target` alone, each copied when it
     arrives."""
-    return [tuple(path) for path, _ in pathfinding._iter_walks(cfg, {target})]
+    preds = in_edges(cfg)
+    return [tuple(path) for path, _ in pathfinding._iter_walks(
+        cfg, {target}, preds, natural_loops(cfg, preds))]
 
 
 def test_pruned_walks_are_the_satisfiable_walks():
@@ -594,7 +690,7 @@ def test_only_walk_ignores_unreachable_loop():
     assert [ev.template for ev in analysis.store.events.values()] == ["a"]
 
 
-def test_unguarded_fork_goes_through_the_search():
+def test_unguarded_fork_goes_through_the_search(monkeypatch):
     # ASSIGN 1 has two unguarded out-edges, which validation accepts
     model = loads_model("\n".join([
         "M 0 fork", "A 0 0 ENTRY", "A 0 1 ASSIGN x|a", "A 0 2 LOG info|L:left |V:x",
@@ -603,8 +699,9 @@ def test_unguarded_fork_goes_through_the_search():
     ]) + "\n")
     cfg = model.methods[0].cfg
     assert cfg.only_walk is None
+    built = _count_tables(monkeypatch)
     analysis = _agrees_with_oracles(model)
-    assert "in_edges" in cfg.__dict__  # the search swept back from a target
+    assert built["in_edges"] == [id(cfg)]  # the search swept back from a target
     assert [ev.template for ev in analysis.store.events.values()] == ["left a", "<*>"]
     assert len(analysis.store.by_method[0]) == 2
 
@@ -631,6 +728,7 @@ def test_long_straight_method_restores_in_one_pass(monkeypatch):
         ['log(info, "s" + x);'] * n) + " }")
     pruned = prune(build_call_graph(model), mark_log_methods(model))
     searches = _count_searches(monkeypatch)
+    built = _count_tables(monkeypatch)
     store = build_store(model, pruned)
     assert [ev.template for ev in store.events.values()] == ["sk"] * n
     (path,) = store.by_method[0]
@@ -638,7 +736,7 @@ def test_long_straight_method_restores_in_one_pass(monkeypatch):
     # one pass over the only walk restores and enumerates, with no search
     # and nothing derived that only a search needs
     assert searches == []
-    assert not {"in_edges", "loops"} & model.methods[0].cfg.__dict__.keys()
+    assert built == {"in_edges": [], "natural_loops": []}
 
 
 def test_branching_method_restores_in_one_search(monkeypatch):
@@ -773,55 +871,49 @@ def _branching(model, pruned):
             if model.methods[mid].cfg is not straight]
 
 
+_TABLES_SOURCE = (
+    'void m(){ x = "a"; while(c){ log(info, "in " + x); n(); } '
+    'log(info, x + y); } '
+    'void n(){ while(d){ log(info, "n"); } if(e){ log(info, "e"); } } '
+    'void q(){ if(f){ z = "b"; } } '
+    'void s(){ x = "k"; log(info, "s " + x); n(); }'
+)  # `q` logs nothing and is pruned
+
+
 def test_build_store_derives_loops_once_per_method(monkeypatch):
-    model = parse_program(
-        'void m(){ x = "a"; while(c){ log(info, "in " + x); n(); } '
-        'log(info, x + y); } '
-        'void n(){ while(d){ log(info, "n"); } if(e){ log(info, "e"); } } '
-        'void s(){ x = "k"; log(info, "s " + x); n(); }'
-    )
+    model = parse_program(_TABLES_SOURCE)
     pruned = prune(build_call_graph(model), mark_log_methods(model))
-    derived = []
-    real = model_mod.natural_loops
-
-    def counting(graph):
-        derived.append(id(graph))
-        return real(graph)
-
-    monkeypatch.setattr(model_mod, "natural_loops", counting)
+    built = _count_tables(monkeypatch)
     build_store(model, pruned)
     branching = _branching(model, pruned)
     assert len(branching) == 2
-    assert sorted(derived) == sorted(map(id, branching))
+    assert sorted(built["natural_loops"]) == sorted(map(id, branching))
 
 
 def test_build_store_derives_adjacency_once_per_method(monkeypatch):
-    built = []
-    real = model_mod.ExecutionGraph.__dict__["in_edges"].func
-
-    def counting(graph):
-        built.append(id(graph))
-        return real(graph)
-
-    cached = cached_property(counting)
-    cached.__set_name__(model_mod.ExecutionGraph, "in_edges")
-    monkeypatch.setattr(model_mod.ExecutionGraph, "in_edges", cached)
-    # each graph's out-edges are built with it; `q` logs nothing and is pruned
-    model = parse_program(
-        'void m(){ x = "a"; while(c){ log(info, "in " + x); n(); } '
-        'log(info, x + y); } '
-        'void n(){ while(d){ log(info, "n"); } if(e){ log(info, "e"); } } '
-        'void q(){ if(f){ z = "b"; } } '
-        'void s(){ x = "k"; log(info, "s " + x); n(); }'
-    )
+    built = _count_tables(monkeypatch)
+    # each graph's out-edges are built with it
+    model = parse_program(_TABLES_SOURCE)
     pruned = prune(build_call_graph(model), mark_log_methods(model))
     out_edges = {mid: m.cfg.out_edges for mid, m in model.methods.items()}
-    assert built == []
+    assert built["in_edges"] == []
     build_store(model, pruned)
     assert all(m.cfg.out_edges is out_edges[mid] for mid, m in model.methods.items())
     branching = _branching(model, pruned)
     assert len(pruned.kept) == 3 and len(branching) == 2
-    assert sorted(built) == sorted(map(id, branching))
+    assert sorted(built["in_edges"]) == sorted(map(id, branching))
+
+
+def test_analysis_leaves_every_graph_as_built(datanode_model):
+    # a search's in-edges and loops live only as long as the search
+    for model in (parse_program(_TABLES_SOURCE), datanode_model):
+        before = {mid: (set(m.cfg.__dict__), m.cfg.out_edges)
+                  for mid, m in model.methods.items()}
+        analysis = analyze_model(model)
+        assert any(model.methods[mid].cfg.only_walk is None for mid in analysis.pruned.kept)
+        for mid, m in model.methods.items():
+            keys, out_edges = before[mid]
+            assert set(m.cfg.__dict__) == keys and m.cfg.out_edges is out_edges, mid
 
 
 def test_long_straight_method_runs_in_process(tmp_path):
