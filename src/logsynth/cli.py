@@ -27,7 +27,7 @@ from .generation import (
 )
 from .labeling import AnnotationSet, export_worksheet, import_annotations, propagate
 from .metrics import d_coverage, logging_coverage
-from .model import save_model
+from .model import dumps_model
 from .pathfinding import PathLimits, format_store_dump
 from .pipeline import analyze_model, load_input, summarize
 from .probing import LoggingApiConfig, build_call_graph, mark_log_methods
@@ -128,7 +128,9 @@ def _cmd_analyze(args) -> int:
     analysis = _analysis_from(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(analysis.model, out / "model.txt")
+    # `load_input` validated the model, so it is written without a second check
+    (out / "model.txt").write_text(dumps_model(analysis.model), encoding="utf-8",
+                                   newline="\n")
     (out / "paths.txt").write_text(
         format_store_dump(analysis.store, analysis.model), encoding="utf-8"
     )

@@ -38,11 +38,12 @@ Most calls leave the walk no choice.  A call is *forced* when its
 callee is in no recursion cycle and has exactly one candidate path,
 that path has no loop-marked step, and every call on it is forced too.  Such
 a call always completes with the same events and trace; all it varies is
-how far the RNG advances.  `Walker.__init__` tabulates the forced calls
-bottom-up over the call graph's components, and a walk takes one in a
-single step: it appends the subtree's events and trace, expanded the
-first time the call is taken and kept, and skips the subtree's draws
-with `_skip_draws`.
+how far the RNG advances.  Whether a call is forced is decided the first
+time a walk makes it, its callees' calls first, and kept, so set-up work
+follows what the walks reach rather than the size of the store.  A walk
+takes a forced call in a single step: it appends the subtree's events and
+trace, expanded the first time the call is taken and kept, and skips the
+subtree's draws with `_skip_draws`.
 Each draw on one candidate repeats `getrandbits(1)`, the top bit of one
 32-bit Mersenne Twister word, until that bit is 0, and
 `getrandbits(32 * c)` returns the next c words with the first one lowest,
@@ -217,23 +218,24 @@ class _Memo(dict):
 
 
 class Walker:
-    """Shared walk state: admissibility precomputations over the stored
-    paths and infection map, immutable but for the call table that walks
-    fill.
-    `clean_completable` holds the non-seed paths whose every callee offers
-    such a path, so a normal walk through them finishes without touching
-    a seed; `emitting` holds those of them that can produce an event on
-    some clean walk.  Both are computed by
-    `PathStore.least_fixpoint`, the mechanism infection propagation uses.
-    `candidates[m]` holds method m's admissible paths for a normal walk,
-    an anomaly walk before a seed is hit, and one after, in that order.
-    `cycle_of` maps each method in a recursion cycle to its component's
-    index in the call graph's `sccs`.
-    `forced` maps each forced call, keyed by (callee, candidate index), to
-    its subtree's draw count, whether it hits a seed, the callee's trace
-    record, and its plan: the path's event ids and forced child keys.
-    `calls` holds each call's policy by the same key, fixed by `_call` the
-    first time a walk makes that call."""
+    """Shared walk state over the stored paths and infection map.
+
+    Built at construction, for the whole store: `clean_completable`, the
+    non-seed paths whose every callee offers such a path, so a normal walk
+    through them finishes without touching a seed (computed by
+    `PathStore.least_fixpoint`, the mechanism infection propagation
+    uses), and `candidates[m]`, method m's admissible paths for a normal
+    walk, an anomaly walk before a seed is hit, and one after, in that
+    order.
+
+    Decided on first use, for what the walks reach: `forced` maps each
+    call decided so far, keyed by (callee, candidate index), to None when
+    the call has a choice, and when it is forced to its subtree's draw
+    count, whether it hits a seed, the callee's trace record, and its
+    plan: the path's event ids and forced child keys.  `calls` holds each
+    call's policy by the same key, fixed by `_call` the first time a walk
+    makes that call.  Entry admissibility and recursion cycles are
+    answered per query, from the candidates and the call graph."""
 
     def __init__(self, model: ProgramModel, store: PathStore,
                  infection: InfectionMap, call_graph: CallGraph,
@@ -242,20 +244,11 @@ class Walker:
         self.store = store
         status = self.status = infection.status
         self.params = params
-        sccs = call_graph.sccs
-        cycle_of = self.cycle_of = {
-            m: i for i, members in enumerate(sccs)
-            if call_graph.in_cycle(members[0]) for m in members
-        }
-        seed, clean, unmarked = Status.SEED, Status.CLEAN, Mark.NONE
+        self.call_graph = call_graph
+        seed, clean = Status.SEED, Status.CLEAN
         clean_completable = self.clean_completable = store.least_fixpoint({
             p.id: len(p.callees) for p in store.all_paths()
             if status[p.id] is not seed
-        })
-        # a path that only calls emits through a callee that emits
-        self.emitting = store.least_fixpoint({
-            pid: int(all(type(s) is CallStep for s in store.path(pid).steps))
-            for pid in clean_completable
         })
         candidates: dict[MethodId, tuple[tuple[LogPath, ...], ...]] = {}
         self.candidates = candidates
@@ -276,46 +269,36 @@ class Walker:
                 tuple(p for p in looping if status[p.id] is not clean),
                 looping,
             )
-        # `sccs` lists callees first, so every child key is decided before
-        # its caller's
-        forced: dict[tuple[MethodId, int], tuple] = {}
-        self.forced = forced
-        forced_get = forced.get
-        for members in sccs:
-            mid = members[0]
-            if mid in cycle_of:
-                continue
-            for index, cands in enumerate(candidates.get(mid, _NO_PATHS)):
-                if len(cands) != 1:
-                    continue
-                path = cands[0]
-                hit = status[path.id] is seed
-                at = 2 if hit and index == 1 else index  # the callees' index
-                draws, plan = 1, []
-                for step in path.steps:
-                    if step.loop_mark is not unmarked:
-                        break
-                    if type(step) is LogStep:
-                        plan.append(step.event)
-                        continue
-                    sub = forced_get((step.callee, at))
-                    if sub is None:  # a call with a choice
-                        break
-                    plan.append((step.callee, at))
-                    draws += sub[0]
-                    if sub[1]:
-                        hit, at = True, 2 if at == 1 else at
-                else:
-                    forced[mid, index] = (draws, hit, ("ep", mid, path.id),
-                                          tuple(plan))
+        self.forced: dict[tuple[MethodId, int], tuple | None] = {}
         self.calls = _Memo(self._call)
 
     # entry admissibility per mode
     def normal_entry_ok(self, mid: MethodId) -> bool:
-        return any(p.id in self.emitting for p in self.store.by_method.get(mid, []))
+        """Whether a normal walk from `mid` can emit an event: a search
+        that starts at `mid`'s clean-completable candidates and follows
+        their callees' finds a path with a log step.  That is the least
+        set in which a clean-completable path joins when it logs or one of
+        its callees owns a member, decided only over what `mid` reaches."""
+        candidates = self.candidates
+        seen, todo = {mid}, [mid]
+        while todo:
+            for path in candidates.get(todo.pop(), _NO_PATHS)[0]:
+                if any(type(s) is LogStep for s in path.steps):
+                    return True
+                for callee in path.callees:
+                    if callee not in seen:
+                        seen.add(callee)
+                        todo.append(callee)
+        return False
 
     def anomaly_entry_ok(self, mid: MethodId) -> bool:
         return bool(self.candidates.get(mid, _NO_PATHS)[1])
+
+    def _cycle(self, mid: MethodId) -> int | None:
+        """The index in the call graph's `sccs` of the recursion cycle
+        `mid` is in, or None."""
+        graph = self.call_graph
+        return graph.scc_of[mid] if graph.in_cycle(mid) else None
 
     def walk(self, entry: MethodId, mode: Label, rng: random.Random
              ) -> tuple[tuple[EventId, ...], tuple]:
@@ -337,7 +320,7 @@ class Walker:
         max_depth = self.params.max_recursion_depth
         max_reps = self.params.max_loop_reps
         randint = rng.randint
-        entry_cycle = self.cycle_of.get(entry)
+        entry_cycle = self._cycle(entry)
         for root in _draw_order(rng, self.candidates.get(entry, _NO_PATHS)[anomaly]):
             for _ in range(_ROOT_TRIES):
                 events: list[EventId] = []
@@ -421,13 +404,14 @@ class Walker:
         recursion cycle it enters or None); it keeps only its first pick,
         drawn with `_draw_first`, when the list holds two or more paths,
         none of which calls."""
-        forced = self.forced
-        if key not in forced:
+        decided = self._forced(key)
+        if decided is None:
             callee, index = key
             cands = self.candidates.get(callee, _NO_PATHS)[index]
             return (cands, len(cands) > 1 and not any(p.callees for p in cands),
-                    self.cycle_of.get(callee))
-        draws, hit, record, plan = forced[key]
+                    self._cycle(callee))
+        forced = self.forced
+        draws, hit, record, plan = decided
         events: list[EventId] = []
         trace = [record]
         stack = [iter(plan)]
@@ -442,6 +426,60 @@ class Walker:
             else:
                 stack.pop()
         return draws, hit, tuple(events), tuple(trace)
+
+    def _forced(self, key: tuple[MethodId, int]) -> tuple | None:
+        """`forced[key]`, deciding it first if need be.  Each undecided key
+        is a `_decide` generator on an explicit stack, which yields each
+        undecided child key and is sent the child's entry once that is
+        decided and kept.  A callee outside every recursion cycle cannot
+        reach itself, so no key waits on itself."""
+        forced = self.forced
+        if key in forced:
+            return forced[key]
+        stack = [(key, self._decide(key))]
+        sub = None
+        while True:
+            top, decision = stack[-1]
+            try:
+                child = decision.send(sub)
+            except StopIteration as done:
+                sub = forced[top] = done.value
+                stack.pop()
+                if not stack:
+                    return sub
+                continue
+            stack.append((child, self._decide(child)))
+            sub = None
+
+    def _decide(self, key: tuple[MethodId, int]):
+        """The `forced` entry of `key`, as a generator for `_forced`: it
+        yields each child key not decided yet and is sent that key's
+        entry.  The steps are read in order, so a child key's candidate
+        index follows the seed hits before it."""
+        forced = self.forced
+        mid, index = key
+        cands = self.candidates.get(mid, _NO_PATHS)[index]
+        if len(cands) != 1 or self._cycle(mid) is not None:
+            return None
+        path = cands[0]
+        hit = self.status[path.id] is Status.SEED
+        at = 2 if hit and index == 1 else index  # the callees' index
+        draws, plan, unmarked = 1, [], Mark.NONE
+        for step in path.steps:
+            if step.loop_mark is not unmarked:
+                return None
+            if type(step) is LogStep:
+                plan.append(step.event)
+                continue
+            child = (step.callee, at)
+            sub = forced[child] if child in forced else (yield child)
+            if sub is None:  # a call with a choice
+                return None
+            plan.append(child)
+            draws += sub[0]
+            if sub[1]:
+                hit, at = True, 2 if at == 1 else at
+        return draws, hit, ("ep", mid, path.id), tuple(plan)
 
     # ── replay ───────────────────────────────────────────────────
 

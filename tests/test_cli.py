@@ -174,6 +174,28 @@ def test_prune_builds_no_store(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_analyze_validates_the_model_once(tmp_path, capsys, monkeypatch):
+    from logsynth import lowering, model
+
+    validate = model.validate_model
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        validate(m)
+
+    run(capsys, "analyze", FIXTURE, "--out", str(tmp_path / "a"))
+    for module in (model, lowering):
+        monkeypatch.setattr(module, "validate_model", counted)
+    for name, source in (("src", (FIXTURE,)),
+                         ("model", ("--model", str(tmp_path / "a" / "model.txt")))):
+        calls.clear()
+        assert run(capsys, "analyze", *source, "--out", str(tmp_path / name))[0] == 0
+        assert len(calls) == 1, name
+        assert (tmp_path / name / "model.txt").read_bytes() \
+            == (tmp_path / "a" / "model.txt").read_bytes()
+
+
 def test_paths_dump(capsys):
     code, out, _ = run(capsys, "paths", FIXTURE, "--dump")
     assert code == 0

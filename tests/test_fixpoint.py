@@ -100,4 +100,6 @@ def test_three_fixpoints_match_naive_sweeps(seed):
         store, lambda p, owners: p.id in clean and (
             any(isinstance(s, LogStep) for s in p.steps)
             or bool(_callees(p) & owners)))
-    assert walker.emitting == emitting
+    assert {m: walker.normal_entry_ok(m) for m in model.methods} == {
+        m: any(p.id in emitting for p in store.by_method.get(m, []))
+        for m in model.methods}

@@ -55,6 +55,14 @@ def _walker(analysis, infection, params) -> Walker:
                   analysis.call_graph, params)
 
 
+class _UnforcedWalker(Walker):
+    """A walker that decides no call as forced, so every call takes the
+    general policy: the reference for the forced calls."""
+
+    def _forced(self, key):
+        return None
+
+
 def _cycle_info(call_graph):
     cycle_sccs = {call_graph.scc_of[m] for m in call_graph.nodes
                   if call_graph.in_cycle(m)}
@@ -246,6 +254,26 @@ def test_walk_space_with_sibling_calls_into_a_cycle():
     assert _observed_walks(analysis, infection, 0, Label.NORMAL, params) == legal
 
 
+def test_walk_space_after_a_forced_seed_hit():
+    # boom's call is forced and hits the seed at candidate index 1, so p
+    # calls q after the hit, where both of q's paths are admissible: the
+    # call into q, and with it p, is not forced
+    source = ('void e(){ p(); }'
+              'void p(){ boom(); q(); }'
+              'void q(){ if(b){ log(info, "fine"); } else { boom(); } }'
+              'void boom(){ log(error, "fail"); }')
+    analysis, _ = _annotated_analysis(source)
+    boom = analysis.model.method_by_name("boom").id
+    analysis, infection = _annotated_analysis(
+        source, ("fail",), [p.id for p in analysis.store.by_method[boom]])
+    params = _params()
+    scc_of, cycle_sccs = _cycle_info(analysis.call_graph)
+    legal = walk_space(analysis.store, infection, scc_of, cycle_sccs,
+                       params, 0, Label.ANOMALY)
+    assert len(legal) == 2
+    assert _observed_walks(analysis, infection, 0, Label.ANOMALY, params) == legal
+
+
 def test_walk_space_after_backtracking_out_of_a_seed():
     # x's first path hits the seed in boom, then the bound refuses its
     # call back into x; the next path of x runs without that hit, so y
@@ -305,11 +333,12 @@ def test_only_call_free_lists_draw_their_first_pick(monkeypatch):
     mid = {m.name: m.id for m in analysis.model.methods.values()}
     walker = _walker(analysis, infection, _params(max_recursion_depth=1))
     assert len(walker.candidates[mid["a"]][0]) == 1
-    assert (mid["a"], 0) not in walker.forced
+    walker.calls[mid["a"], 0]  # decides the call
+    assert walker.forced[mid["a"], 0] is None
     # without forced calls, every call reads (candidates, keeps only its
     # first pick, recursion cycle)
-    general = _walker(analysis, infection, _params(max_recursion_depth=1))
-    general.forced = {}
+    general = _UnforcedWalker(analysis.model, analysis.store, infection,
+                              analysis.call_graph, _params(max_recursion_depth=1))
     assert [general.calls[mid[name], 0][1]
             for name in ("leaf", "b", "a", "one")] == [True, False, False, False]
     assert [general.calls[mid[name], 0][2] is not None
@@ -425,6 +454,27 @@ def test_skip_draws_equals_one_candidate_draws():
             assert skipped.getstate() == drawn.getstate(), (count, seed)
 
 
+def test_calls_are_decided_as_walks_reach_them():
+    # three independent 10-level chains; level 5 of each logs under a flag,
+    # so the calls into levels 1-5 have a choice and those into 6-9 are forced
+    def level(c, i):
+        body = f'log(info, "step {c}.{i}");'
+        if i == 5:
+            body = f"if (f) {{ {body} }}"
+        call = f" c{c}m{i + 1}();" if i < 9 else ""
+        return f"void c{c}m{i}(){{ {body}{call} }}"
+
+    analysis, infection = _annotated_analysis(
+        "\n".join(level(c, i) for c in range(3) for i in range(10)))
+    walker = _walker(analysis, infection, _params())
+    assert walker.forced == {} and walker.calls == {}
+    mid = {m.name: m.id for m in analysis.model.methods.values()}
+    for seed in range(3):
+        walker.walk(mid["c0m0"], Label.NORMAL, random.Random(seed))
+    assert {key: decided is not None for key, decided in walker.forced.items()} \
+        == {(mid[f"c0m{i}"], 0): i > 5 for i in range(1, 10)}
+
+
 def _chain_program(rng, depth):
     """A call chain; about a third of its levels log, and a few of those
     log under a flag, which gives the level two paths."""
@@ -455,9 +505,10 @@ def _forced_corpus():
 
 def _forced_mix(walker, mode, trace):
     """The forced calls a walk took, read off its trace against
-    `walker.forced`: in all, at candidate index 1 where the call hits a
-    seed, and inside a loop region.  A forced call's records in the trace
-    are those `walker.calls` kept for it when it was taken."""
+    `walker.forced`, which holds every call the walk made, None for a
+    call with a choice: in all, at candidate index 1 where the call hits
+    a seed, and inside a loop region.  A forced call's records in the
+    trace are those `walker.calls` kept for it when it was taken."""
     mix = dict.fromkeys(["forced", "forced hits", "forced in loops"], 0)
     pos, hit = 0, False
 
@@ -476,7 +527,7 @@ def _forced_mix(walker, mode, trace):
                 continue
             if isinstance(node, CallStep):
                 key = (node.callee, (mode is Label.ANOMALY) + hit)
-                if key not in walker.forced:
+                if walker.forced.get(key) is None:  # a call with a choice
                     stack.append((path_nodes(), looping))
                     break
                 _, sub_hit, _, records = walker.calls[key]
@@ -518,8 +569,7 @@ def test_forced_calls_keep_every_walk():
         for depth in (0, 1, 2):
             params = _params(max_loop_reps=2, max_recursion_depth=depth)
             fast = Walker(*args, params)
-            general = Walker(*args, params)
-            general.forced = {}
+            general = _UnforcedWalker(*args, params)
             for entry in sorted(analysis.pruned.kept):
                 for mode in (Label.NORMAL, Label.ANOMALY):
                     for seed in range(3):
