@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import LogsynthError
+from .errors import LogsynthError, utf8_errors
 from .generation import (
     ConfigError,
     GenParams,
@@ -206,11 +206,9 @@ def _cmd_stats(args) -> int:
         ("logging coverage", f"{report.coverage:.4f}"),
     ]
     if args.reference:
-        reference = [
-            line.rstrip("\n") for line in
-            Path(args.reference).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        with utf8_errors(args.reference):
+            text = Path(args.reference).read_text(encoding="utf-8")
+        reference = [line.rstrip("\n") for line in text.splitlines() if line.strip()]
         frac, unmatched = d_coverage(ds, reference)
         rows.append(("reference coverage", f"{frac:.4f}"))
         rows.append(("reference unmatched", str(len(unmatched))))

@@ -65,13 +65,14 @@ import enum
 import hashlib
 import random
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
-from .errors import LogsynthError
+from .errors import LogsynthError, utf8_errors
 from .labeling import AnnotationSet, InfectionMap, Status, dumps_annotations
 from .model import EventId, LogEvent, MethodId, ProgramModel, model_sha256
 from .pathfinding import CallStep, LogPath, LogStep, Mark, PathStore
@@ -113,6 +114,8 @@ class GenParams:
     def __post_init__(self):
         if self.size < 1:
             raise ConfigError("size must be >= 1")
+        if self.size > sys.maxsize:
+            raise ConfigError(f"size must be <= {sys.maxsize}")
         if not 0.0 <= self.anomaly_rate <= 1.0:
             raise ConfigError("anomaly rate must be within [0, 1]")
         if self.max_loop_reps < 1:
@@ -715,7 +718,9 @@ def read_dataset(outdir, model: ProgramModel) -> LogDataset:
     out = Path(outdir)
     path = out / "manifest.txt"
     manifest: dict[str, tuple[int, str]] = {}  # key -> (line, value)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    with utf8_errors(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
         if "=" in line:
             key, _, value = line.partition("=")
             manifest[key] = (lineno, value)
@@ -745,7 +750,8 @@ def read_dataset(outdir, model: ProgramModel) -> LogDataset:
     event_id = _Memo(int).__getitem__
     sequences = []
     path = out / "sequences.csv"
-    lines = path.read_text(encoding="utf-8").splitlines()
+    with utf8_errors(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
     for lineno, row in enumerate(lines[1:], 2):
         where = f"{path}:{lineno}"
         fields = row.split(",", 3)
@@ -770,7 +776,8 @@ def read_dataset(outdir, model: ProgramModel) -> LogDataset:
     events: dict[int, LogEvent] = {}
     path = out / "templates.csv"
     # no newline translation: a line break inside quotes is the template's
-    text = path.read_bytes().decode("utf-8")
+    with utf8_errors(path):
+        text = path.read_bytes().decode("utf-8")
     header, newline, _ = text.partition("\n")
     start = len(header) + len(newline)
     rows = _TEMPLATE_ROW.findall(text, start)  # they cover the text after the header

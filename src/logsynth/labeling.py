@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import LogsynthError
+from .errors import LogsynthError, utf8_errors
 from .model import EventId, ProgramModel
 from .pathfinding import LogStep, PathStore
 
@@ -86,7 +86,7 @@ def import_annotations(path, store: PathStore) -> AnnotationSet:
     alerting: set[int] = set()
     seeds: set[int] = set()
     known_paths = {p.id for p in store.all_paths()}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if raw[0] == "#":  # most rows of an exported worksheet
                 continue

@@ -4,10 +4,12 @@ Each method gets an execution graph with one ENTRY node (id 0), one node
 per statement in source order, and one EXIT node allocated last.  If and
 while statements lower to a single branch node; arms and loop bodies are
 wired by edges, so joins are edge merges rather than nodes.  `return`
-redirects control to the shared EXIT node and allocates nothing.  A
-method lowers in one loop that keeps its open blocks on an explicit
-stack, so nesting depth is bounded by memory, not by Python's recursion
-limit.
+redirects control to the shared EXIT node and allocates nothing.  The
+parser builds statement leaves as model values, placed without
+conversion: an `AssignAct` is its own node, a `LoggingStatement` is
+wrapped in `Log`, and a branch takes its statement's guard.  A method
+lowers in one loop that keeps its open blocks on an explicit stack, so
+nesting depth is bounded by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -23,24 +25,16 @@ from .model import (
     ExecutionGraph,
     Exit,
     Guard,
-    Literal,
     Log,
     LoggingStatement,
     MethodNode,
     ProgramModel,
-    Var,
     validate_model,
 )
 
 
 class LoweringError(LogsynthError):
     pass
-
-
-def _guards(cond: ml.Condition) -> tuple[Guard, Guard]:
-    """(taken, not-taken) edge guards for a condition."""
-    taken = Guard(cond.var, not cond.negated)
-    return taken, taken.negation()
 
 
 def _lower_body(body: tuple[ml.Statement, ...], method: str,
@@ -67,12 +61,8 @@ def _lower_body(body: tuple[ml.Statement, ...], method: str,
                 cur = []
                 continue
             nid = len(nodes)
-            if isinstance(stmt, ml.LogCall):
-                parts = tuple(
-                    Literal(p.text) if isinstance(p, ml.StrLit) else Var(p.name)
-                    for p in stmt.parts
-                )
-                nodes[nid] = Log(LoggingStatement(stmt.level, parts, line=stmt.line or None))
+            if isinstance(stmt, LoggingStatement):
+                nodes[nid] = Log(stmt)
             elif isinstance(stmt, ml.Invoke):
                 callee = name_to_id.get(stmt.target)
                 if callee is None:
@@ -80,10 +70,10 @@ def _lower_body(body: tuple[ml.Statement, ...], method: str,
                         f"method {method}: call to undeclared method '{stmt.target}'"
                     )
                 nodes[nid] = Call(callees=(callee,))
-            elif isinstance(stmt, ml.Assign):
-                nodes[nid] = AssignAct(stmt.var, stmt.value)
+            elif isinstance(stmt, AssignAct):
+                nodes[nid] = stmt
             elif isinstance(stmt, (ml.If, ml.While)):
-                taken, other = _guards(stmt.cond)
+                taken, other = stmt.cond, stmt.cond.negation()
                 nodes[nid] = Branch(taken)
                 edges.update((frm, nid, guard) for frm, guard in cur)
                 stack.append((stmts, nid, other, stmt, None))

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import LogsynthError
-from .model import LEVELS
+from .model import GUARD_FALSE, GUARD_TRUE, LEVELS, AssignAct, Guard, Literal, LoggingStatement, Var
 
 KEYWORDS = frozenset(
     {"void", "component", "log", "if", "else", "while", "return", "true", "false"}
@@ -69,39 +69,9 @@ class SourceUnit:
 
 
 # ── AST ──────────────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class StrLit:
-    text: str
-
-
-@dataclass(frozen=True)
-class VarRef:
-    name: str
-
-
-@dataclass(frozen=True)
-class Condition:
-    """A branch guard: a boolean variable, its negation, or a literal.
-
-    var=None encodes the literals: negated=False is `true`,
-    negated=True is `false`.
-    """
-
-    var: str | None = None
-    negated: bool = False
-
-
-COND_TRUE = Condition(None, False)
-COND_FALSE = Condition(None, True)
-
-
-@dataclass(frozen=True)
-class LogCall:
-    level: str
-    parts: tuple[StrLit | VarRef, ...]
-    line: int = field(default=0, compare=False)
-
+# Statement leaves are model values, which lowering places without
+# conversion: a `LoggingStatement` of `Literal` and `Var` parts, an
+# `AssignAct`, and the `Guard` of an if's or while's taken edge.
 
 @dataclass(frozen=True)
 class Invoke:
@@ -109,21 +79,15 @@ class Invoke:
 
 
 @dataclass(frozen=True)
-class Assign:
-    var: str
-    value: str
-
-
-@dataclass(frozen=True)
 class If:
-    cond: Condition
+    cond: Guard
     then: tuple["Statement", ...]
     orelse: tuple["Statement", ...] | None = None
 
 
 @dataclass(frozen=True)
 class While:
-    cond: Condition
+    cond: Guard
     body: tuple["Statement", ...]
 
 
@@ -132,7 +96,7 @@ class Return:
     pass
 
 
-Statement = LogCall | Invoke | Assign | If | While | Return
+Statement = LoggingStatement | Invoke | AssignAct | If | While | Return
 
 
 @dataclass(frozen=True)
@@ -281,7 +245,7 @@ def _parse(text: str) -> list[AstMethod]:
                         raise fail("expected string literal on right-hand side", i + 2)
                     if kinds[i + 3] != ";":
                         raise expected("';'", i + 3)
-                    stmts.append(Assign(texts[i], texts[i + 2]))
+                    stmts.append(AssignAct(texts[i], texts[i + 2]))
                 else:
                     raise fail("expected '(' or '=' after identifier", i + 1)
                 i += 4
@@ -295,13 +259,13 @@ def _parse(text: str) -> list[AstMethod]:
                     raise expected("','", i + 3)
                 line = bisect_left(newlines, offsets[i]) + 1
                 i += 4
-                parts: list[StrLit | VarRef] = []
+                parts: list[Literal | Var] = []
                 while True:
                     part = kinds[i]
                     if part == "STRING":
-                        parts.append(StrLit(texts[i]))
+                        parts.append(Literal(texts[i]))
                     elif part == "IDENT":
-                        parts.append(VarRef(texts[i]))
+                        parts.append(Var(texts[i]))
                     else:
                         raise fail("expected string literal or variable in log message", i)
                     if kinds[i + 1] != "+":
@@ -310,7 +274,7 @@ def _parse(text: str) -> list[AstMethod]:
                 if kinds[i + 1:i + 3] != _CALL_END:
                     raise mismatch(i + 1, _CALL_END)
                 i += 3
-                stmts.append(LogCall(level, tuple(parts), line=line))
+                stmts.append(LoggingStatement(level, tuple(parts), line=line))
             elif kind == "}":
                 i += 1
                 if not stack:
@@ -336,16 +300,16 @@ def _parse(text: str) -> list[AstMethod]:
                     raise expected("'('", i + 1)
                 i += 2
                 if kinds[i] == "true":
-                    cond = COND_TRUE
+                    cond = GUARD_TRUE
                 elif kinds[i] == "false":
-                    cond = COND_FALSE
+                    cond = GUARD_FALSE
                 else:
-                    negated = kinds[i] == "!"
-                    if negated:
+                    value = kinds[i] != "!"
+                    if not value:
                         i += 1
                     if kinds[i] != "IDENT":
                         raise expected("condition variable", i)
-                    cond = Condition(texts[i], negated)
+                    cond = Guard(texts[i], value)
                 if kinds[i + 1:i + 3] != _COND_END:
                     raise mismatch(i + 1, _COND_END)
                 i += 3

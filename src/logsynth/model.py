@@ -47,7 +47,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
-from .errors import LogsynthError
+from .errors import LogsynthError, utf8_errors
 
 MethodId = int
 ActivityId = int
@@ -179,21 +179,26 @@ _KIND_NAMES = {
 
 # ── Execution graph ──────────────────────────────────────────────────
 
+# each node's edges, as (node, other end, guard) triples
+Edges = dict[ActivityId, tuple[tuple[ActivityId, ActivityId, Guard | None], ...]]
+
+
 @dataclass(frozen=True)
 class ExecutionGraph:
     """A method's activities and guarded edges, immutable once built.
 
     Construction builds, in one pass, the tables that validation and path
-    finding read: `entry`, `exit`, `out_edges` (each node's out-edges, true
-    guard first; nodes without one are absent) and `only_walk`, the single
-    entry-to-exit walk when every node on it before EXIT has exactly one
-    out-edge, unguarded, and EXIT has none (else None).  Such a graph has
-    no other edge-simple walk from entry, the walk is feasible, its nodes
-    are the `reachable` set, and it holds no loop head; any other graph's
-    reachable set is built too.  Construction never raises: a graph
-    without exactly one ENTRY or EXIT raises when `entry` or `exit` is
-    read, and reaches no node.  The graph holds nothing beyond what its
-    constructor builds: a search derives its in-edges and loops itself."""
+    finding read: `entry`, `exit`, `out_edges` (each node's out-edges, the
+    triples of `edges` themselves, true guard first; nodes without one are
+    absent) and `only_walk`, the single entry-to-exit walk when every node
+    on it before EXIT has exactly one out-edge, unguarded, and EXIT has
+    none (else None).  Such a graph has no other edge-simple walk from
+    entry, the walk is feasible, its nodes are the `reachable` set, and it
+    holds no loop head; any other graph's reachable set is built too.
+    Construction never raises: a graph without exactly one ENTRY or EXIT
+    raises when `entry` or `exit` is read, and reaches no node.  The graph
+    holds nothing beyond what its constructor builds: a search derives its
+    in-edges and loops itself."""
 
     nodes: dict[ActivityId, Activity]
     edges: frozenset[tuple[ActivityId, ActivityId, Guard | None]]
@@ -205,9 +210,9 @@ class ExecutionGraph:
                 entries.append(a)
             elif type(act) is Exit:
                 exits.append(a)
-        out: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]] = {}
-        for frm, to, g in self.edges:
-            out[frm] = out.get(frm, ()) + ((to, g),)
+        out: Edges = {}
+        for edge in self.edges:
+            out[edge[0]] = out.get(edge[0], ()) + (edge,)
         for frm, succ in out.items():
             if len(succ) > 1:
                 out[frm] = tuple(sorted(succ, key=_edge_order))
@@ -217,9 +222,9 @@ class ExecutionGraph:
             ends, node, path = (entry, exit_), entry, [entry]
             for _ in nodes:  # a longer walk cycles and never exits
                 succ = out.get(node, ())
-                if node == exit_ or len(succ) != 1 or succ[0][1] is not None:
+                if node == exit_ or len(succ) != 1 or succ[0][2] is not None:
                     break
-                node = succ[0][0]
+                node = succ[0][1]
                 path.append(node)
             if node == exit_ and exit_ not in out:
                 walk = tuple(path)
@@ -250,34 +255,33 @@ class ExecutionGraph:
         return self._end(1)
 
 
-def _edge_order(edge: tuple[ActivityId, Guard | None]):
-    to, g = edge
+def _edge_order(edge: tuple[ActivityId, ActivityId, Guard | None]):
+    _, to, g = edge
     return (0 if (g is not None and g.value) else 1, to, format_guard(g) if g else "")
 
 
-def sweep(edges: dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]],
-          starts, seen: set[ActivityId] | None = None) -> set[ActivityId]:
+def sweep(edges: Edges, starts, seen: set[ActivityId] | None = None) -> set[ActivityId]:
     """`seen` (empty by default) grown by `starts` and every node they
-    reach along `edges`, a map from each node to its (successor, label)
-    pairs such as `out_edges` or `in_edges(graph)`, without passing
-    through a node already in `seen`."""
+    reach along `edges`, a map from each node to its (node, successor,
+    label) triples such as `out_edges` or `in_edges(graph)`, without
+    passing through a node already in `seen`."""
     seen = set() if seen is None else seen
     work = [n for n in starts if n not in seen]
     seen.update(work)
     while work:
-        for m, _ in edges.get(work.pop(), ()):
+        for _, m, _ in edges.get(work.pop(), ()):
             if m not in seen:
                 seen.add(m)
                 work.append(m)
     return seen
 
 
-def in_edges(graph: ExecutionGraph) -> dict[ActivityId, tuple[tuple[ActivityId, Guard | None], ...]]:
-    """Each node's in-edges as (source, guard), in no fixed order; nodes
-    without in-edges are absent."""
-    into: dict[ActivityId, list[tuple[ActivityId, Guard | None]]] = {}
+def in_edges(graph: ExecutionGraph) -> Edges:
+    """Each node's in-edges reversed, as (node, source, guard), in no
+    fixed order; nodes without in-edges are absent."""
+    into: dict[ActivityId, list[tuple[ActivityId, ActivityId, Guard | None]]] = {}
     for frm, to, g in graph.edges:
-        into.setdefault(to, []).append((frm, g))
+        into.setdefault(to, []).append((to, frm, g))
     return {to: tuple(pred) for to, pred in into.items()}
 
 
@@ -303,7 +307,7 @@ def natural_loops(graph: ExecutionGraph, preds) -> dict[ActivityId, set[Activity
     stack = [(entry, iter(succ.get(entry, ())))]
     while stack:
         node, it = stack[-1]
-        for to, _ in it:
+        for _, to, _ in it:
             if to in on_stack:
                 if isinstance(graph.nodes.get(to), Branch):
                     candidates.setdefault(to, []).append(node)
@@ -408,11 +412,11 @@ def _validate_cfg(mid: MethodId, cfg: ExecutionGraph, methods, bad_call: str | N
     for aid, act in cfg.nodes.items():
         if isinstance(act, Branch):
             out = succ.get(aid, ())
-            if len(out) != 2 or any(g is None for _, g in out):
+            if len(out) != 2 or any(g is None for _, _, g in out):
                 raise ModelFormatError(
                     f"{where}: branch {aid} must have exactly 2 guarded out-edges"
                 )
-            (g1, g2) = (out[0][1], out[1][1])
+            (g1, g2) = (out[0][2], out[1][2])
             if g1 != g2.negation():
                 raise ModelFormatError(
                     f"{where}: branch {aid} out-guards are not complementary"
@@ -759,5 +763,6 @@ def loads_model(text: str) -> ProgramModel:
 
 
 def load_model(path) -> ProgramModel:
-    with open(path, encoding="utf-8") as fh:
-        return loads_model(fh.read())
+    with utf8_errors(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return loads_model(text)

@@ -223,7 +223,7 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId], preds, loops):
     while stack:
         node = path[-1]
         edges, into, undo = stack[-1]
-        for i, (to, guard) in edges:
+        for i, (_, to, guard) in edges:
             if (to in live and (node, i) not in used and
                     (guard is None or known.get(guard.var, guard.value) == guard.value)):
                 break

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import LogsynthError
+from .errors import LogsynthError, utf8_errors
 from .lowering import lower_to_model
 from .minilang import SourceUnit, parse_units
 from .model import ProgramModel, load_model
@@ -36,12 +36,14 @@ def read_sources(paths: list[str]) -> list[SourceUnit]:
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            for f in sorted(path.glob(f"*{SOURCE_SUFFIX}")):
-                units.append(SourceUnit(str(f), f.read_text(encoding="utf-8")))
+            files = sorted(path.glob(f"*{SOURCE_SUFFIX}"))
         elif path.exists():
-            units.append(SourceUnit(str(path), path.read_text(encoding="utf-8")))
+            files = [path]
         else:
             raise LogsynthError(f"no such source file: {p}")
+        for f in files:
+            with utf8_errors(f):
+                units.append(SourceUnit(str(f), f.read_text(encoding="utf-8")))
     return units
 
 

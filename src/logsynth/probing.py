@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import LogsynthError
+from .errors import LogsynthError, utf8_errors
 from .model import Call, Log, MethodId, ProgramModel
 
 
@@ -29,7 +29,7 @@ class LoggingApiConfig:
     @classmethod
     def load(cls, path) -> "LoggingApiConfig":
         names = set()
-        with open(path, encoding="utf-8") as fh:
+        with utf8_errors(path), open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line and not line.startswith("#"):

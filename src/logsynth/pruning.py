@@ -39,9 +39,9 @@ class PrunedCallGraph:
 
 
 def prune(cg: CallGraph, log_methods: set[MethodId]) -> PrunedCallGraph:
-    callers: dict[MethodId, list[tuple[MethodId, None]]] = {}
+    callers: dict[MethodId, list[tuple[MethodId, MethodId, None]]] = {}
     for caller, callee in cg.edges:
-        callers.setdefault(callee, []).append((caller, None))
+        callers.setdefault(callee, []).append((callee, caller, None))
     kept = frozenset(sweep(callers, log_methods))
     classification = {}
     for m in cg.nodes:

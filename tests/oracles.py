@@ -24,24 +24,10 @@ from collections import deque
 from logsynth.generation import Label
 from logsynth.labeling import Status
 from logsynth.metrics import CURVE_SAMPLE_EVERY, CoverageReport
-from logsynth.minilang import (
-    KEYWORDS,
-    Assign,
-    AstMethod,
-    Condition,
-    If,
-    Invoke,
-    LogCall,
-    ParseError,
-    Return,
-    Statement,
-    StrLit,
-    VarRef,
-    While,
-)
+from logsynth.minilang import KEYWORDS, AstMethod, If, Invoke, ParseError, Return, Statement, While
 from logsynth.model import (
-    LEVELS, AssignAct, Branch, Call, ExecutionGraph, Log, LogEvent, ModelFormatError, Var,
-    in_edges, natural_loops,
+    GUARD_FALSE, GUARD_TRUE, LEVELS, AssignAct, Branch, Call, ExecutionGraph, Guard, Literal, Log,
+    LogEvent, LoggingStatement, ModelFormatError, Var, in_edges, natural_loops,
 )
 from logsynth.pathfinding import PLACEHOLDER, CallStep, LogPath, LogStep, Mark, _iter_walks
 
@@ -802,11 +788,11 @@ class _Descent:
                 raise self._error("expected string literal on right-hand side")
             value = self._advance()[1]
             self._expect(";")
-            return Assign(tok[1], value)
+            return AssignAct(tok[1], value)
         raise self._error("expected '(' or '=' after identifier")
 
     # log := "log" "(" LEVEL "," part { "+" part } ")" ";"
-    def _parse_log(self) -> LogCall:
+    def _parse_log(self) -> LoggingStatement:
         kw = self._expect("log")
         self._expect("(")
         kind, level, _, _ = self._cur()
@@ -814,22 +800,22 @@ class _Descent:
             raise self._error("expected log level (info, warn, or error)")
         self._advance()
         self._expect(",")
-        parts: list[StrLit | VarRef] = [self._parse_part()]
+        parts: list[Literal | Var] = [self._parse_part()]
         while self._at("+"):
             self._advance()
             parts.append(self._parse_part())
         self._expect(")")
         self._expect(";")
-        return LogCall(level, tuple(parts), line=kw[2])
+        return LoggingStatement(level, tuple(parts), line=kw[2])
 
-    def _parse_part(self) -> StrLit | VarRef:
+    def _parse_part(self) -> Literal | Var:
         kind, text, _, _ = self._cur()
         if kind == "STRING":
             self._advance()
-            return StrLit(text)
+            return Literal(text)
         if kind == "IDENT":
             self._advance()
-            return VarRef(text)
+            return Var(text)
         raise self._error("expected string literal or variable in log message")
 
     def _parse_if(self) -> If:
@@ -852,18 +838,18 @@ class _Descent:
         return While(cond, self._parse_block())
 
     # cond := "true" | "false" | [ "!" ] IDENT
-    def _parse_cond(self) -> Condition:
+    def _parse_cond(self) -> Guard:
         if self._at("true"):
             self._advance()
-            return Condition(None, False)
+            return GUARD_TRUE
         if self._at("false"):
             self._advance()
-            return Condition(None, True)
-        negated = False
+            return GUARD_FALSE
+        value = True
         if self._at("!"):
             self._advance()
-            negated = True
-        return Condition(self._expect_ident("condition variable")[1], negated)
+            value = False
+        return Guard(self._expect_ident("condition variable")[1], value)
 
 
 # ── Model payload oracles: one character at a time ───────────────────
@@ -918,24 +904,24 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _fmt_cond(cond: Condition) -> str:
+def _fmt_cond(cond: Guard) -> str:
     if cond.var is None:
-        return "false" if cond.negated else "true"
-    return ("!" if cond.negated else "") + cond.var
+        return "true" if cond.value else "false"
+    return ("" if cond.value else "!") + cond.var
 
 
 def _fmt_stmt(stmt: Statement, indent: int, out: list[str]) -> None:
     pad = "    " * indent
-    if isinstance(stmt, LogCall):
+    if isinstance(stmt, LoggingStatement):
         parts = " + ".join(
-            f'"{_escape(p.text)}"' if isinstance(p, StrLit) else p.name
+            f'"{_escape(p.text)}"' if isinstance(p, Literal) else p.name
             for p in stmt.parts
         )
         out.append(f"{pad}log({stmt.level}, {parts});")
     elif isinstance(stmt, Invoke):
         out.append(f"{pad}{stmt.target}();")
-    elif isinstance(stmt, Assign):
-        out.append(f'{pad}{stmt.var} = "{_escape(stmt.value)}";')
+    elif isinstance(stmt, AssignAct):
+        out.append(f'{pad}{stmt.var} = "{_escape(stmt.literal)}";')
     elif isinstance(stmt, If):
         out.append(f"{pad}if ({_fmt_cond(stmt.cond)}) {{")
         for s in stmt.then:

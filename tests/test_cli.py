@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,7 @@ def test_generate_checks_its_parameters_before_analysis(tmp_path, capsys, monkey
     base = ("generate", "--model", str(art / "model.txt"), "--out", str(tmp_path / "ds"))
     for extra, message in [
         (("--size", "0"), "size must be >= 1"),
+        (("--size", "99999999999999999999"), f"size must be <= {sys.maxsize}"),
         (("--size", "5", "--anomaly-rate", "1.5"), "anomaly rate must be within [0, 1]"),
         (("--size", "5", "--anomaly-rate", "0.5"),
          "anomaly rate > 0 requires --annotations with seed paths"),
@@ -463,3 +465,43 @@ def test_stats_rejects_a_malformed_dataset(tmp_path, capsys, artifacts,
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("target", [
+    "source", "model.txt", "worksheet.txt", "manifest.txt", "sequences.csv",
+    "templates.csv", "logging-api", "reference",
+])
+def test_a_non_utf8_byte_is_one_error_line(tmp_path, capsys, artifacts, target):
+    art, _ = artifacts
+    model, ds = str(art / "model.txt"), tmp_path / "ds"
+    assert run(capsys, "generate", "--model", model, "--size", "5", "--out", str(ds))[0] == 0
+    source, api, ref = tmp_path / "datanode.mlog", tmp_path / "api.txt", tmp_path / "ref.txt"
+    source.write_bytes(Path(FIXTURE).read_bytes())
+    api.write_text("# external logging APIs\nlog\n", encoding="utf-8")
+    ref.write_text("Received block <*>\nnever matched template\n", encoding="utf-8")
+    stats = ("stats", "--model", model, "--dataset", str(ds))
+    path, argv = {
+        "source": (source, ("analyze", str(source), "--out", str(tmp_path / "a"))),
+        "model.txt": (art / "model.txt", ("paths", "--model", model, "--dump")),
+        "worksheet.txt": (tmp_path / "worksheet.txt",
+                          ("generate", "--model", model, "--size", "5", "--annotations",
+                           str(tmp_path / "worksheet.txt"), "--out", str(tmp_path / "ds2"))),
+        "manifest.txt": (ds / "manifest.txt", stats),
+        "sequences.csv": (ds / "sequences.csv", stats),
+        "templates.csv": (ds / "templates.csv", stats),
+        "logging-api": (api, ("prune", "--model", model, "--logging-api", str(api), "--dump")),
+        "reference": (ref, (*stats, "--reference", str(ref))),
+    }[target]
+    lines = path.read_bytes().split(b"\n")
+    column = len(lines[1].decode("utf-8")) + 1
+    lines[1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    assert run(capsys, *argv) == \
+        (1, "", f"error: {path}:2:{column}: invalid UTF-8 byte 0xff\n")
+
+
+def test_a_bad_byte_past_the_reader_s_first_chunk_is_placed_in_the_file(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_bytes(b"# padding\n" * 2000 + "# \u00e9".encode() + b"\xff\n")
+    assert run(capsys, "paths", "--model", str(model), "--dump") == \
+        (1, "", f"error: {model}:2001:4: invalid UTF-8 byte 0xff\n")

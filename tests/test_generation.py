@@ -1043,6 +1043,8 @@ def test_deep_call_chain_generates_in_process():
     dict(size=10, anomaly_rate=0.0, max_loop_reps=0),
     dict(size=10, anomaly_rate=0.0, max_recursion_depth=-1),
     dict(size=10, anomaly_rate=0.0, seed=2 ** 64),
+    dict(size=2 ** 63, anomaly_rate=0.0),
+    dict(size=10 ** 20, anomaly_rate=0.0),
 ])
 def test_invalid_params_rejected(kw):
     with pytest.raises(ConfigError):

@@ -8,26 +8,34 @@ from hypothesis import strategies as st
 
 from logsynth.lowering import LoweringError, lower_to_model
 from logsynth.minilang import (
-    Assign,
     AstMethod,
-    COND_FALSE,
-    COND_TRUE,
-    Condition,
     If,
     Invoke,
     KEYWORDS,
-    LogCall,
     ParseError,
     Return,
     SourceUnit,
-    StrLit,
-    VarRef,
     While,
     _position,
     _tokenize,
     parse_unit,
 )
-from logsynth.model import Branch, Call, Entry, Exit, Guard, Log, in_edges, natural_loops
+from logsynth.model import (
+    GUARD_FALSE,
+    GUARD_TRUE,
+    AssignAct,
+    Branch,
+    Call,
+    Entry,
+    Exit,
+    Guard,
+    Literal,
+    Log,
+    LoggingStatement,
+    Var,
+    in_edges,
+    natural_loops,
+)
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph
 
@@ -48,14 +56,14 @@ def test_golden_fixture_parses_to_four_methods(datanode_methods):
     assert a.component == "datanode"
     (loop,) = a.body
     assert isinstance(loop, While)
-    assert loop.cond == Condition("shouldRun", False)
+    assert loop.cond == Guard("shouldRun", True)
     log, branch = loop.body
-    assert log == LogCall("info", (StrLit("Receiving block "), VarRef("block")))
+    assert log == LoggingStatement("info", (Literal("Receiving block "), Var("block")))
     assert isinstance(branch, If)
     assert branch.then == (Invoke("methodB"),)
     assert branch.orelse == (Invoke("methodC"),)
     d = datanode_methods[3]
-    assert d.body[0] == Assign("msg", "Join on responder thread, timed out.")
+    assert d.body[0] == AssignAct("msg", "Join on responder thread, timed out.")
 
 
 def test_empty_file_yields_no_methods():
@@ -190,7 +198,7 @@ def _unit_text(rng, noisy):
 def _log_lines(body):
     lines = []
     for stmt in body:
-        if isinstance(stmt, LogCall):
+        if isinstance(stmt, LoggingStatement):
             lines.append(stmt.line)
         elif isinstance(stmt, If):
             lines += _log_lines(stmt.then) + _log_lines(stmt.orelse or ())
@@ -222,7 +230,7 @@ def test_parse_matches_recursive_descent_reference(noisy):
 def test_log_call_lines_count_newlines_before_the_log_keyword():
     (m,) = parse('void m(){\n  x = "a";\r\n  // log(info, "no")\n\n'
                  '  log(info, "one"); log(warn, "two");\n  log(error, "three"); }')
-    assert [s.line for s in m.body if isinstance(s, LogCall)] == [5, 5, 6]
+    assert [s.line for s in m.body if isinstance(s, LoggingStatement)] == [5, 5, 6]
 
 
 def test_thousand_nested_ifs_parse_lower_and_analyze():
@@ -235,14 +243,13 @@ def test_thousand_nested_ifs_parse_lower_and_analyze():
 
 def test_string_escapes_round_trip():
     (m,) = parse(r'void m(){ x = "a \"quoted\" \\ backslash"; }')
-    assert m.body[0] == Assign("x", 'a "quoted" \\ backslash')
+    assert m.body[0] == AssignAct("x", 'a "quoted" \\ backslash')
 
 
 def test_conditions():
     (m,) = parse("void m(){ if(true){} if(false){} if(c){} if(!c){} }")
     conds = [s.cond for s in m.body]
-    assert conds == [COND_TRUE, COND_FALSE,
-                     Condition("c", False), Condition("c", True)]
+    assert conds == [GUARD_TRUE, GUARD_FALSE, Guard("c", True), Guard("c", False)]
 
 
 # ── Fuzzed round-trip ────────────────────────────────────────────────
@@ -259,24 +266,24 @@ _text = st.text(
 
 def _conditions():
     return st.one_of(
-        st.just(COND_TRUE),
-        st.just(COND_FALSE),
-        st.builds(Condition, _ident, st.booleans()),
+        st.just(GUARD_TRUE),
+        st.just(GUARD_FALSE),
+        st.builds(Guard, _ident, st.booleans()),
     )
 
 
 def _statements(names):
     base = st.one_of(
         st.builds(
-            LogCall,
+            LoggingStatement,
             st.sampled_from(["info", "warn", "error"]),
             st.lists(
-                st.one_of(st.builds(StrLit, _text), st.builds(VarRef, _ident)),
+                st.one_of(st.builds(Literal, _text), st.builds(Var, _ident)),
                 min_size=1, max_size=3,
             ).map(tuple),
         ),
         st.builds(Invoke, st.sampled_from(names)),
-        st.builds(Assign, _ident, _text),
+        st.builds(AssignAct, _ident, _text),
         st.just(Return()),
     )
 
@@ -339,6 +346,14 @@ def test_while_loop_produces_back_edge():
         (1, 3, Guard("c", False)),
     }
     assert set(natural_loops(cfg, in_edges(cfg))) == {1}
+
+
+def test_lowering_places_the_parsers_statements():
+    (m,) = parse('void m(){ x = "a"; log(info, "v=" + x); }')
+    assign, log = m.body
+    cfg = lower_to_model([m]).methods[0].cfg
+    assert cfg.nodes[1] is assign
+    assert cfg.nodes[2].stmt is log
 
 
 def test_unresolved_invoke_target_names_the_callee():

@@ -499,7 +499,9 @@ def test_only_walk_and_reachable_match_brute_force_on_random_graphs():
 def test_graph_without_one_entry_builds_and_is_rejected_when_used():
     cfg = ExecutionGraph({0: Entry(), 1: Entry(), 2: Exit()},
                          frozenset({(0, 2, None), (1, 2, None)}))
-    assert cfg.out_edges == {0: ((2, None),), 1: ((2, None),)}
+    assert cfg.out_edges == {0: ((0, 2, None),), 1: ((1, 2, None),)}
+    ids = {id(edge) for edge in cfg.edges}  # the edges themselves, not copies
+    assert all(id(edge) in ids for succ in cfg.out_edges.values() for edge in succ)
     assert cfg.only_walk is None and cfg.reachable == frozenset()
     message = "execution graph must have exactly one ENTRY node, found 2"
     for end in ("entry", "exit"):  # ENTRY's count is checked first
