@@ -11,12 +11,12 @@ candidate left: the walk then backtracks to the innermost open call,
 undoes what that call's last path added, and runs the next path in the
 call's drawn order; with no call open, it starts its next root try.  On
 an entry admitted by the fixpoints but blocked by the bound it can
-backtrack for a long time before raising `ExhaustionError`.  Loop-marked
+backtrack for a long time before raising `ExhaustionError`.  Loop
 regions replay 1..max_loop_reps times with fresh choices per
 repetition, and calls into recursion cycles are bounded by
 max_recursion_depth re-entries.  A walk's call depth is bounded by
 memory, not by Python's recursion limit.  Nothing is rebuilt per step:
-a path's loop regions are decoded on its first visit (`LogPath.regions`),
+a path's loop regions are built once with the path (`LogPath.regions`),
 and each call, named by its callee and candidate index, is decided the
 first time a walk makes it (`Walker.calls`).
 
@@ -36,7 +36,7 @@ because a root try can fail and move on to the next root.
 
 Most calls leave the walk no choice.  A call is *forced* when its
 callee is in no recursion cycle and has exactly one candidate path,
-that path has no loop-marked step, and every call on it is forced too.  Such
+that path has no loop region, and every call on it is forced too.  Such
 a call always completes with the same events and trace; all it varies is
 how far the RNG advances.  Whether a call is forced is decided the first
 time a walk makes it, its callees' calls first, and kept, so set-up work
@@ -75,7 +75,7 @@ from pathlib import Path
 from .errors import LogsynthError, utf8_errors
 from .labeling import AnnotationSet, InfectionMap, Status, dumps_annotations
 from .model import EventId, LogEvent, MethodId, ProgramModel, model_sha256
-from .pathfinding import CallStep, LogPath, LogStep, Mark, PathStore
+from .pathfinding import CallStep, LogPath, LogStep, PathStore
 from .probing import CallGraph
 from .pruning import PrunedCallGraph
 
@@ -462,15 +462,13 @@ class Walker:
         forced = self.forced
         mid, index = key
         cands = self.candidates.get(mid, _NO_PATHS)[index]
-        if len(cands) != 1 or self._cycle(mid) is not None:
+        if len(cands) != 1 or cands[0].spans or self._cycle(mid) is not None:
             return None
         path = cands[0]
         hit = self.status[path.id] is Status.SEED
         at = 2 if hit and index == 1 else index  # the callees' index
-        draws, plan, unmarked = 1, [], Mark.NONE
+        draws, plan = 1, []
         for step in path.steps:
-            if step.loop_mark is not unmarked:
-                return None
             if type(step) is LogStep:
                 plan.append(step.event)
                 continue

@@ -297,7 +297,9 @@ def natural_loops(graph: ExecutionGraph, preds) -> dict[ActivityId, set[Activity
     entry cannot reach the source once the head is removed.  Heads are
     derived, never recorded per `while`, so a loop that cannot cycle
     (unreachable, or a body that always returns) is a plain branch.
-    Memory is linear in the graph; time is linear per candidate head."""
+    Time is linear per candidate head and memory holds one body set per
+    head, so time is quadratic in the graph for many loops in sequence,
+    and time and memory both are for deeply nested loops."""
     entry = graph.entry
     succ = graph.out_edges
 

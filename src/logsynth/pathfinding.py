@@ -4,15 +4,16 @@ record each kept method's log-related execution paths.
 Path space: every feasible entry-to-exit walk of the method's execution
 graph that traverses no edge twice.  On structured graphs this is
 exactly "each loop runs zero or one time"; repetition is reintroduced at
-generation time from the loop marks.  A walk is feasible when no guard
+generation time from the loop regions.  A walk is feasible when no guard
 contradicts an earlier one on the same variable without a reassignment
 or a loop-head re-evaluation in between, and no literal-false guard is
 taken; the search never extends a contradictory prefix, so infeasible
 walks are never enumerated.  Each walk is projected onto its
 logging activities and its calls to kept methods; a call site with
 several possible callees (ambiguous dispatch) expands into one variant
-per callee.  The first and last recorded step inside a loop body carry
-start/end marks so the generator can replay the region.
+per callee.  Each loop iteration the walk completes that records a
+step is kept as a span, the indexes of its first and last recorded
+step, so the generator can replay the region.
 
 A walk that leaves some loop without ever entering its body is flagged
 (`skips_loop`): it is a legal zero-iteration execution, kept for path
@@ -31,11 +32,9 @@ derivation.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import logging
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from .errors import LogsynthError
 from .model import (
@@ -62,26 +61,14 @@ log = logging.getLogger(__name__)
 PLACEHOLDER = "<*>"
 
 
-class Mark(str, enum.Enum):
-    NONE = "none"
-    START = "start"
-    END = "end"
-    BOTH = "both"
-
-
-_SUFFIX = {Mark.NONE: "", Mark.START: ":S", Mark.END: ":E", Mark.BOTH: ":SE"}
-
-
 @dataclass(frozen=True)
 class LogStep:
     event: EventId
-    loop_mark: Mark = Mark.NONE
 
 
 @dataclass(frozen=True)
 class CallStep:
     callee: MethodId
-    loop_mark: Mark = Mark.NONE
 
 
 Step = LogStep | CallStep
@@ -89,39 +76,46 @@ Step = LogStep | CallStep
 
 @dataclass(frozen=True)
 class LogPath:
-    """One log-related execution path of a method."""
+    """One log-related execution path of a method.  `spans` holds the
+    (first, last) step index of each loop region, in the order the walk
+    closed them, inner first; regions nest or are disjoint, and nested
+    ones may share boundary steps."""
 
     id: int
     method: MethodId
     steps: tuple[Step, ...]
+    spans: tuple[tuple[int, int], ...] = ()
     skips_loop: bool = False
-    # the distinct methods the path calls, in first-call order, found once
-    # when the path is built; a cached_property would give each path an
-    # instance dict, which made every full collection slower
+    # found once when the path is built, as plain fields (caching them on
+    # first read would give each path its own instance dict, which made
+    # every full collection slower): `callees`, the distinct methods the
+    # path calls in first-call order, and `regions`, the steps as a forest
+    # in which a loop region is a tuple of its nodes and any other node is
+    # a step
     callees: tuple[MethodId, ...] = field(init=False, repr=False, compare=False)
+    regions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "callees", tuple(dict.fromkeys(
             s.callee for s in self.steps if type(s) is CallStep)))
-
-    @cached_property
-    def regions(self) -> tuple:
-        """The steps as a forest, decoded on first use and kept: a loop
-        region is a tuple of its nodes, any other node is a step.
-        Unbalanced marks (possible when nested loop boundaries coincide)
-        degrade to plain steps."""
-        stack: list[list] = [[]]
-        for s in self.steps:
-            if s.loop_mark in (Mark.START, Mark.BOTH):
-                stack.append([])
-            stack[-1].append(s)
-            if s.loop_mark in (Mark.END, Mark.BOTH) and len(stack) > 1:
-                region = tuple(stack.pop())
-                stack[-1].append(region)
-        while len(stack) > 1:  # regions never closed: dissolve, no repetition
-            region = stack.pop()
-            stack[-1].extend(region)
-        return tuple(stack[0])
+        regions = self.steps  # without spans, the steps are the forest
+        if self.spans:
+            # how many regions open and close at each step: regions that
+            # share a step nest, so the last one opened closes first
+            opens = [0] * len(regions)
+            closes = opens[:]
+            for first, last in self.spans:
+                opens[first] += 1
+                closes[last] += 1
+            stack: list[list] = [[]]
+            for step, o, c in zip(regions, opens, closes):
+                stack += [[] for _ in range(o)]
+                stack[-1].append(step)
+                for _ in range(c):
+                    region = tuple(stack.pop())
+                    stack[-1].append(region)
+            regions = tuple(stack[0])
+        object.__setattr__(self, "regions", regions)
 
 
 @dataclass(frozen=True)
@@ -268,15 +262,16 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId], preds, loops):
 
 def _project(visits, plain, loops):
     """One walk's projection, in one pass over its visits: the positions
-    of the visits to `plain`'s nodes (the recorded steps), the mark bits
-    (1 start, 2 end) by step index, and whether the walk leaves some loop
-    of `loops` without ever entering its body.  A region opens when the
-    walk enters a head's body and closes when it is back at that head,
-    dropping any unclosed inner regions opened after it; its first and
-    last recorded step carry the marks.  A head has at most one open
-    region, since the walk is at the head just before it opens one."""
+    of the visits to `plain`'s nodes (the recorded steps), the spans of
+    its loop regions, and whether the walk leaves some loop of `loops`
+    without ever entering its body.  A region opens when the walk enters
+    a head's body and closes when it is back at that head, dropping any
+    unclosed inner regions opened after it; a closed region that records
+    a step is kept as the (first, last) index of its steps, in the order
+    regions close.  A head has at most one open region, since the walk is
+    at the head just before it opens one."""
     at: list[int] = []
-    marks: dict[int, int] = {}
+    spans: list[tuple[int, int]] = []
     regions: list[tuple[ActivityId, int]] = []  # open: (head, len(at) at opening)
     open_heads: set[ActivityId] = set()
     entered: set[ActivityId] = set()
@@ -296,15 +291,11 @@ def _project(visits, plain, loops):
                 head, first = regions.pop()
                 open_heads.discard(head)
             if first < len(at):
-                marks[first] = marks.get(first, 0) | 1
-                marks[len(at) - 1] = marks.get(len(at) - 1, 0) | 2
+                spans.append((first, len(at) - 1))
         if node in plain:
             at.append(i)
         prev = node
-    return at, marks, not left <= entered
-
-
-_MARKS = (Mark.NONE, Mark.START, Mark.END, Mark.BOTH)  # by bits: 1 start, 2 end
+    return at, tuple(spans), not left <= entered
 
 
 def enumerate_logeps(
@@ -326,14 +317,14 @@ def enumerate_logeps(
     statement leaves the search once all its variables are placeholders.
 
     The paths are the distinct projections of the feasible walks, in
-    deterministic order: each (steps, skips_loop) is represented by the
-    first walk that projects onto it.  At more feasible walks or more
+    deterministic order: each (steps, spans, skips_loop) is represented by
+    the first walk that projects onto it.  At more feasible walks or more
     distinct paths than `limits` allows, exit leaves the search with a
     truncation warning, and the search goes on for the open statements; at
     most that many paths are kept, numbered from `first_id`.  The search
     builds the graph's `in_edges` and `natural_loops` once and hands them
     to `_iter_walks` and `_project`; a graph with an only walk builds
-    neither, has no loops, and its paths carry no marks."""
+    neither, has no loops, and its paths have no spans."""
     cfg = method.cfg
     nodes = cfg.nodes
     if events is None:
@@ -364,44 +355,29 @@ def enumerate_logeps(
         truncated = len(out) > budget
     else:
         # one scan numbers the LOG activities, finds each statement that
-        # prints variables, and each node's step kind and choices: its
-        # event id, or the kept callees
+        # prints variables, and gives each recorded node its step codes,
+        # one per choice: each distinct step is built once and named by
+        # its index in `built`
         logs: list[ActivityId] = []
-        shown: dict[int, tuple[type, tuple[int, ...]]] = {}
+        index: dict[Step, int] = {}
+        plain: dict[ActivityId, tuple[int, ...]] = {}
         for node in sorted(cfg.reachable):
             act = nodes[node]
             if type(act) is Log:
-                shown[node] = (LogStep, (first_event + len(logs),))
+                steps = (LogStep(first_event + len(logs)),)
                 logs.append(node)
                 names = [p.name for p in act.stmt.parts if isinstance(p, Var)]
                 if names:
                     values[node] = dict.fromkeys(names)
             elif type(act) is Call:
-                kept = tuple(c for c in act.callees if c in cg_prime.kept)
-                if kept:
-                    shown[node] = (CallStep, kept)
-        # each distinct step is built once and named by its index in `built`;
-        # a node offers one step code per choice, under each loop mark
-        built: list[Step] = []
-        index: dict[Step, int] = {}
-        offers: dict[tuple[int, int], tuple[int, ...]] = {}  # (node, mark) -> codes
-
-        def offer(node: int, mark: int) -> tuple[int, ...]:
-            if (node, mark) not in offers:
-                kind, xs = shown[node]
-                codes = []
-                for x in xs:
-                    step = kind(x, _MARKS[mark])
-                    if step not in index:
-                        index[step] = len(built)
-                        built.append(step)
-                    codes.append(index[step])
-                offers[node, mark] = tuple(codes)
-            return offers[node, mark]
-
-        plain = {node: offer(node, 0) for node in shown}
+                steps = tuple(CallStep(c) for c in act.callees if c in cg_prime.kept)
+            else:
+                continue
+            if steps:
+                plain[node] = tuple(index.setdefault(s, len(index)) for s in steps)
+        built = list(index)
         out: list[LogPath] = []
-        seen: set[tuple[tuple[int, ...], bool]] = set()
+        seen: set[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]] = set()
         exit_ = cfg.exit
         targets = {*values, exit_}
         # the budget counts each statement's arrivals, and exit's
@@ -429,18 +405,14 @@ def enumerate_logeps(
             if walks > budget:  # more feasible walks than the cap: stop at exit
                 targets.discard(exit_)
                 continue
-            at, marks, skipped = _project(visits, plain, loops)
+            at, spans, skipped = _project(visits, plain, loops)
             # one variant per callee choice at each ambiguous call site
-            options = [plain[visits[i]] for i in at]
-            for j, mark in marks.items():
-                options[j] = offer(visits[at[j]], mark)
-            for codes in itertools.product(*options):
-                if (codes, skipped) in seen:
+            for codes in itertools.product(*[plain[visits[i]] for i in at]):
+                if (codes, spans, skipped) in seen:
                     continue
-                seen.add((codes, skipped))
-                out.append(LogPath(id=first_id + len(out), method=method.id,
-                                   steps=tuple(built[c] for c in codes),
-                                   skips_loop=skipped))
+                seen.add((codes, spans, skipped))
+                out.append(LogPath(first_id + len(out), method.id,
+                                   tuple(built[c] for c in codes), spans, skipped))
                 if len(out) > budget:
                     targets.discard(exit_)
                     break
@@ -493,11 +465,15 @@ def build_store(
     return PathStore(by_method=by_method, events=events)
 
 
+_SUFFIX = ("", ":S", ":E", ":SE")  # by bits: 1 a region's first step, 2 its last
+
+
 def format_store_dump(store: PathStore, model: ProgramModel) -> str:
-    """Inspection dump: the event table and every path's steps.  A
-    method's paths share its step objects, so each step's text is built
-    once and kept by the step's `id`, which the store keeps alive for the
-    whole dump."""
+    """Inspection dump: the event table and every path's steps, the first
+    and last step of each loop region marked `:S` and `:E` (`:SE` when
+    one step is both).  A method's paths share its step objects, so each
+    step's text is built once and kept by the step's `id`, which the
+    store keeps alive for the whole dump."""
     lines = []
     for eid in sorted(store.events):
         ev = store.events[eid]
@@ -511,7 +487,14 @@ def format_store_dump(store: PathStore, model: ProgramModel) -> str:
             if text is None:
                 text = texts[id(s)] = (
                     f"L:{s.event}" if type(s) is LogStep
-                    else f"C:{names[s.callee]}") + _SUFFIX[s.loop_mark]
+                    else f"C:{names[s.callee]}")
             steps.append(text)
+        if path.spans:
+            marks: dict[int, int] = {}
+            for first, last in path.spans:
+                marks[first] = marks.get(first, 0) | 1
+                marks[last] = marks.get(last, 0) | 2
+            for j, bits in marks.items():
+                steps[j + 1] += _SUFFIX[bits]
         lines.append(" ".join(steps))
     return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ test.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from collections import deque
 
@@ -29,7 +30,7 @@ from logsynth.model import (
     GUARD_FALSE, GUARD_TRUE, LEVELS, AssignAct, Branch, Call, ExecutionGraph, Guard, Literal, Log,
     LogEvent, LoggingStatement, ModelFormatError, Var, in_edges, natural_loops,
 )
-from logsynth.pathfinding import PLACEHOLDER, CallStep, LogPath, LogStep, Mark, _iter_walks
+from logsynth.pathfinding import PLACEHOLDER, CallStep, LogPath, LogStep, _iter_walks
 
 
 # ── Pruning oracle: per-node DFS reachability ────────────────────────
@@ -336,24 +337,32 @@ def loops_by_removal(cfg: ExecutionGraph) -> dict[int, set[int]]:
     return {h: _cycle_set(cfg, h) for h in heads}
 
 
-def project_walk(cfg: ExecutionGraph, visits, kept: set[int],
-                 stmt_to_event: dict[int, int]) -> list[tuple]:
-    """Project one walk onto (event/callee, mark) step tuples plus the
-    skipped-loop flag, using consecutive head occurrences for regions.
-    One variant is returned per callee choice at ambiguous call sites."""
+class Mark(str, enum.Enum):
+    """A recorded step's part in its path's loop regions: the first step
+    of one, the last, both, or neither."""
+    NONE = "none"
+    START = "start"
+    END = "end"
+    BOTH = "both"
+
+
+def marks_of(spans, n: int) -> list[Mark]:
+    """The marks of a path's `n` steps, given the (first, last) step
+    indexes of its loop regions."""
+    starts = {first for first, _ in spans}
+    ends = {last for _, last in spans}
+    return [Mark.BOTH if j in starts and j in ends else Mark.START if j in starts
+            else Mark.END if j in ends else Mark.NONE for j in range(n)]
+
+
+def walk_spans(cfg: ExecutionGraph, visits, at: list[int]) -> tuple[list[tuple[int, int]], bool]:
+    """A walk's loop regions and skipped-loop flag, from consecutive head
+    occurrences, given the visit indexes `at` of its recorded steps: for
+    each head whose body the walk enters, the (first, last) index in `at`
+    of each stretch between two consecutive visits to the head that
+    records a step, in head order."""
     cycle_sets = loops_by_removal(cfg)
-
-    recorded: list[tuple[int, str, object]] = []
-    for i, (node, _) in enumerate(visits):
-        act = cfg.nodes[node]
-        if isinstance(act, Log):
-            recorded.append((i, "log", (stmt_to_event[node],)))
-        elif isinstance(act, Call):
-            kept_callees = tuple(c for c in act.callees if c in kept)
-            if kept_callees:
-                recorded.append((i, "call", kept_callees))
-
-    marks = {j: set() for j in range(len(recorded))}
+    spans: list[tuple[int, int]] = []
     skipped = False
     for head, cset in cycle_sets.items():
         occurrences = [i for i, (n, _) in enumerate(visits) if n == head]
@@ -367,30 +376,31 @@ def project_walk(cfg: ExecutionGraph, visits, kept: set[int],
                 skipped = True
             continue
         for a, b in zip(occurrences, occurrences[1:]):
-            inside = [j for j, (i, _, _) in enumerate(recorded) if a < i < b]
+            inside = [j for j, i in enumerate(at) if a < i < b]
             if inside:
-                marks[inside[0]].add("start")
-                marks[inside[-1]].add("end")
+                spans.append((inside[0], inside[-1]))
+    return spans, skipped
 
-    def mark_of(j):
-        m = marks[j]
-        if "start" in m and "end" in m:
-            return Mark.BOTH
-        if "start" in m:
-            return Mark.START
-        if "end" in m:
-            return Mark.END
-        return Mark.NONE
 
-    from itertools import product
-
-    choice_lists = [payload for (_, _, payload) in recorded]
+def project_walk(cfg: ExecutionGraph, visits, kept: set[int],
+                 stmt_to_event: dict[int, int]) -> list[tuple]:
+    """Project one walk onto (event/callee, mark) step tuples plus the
+    skipped-loop flag, the marks read off `walk_spans`.  One variant is
+    returned per callee choice at ambiguous call sites."""
+    recorded: list[tuple[int, str, tuple]] = []  # (visit index, kind, choices)
+    for i, (node, _) in enumerate(visits):
+        act = cfg.nodes[node]
+        if isinstance(act, Log):
+            recorded.append((i, "log", (stmt_to_event[node],)))
+        elif isinstance(act, Call):
+            kept_callees = tuple(c for c in act.callees if c in kept)
+            if kept_callees:
+                recorded.append((i, "call", kept_callees))
+    spans, skipped = walk_spans(cfg, visits, [i for i, _, _ in recorded])
+    marks = marks_of(spans, len(recorded))
     variants = []
-    for combo in product(*choice_lists) if choice_lists else [()]:
-        steps = tuple(
-            (kind, combo[j], mark_of(j))
-            for j, (_, kind, _) in enumerate(recorded)
-        )
+    for combo in itertools.product(*[choices for _, _, choices in recorded]):
+        steps = tuple((kind, x, mark) for (_, kind, _), x, mark in zip(recorded, combo, marks))
         variants.append((steps, skipped))
     return variants
 
@@ -450,8 +460,8 @@ def production_paths(store, method_id: int) -> list[tuple]:
     """The production store's paths for one method in store order, shaped
     like the oracle's."""
     return [
-        (tuple(("log", s.event, s.loop_mark) if isinstance(s, LogStep)
-               else ("call", s.callee, s.loop_mark) for s in p.steps),
+        (tuple(("log", s.event, mark) if isinstance(s, LogStep) else ("call", s.callee, mark)
+               for s, mark in zip(p.steps, marks_of(p.spans, len(p.steps)))),
          p.skips_loop)
         for p in store.by_method[method_id]
     ]
@@ -488,25 +498,24 @@ def walk_space(store, infection, scc_of, cycle_sccs, params, entry: int,
     of all path, callee, and loop-repetition choices."""
     results: set[tuple[int, ...]] = set()
 
-    def parse(steps):
-        root, stack = [], []
-        cur = root
-        for s in steps:
-            if s.loop_mark in (Mark.START, Mark.BOTH):
-                region = []
+    def parse(steps, spans):
+        # each span opens before its step and closes after it; spans that
+        # start together open outermost first, so the innermost open span
+        # is the first to end
+        starts = sorted(spans, key=lambda span: (span[0], -span[1]))
+        root: list = []
+        cur, stack, k = root, [], 0
+        for j, s in enumerate(steps):
+            while k < len(starts) and starts[k][0] == j:
+                region: list = []
                 cur.append(("region", region))
-                stack.append(cur)
+                stack.append((starts[k][1], cur))
                 cur = region
+                k += 1
             cur.append(("step", s))
-            if s.loop_mark in (Mark.END, Mark.BOTH) and stack:
-                cur = stack.pop()
-        while stack:  # unterminated: flatten
-            parent = stack.pop()
-            for i, n in enumerate(parent):
-                if n[0] == "region" and n[1] is cur:
-                    parent[i:i + 1] = cur
-                    break
-            cur = parent
+            while stack and stack[-1][0] == j:
+                cur = stack.pop()[1]
+        assert k == len(starts) and not stack, (steps, spans)
         return root
 
     def candidates(mid, hit):
@@ -523,7 +532,7 @@ def walk_space(store, infection, scc_of, cycle_sccs, params, entry: int,
         outs = set()
         for p in candidates(mid, hit):
             new_hit = hit or infection.status[p.id] is Status.SEED
-            for tail_hit, tail in run(parse(p.steps), new_hit, budgets, ()):
+            for tail_hit, tail in run(parse(p.steps, p.spans), new_hit, budgets, ()):
                 outs.add((tail_hit, tail))
         return outs
 

@@ -24,7 +24,7 @@ from logsynth.generation import (
 )
 from logsynth.labeling import AnnotationSet, Status, propagate
 from logsynth.metrics import logging_coverage, measure_throughput, train_detector
-from logsynth.pathfinding import LogStep, Mark
+from logsynth.pathfinding import LogStep
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph, mark_log_methods
 from logsynth.pruning import prune
@@ -41,7 +41,7 @@ from .modelgen import (
     parse_program,
     structured_method_program,
 )
-from .oracles import oracle_path_set, production_path_set, reachable_to_log_methods
+from .oracles import Mark, marks_of, oracle_path_set, production_path_set, reachable_to_log_methods
 
 
 @contextmanager
@@ -64,8 +64,9 @@ def test_criterion_1_golden_pipeline(datanode_model):
         def shape(mid):
             return {
                 (tuple((("log", s.event) if isinstance(s, LogStep)
-                        else ("call", s.callee), s.loop_mark)
-                       for s in p.steps), p.skips_loop)
+                        else ("call", s.callee), mark)
+                       for s, mark in zip(p.steps, marks_of(p.spans, len(p.steps)))),
+                 p.skips_loop)
                 for p in store.by_method[mid]
             }
 

@@ -174,6 +174,21 @@ def test_walk_space_with_nested_loop_regions():
     assert observed == legal
 
 
+@pytest.mark.parametrize("source, sequences", [
+    ('void k(){ while(c){ log(info, "b"); while(d){ log(info, "a2"); } } }', 8),
+    ('void k(){ while(c){ while(d){ log(info, "a"); } } }', 4),
+], ids=["inner-ends-with-outer", "inner-is-outer"])
+def test_walk_space_with_nested_regions_sharing_a_step(source, sequences):
+    analysis, infection = _annotated_analysis(source)
+    params = _params(max_loop_reps=2)
+    scc_of, cycle_sccs = _cycle_info(analysis.call_graph)
+    legal = walk_space(analysis.store, infection, scc_of, cycle_sccs,
+                       params, 0, Label.NORMAL)
+    observed = _observed_walks(analysis, infection, 0, Label.NORMAL, params)
+    assert observed == legal
+    assert len(legal) == sequences
+
+
 def test_walk_space_with_recursive_seed_chain():
     src = (
         'void drv(){ log(info, "go"); helper(); }'
@@ -604,7 +619,7 @@ def test_walks_on_the_forced_corpus_keep_their_outcomes():
                         outcome = _walk_outcome(walker, entry, mode, seed)
                         digest.update(repr(outcome).encode())
     assert digest.hexdigest() == \
-        "2a61d692048e67ac84a729081bbf3130a51bd03d97b7061fcb1a2cab06175098"
+        "1028919d374ebc0c409481accbc27a33488bed0813dbc2ce86923b070a8b4212"
 
 
 def _single_path_chain(depth: int):

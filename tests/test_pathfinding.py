@@ -10,7 +10,6 @@ from logsynth.pathfinding import (
     PLACEHOLDER,
     CallStep,
     LogStep,
-    Mark,
     PathLimits,
     build_store,
     enumerate_logeps,
@@ -53,9 +52,9 @@ from .oracles import (
     oracle_path_set,
     production_path_set,
     production_paths,
-    project_walk,
     restore_by_walks,
     satisfiable,
+    walk_spans,
 )
 from .test_model import _random_graph
 
@@ -249,10 +248,11 @@ def test_golden_paths(datanode_analysis):
     store = datanode_analysis.store
     a_paths = store.by_method[0]
     assert [p.steps for p in a_paths] == [
-        (LogStep(EV_RECEIVING, Mark.START), CallStep(1, Mark.END)),
-        (LogStep(EV_RECEIVING, Mark.START), CallStep(2, Mark.END)),
+        (LogStep(EV_RECEIVING), CallStep(1)),
+        (LogStep(EV_RECEIVING), CallStep(2)),
         (),
     ]
+    assert [p.spans for p in a_paths] == [((0, 1),), ((0, 1),), ()]
     assert [p.skips_loop for p in a_paths] == [False, False, True]
     assert [p.id for p in a_paths] == [EP_A_CALLB, EP_A_CALLC, EP_A_EMPTY]
     assert [p.steps for p in store.by_method[1]] == [(LogStep(EV_RECEIVED),)]
@@ -268,7 +268,7 @@ def test_straight_line_method_single_path():
     )
     (path,) = analysis.store.by_method[0]
     assert [s.event for s in path.steps] == [0, 1, 2]
-    assert all(s.loop_mark is Mark.NONE for s in path.steps)
+    assert path.spans == ()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -402,28 +402,27 @@ def test_path_sets_match_bruteforce_oracle():
 
 
 def _projections_agree(cfg: ExecutionGraph, kept: set[int]) -> tuple[int, int]:
-    """Require `_project` to mark every feasible walk's recorded steps and
-    flag its skipped loops as `project_walk` does; return how many walks
-    carry a mark and how many skip a loop.  A graph of more than 2,000
-    walks is passed over: the oracle derives the loops again per walk."""
+    """Require `_project` to find every feasible walk's recorded steps,
+    its loop regions' spans (as a multiset) and its skipped-loop flag as
+    `walk_spans` does; return how many walks have a span and how many
+    skip a loop.  A graph of more than 2,000 walks is passed over: the
+    oracle derives the loops again per walk."""
     walks = bfs_all_walks(cfg)
     if len(walks) > 2000:
         return 0, 0
     recorded = {n for n, act in cfg.nodes.items() if type(act) is Log
                 or type(act) is Call and any(c in kept for c in act.callees)}
     loops = natural_loops(cfg, in_edges(cfg))
-    stmt_to_event = {n: n for n, act in cfg.nodes.items() if type(act) is Log}
     marked = skipping = 0
     for visits in walks:
         if not assignment_feasible(cfg, visits):
             continue
         walk = [n for n, _ in visits]
-        at, marks, skipped = pathfinding._project(walk, recorded, loops)
-        steps, expected_skip = project_walk(cfg, visits, kept, stmt_to_event)[0]
-        assert [walk[i] for i in at] == [n for n in walk if n in recorded]
-        got = [pathfinding._MARKS[marks.get(j, 0)] for j in range(len(at))]
-        assert (got, skipped) == ([mark for _, _, mark in steps], expected_skip), walk
-        marked += bool(marks)
+        at, spans, skipped = pathfinding._project(walk, recorded, loops)
+        assert at == [i for i, n in enumerate(walk) if n in recorded]
+        expected_spans, expected_skip = walk_spans(cfg, visits, at)
+        assert (sorted(spans), skipped) == (sorted(expected_spans), expected_skip), walk
+        marked += bool(spans)
         skipping += skipped
     return marked, skipping
 
@@ -442,7 +441,7 @@ def test_projection_matches_walk_oracle():
     cfg = ExecutionGraph(nodes, frozenset(edges))
     loops = natural_loops(cfg, in_edges(cfg))
     assert loops == {1: {1, 2, 3, 4}}
-    assert pathfinding._project([0, 1, 2, 1, 3, 4, 5], {2, 3}, loops) == ([2, 4], {0: 3}, False)
+    assert pathfinding._project([0, 1, 2, 1, 3, 4, 5], {2, 3}, loops) == ([2, 4], ((0, 0),), False)
     assert _projections_agree(cfg, set()) == (1, 0)
     # the inner loop (head 3) can jump back to the outer head: on the walk
     # 0 1 2 3 4 5 1 6 the outer region closes and drops the open inner one
@@ -455,7 +454,7 @@ def test_projection_matches_walk_oracle():
     loops = natural_loops(cfg, in_edges(cfg))
     assert loops == {1: {1, 2, 3, 4, 5}, 3: {3, 4, 5}}
     assert pathfinding._project([0, 1, 2, 3, 4, 5, 1, 6], {2, 4}, loops) == \
-        ([2, 4], {0: 1, 1: 2}, False)
+        ([2, 4], ((0, 1),), False)
     assert _projections_agree(cfg, set())[0] > 0
     # random graphs record no step, so they pin `skips_loop` on irreducible
     # cycles, self-loops and parallel edges; the programs pin the marks too
@@ -822,14 +821,27 @@ def test_return_inside_loop_gets_no_marks():
         'void m(){ while(c){ log(info, "in"); if(d){ return; } } '
         'log(info, "after"); }'
     )
-    paths = {p.steps: p for p in analysis.store.by_method[0]}
-    returning = next(
-        s for s in paths
-        if len(s) == 1 and isinstance(s[0], LogStep) and s[0].event == 0
-    )
-    assert all(step.loop_mark is Mark.NONE for step in returning)
-    completing = next(s for s in paths if len(s) == 2)
-    assert completing[0].loop_mark is not Mark.NONE
+    paths = analysis.store.by_method[0]
+    assert [p.spans for p in paths if p.steps == (LogStep(0),)] == [()]
+    (completing,) = [p for p in paths if len(p.steps) == 2]
+    assert completing.spans == ((0, 0),)
+
+
+def test_nested_regions_sharing_a_boundary_step_keep_their_nesting():
+    # the inner loop's region ends on the outer one's last step, and in
+    # the second method starts on its first step too: the spans keep both
+    # regions, which per-step start/end marks could not tell apart
+    model, analysis = _analysis(
+        'void k(){ while(c){ log(info, "b"); while(d){ log(info, "a2"); } } }')
+    path = analysis.store.by_method[0][0]
+    b, a2 = path.steps
+    assert path.spans == ((1, 1), (0, 1))
+    assert path.regions == ((b, (a2,)),)
+    assert "EP 0 k L:0:S L:1:SE" in format_store_dump(analysis.store, model).splitlines()
+    _, analysis = _analysis('void k(){ while(c){ while(d){ log(info, "a"); } } }')
+    path = analysis.store.by_method[0][0]
+    assert path.spans == ((0, 0), (0, 0))
+    assert path.regions == (((path.steps[0],),),)
 
 
 def test_restore_loop_local_assignment_is_ambiguous():
