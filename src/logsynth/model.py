@@ -36,9 +36,9 @@ carries no id of its own.  Loop heads are not stored either: an
 execution graph is a value, complete once built.  It builds its entry,
 exit, out-edges, and its only walk (when it has no choice) or else its
 reachable set, in one pass when it is constructed, and holds nothing
-more.  A branching graph's path search derives the in-edges and natural
-loops it needs with `in_edges` and `natural_loops`, and keeps them only
-while it runs.
+more.  A branching graph's path search derives the in-edges, natural
+loops and cycle nodes it needs with `in_edges` and `natural_loops`, and
+keeps them only while it runs.
 """
 
 from __future__ import annotations
@@ -285,10 +285,12 @@ def in_edges(graph: ExecutionGraph) -> Edges:
     return {to: tuple(pred) for to, pred in into.items()}
 
 
-def natural_loops(graph: ExecutionGraph, preds) -> dict[ActivityId, set[ActivityId]]:
+def natural_loops(graph: ExecutionGraph, preds) -> tuple[
+        dict[ActivityId, set[ActivityId]], set[ActivityId]]:
     """Per loop head, its natural loop: the head plus everything that
     reaches one of its back-edge sources without passing through it, read
-    backwards along `preds`, the graph's `in_edges`.
+    backwards along `preds`, the graph's `in_edges`; and the set of nodes
+    reachable from entry that lie on a cycle.
 
     A loop head is a branch that dominates the source of one of its
     in-edges (the edge is then a back edge).  Such an edge returns to a
@@ -297,30 +299,52 @@ def natural_loops(graph: ExecutionGraph, preds) -> dict[ActivityId, set[Activity
     entry cannot reach the source once the head is removed.  Heads are
     derived, never recorded per `while`, so a loop that cannot cycle
     (unreachable, or a body that always returns) is a plain branch.
-    Time is linear per candidate head and memory holds one body set per
-    head, so time is quadratic in the graph for many loops in sequence,
-    and time and memory both are for deeply nested loops."""
+    The same search finds the strongly connected components with Tarjan's
+    low-links: a node lies on a cycle when its component has another node
+    or it has an edge to itself.  That holds for irreducible cycles too,
+    which have no head.  Time is linear per candidate head and memory
+    holds one body set per head, so time is quadratic in the graph for
+    many loops in sequence, and time and memory both are for deeply
+    nested loops."""
     entry = graph.entry
     succ = graph.out_edges
 
     candidates: dict[ActivityId, list[ActivityId]] = {}  # head -> sources
-    seen = {entry}
+    order = {entry: 0}  # preorder number of every node seen
+    low = {entry: 0}  # nodes whose component is still open -> low-link
     on_stack = {entry}
+    open_nodes = [entry]  # Tarjan's stack: the nodes of open components
+    cyclic: set[ActivityId] = set()
     stack = [(entry, iter(succ.get(entry, ())))]
     while stack:
         node, it = stack[-1]
         for _, to, _ in it:
-            if to in on_stack:
-                if isinstance(graph.nodes.get(to), Branch):
-                    candidates.setdefault(to, []).append(node)
-            elif to not in seen:
-                seen.add(to)
+            if to not in order:
+                order[to] = low[to] = len(order)
                 on_stack.add(to)
+                open_nodes.append(to)
                 stack.append((to, iter(succ.get(to, ()))))
                 break
+            if to in low:  # in an open component: the same as `node`'s
+                if to in on_stack:
+                    if to == node:
+                        cyclic.add(node)
+                    if isinstance(graph.nodes.get(to), Branch):
+                        candidates.setdefault(to, []).append(node)
+                if order[to] < low[node]:
+                    low[node] = order[to]
         else:
             stack.pop()
             on_stack.discard(node)
+            if low[node] == order[node]:  # the root of a component: close it
+                member = None
+                while member != node:
+                    member = open_nodes.pop()
+                    del low[member]
+                    if member != node:
+                        cyclic.update((member, node))
+            elif low[node] < low[stack[-1][0]]:
+                low[stack[-1][0]] = low[node]
 
     loops = {}
     for head in sorted(candidates):
@@ -329,7 +353,7 @@ def natural_loops(graph: ExecutionGraph, preds) -> dict[ActivityId, set[Activity
         sources = [u for u in candidates[head] if u not in alive]
         if sources:
             loops[head] = sweep(preds, sources, {head})
-    return loops
+    return loops, cyclic
 
 
 # ── Methods and the whole-program model ──────────────────────────────

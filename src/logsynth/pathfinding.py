@@ -19,6 +19,14 @@ A walk that leaves some loop without ever entering its body is flagged
 (`skips_loop`): it is a legal zero-iteration execution, kept for path
 choice, but the generator only offers it to normal-mode walks.
 
+The search yields the current walk at each arrival at a target, with the
+length of the prefix it kept since the previous arrival, so the walk's
+projection is kept on stacks that are cut back to that prefix and
+extended with the new visits only, never re-read from entry.  Only the
+out-edges of nodes on a cycle are tracked to keep walks edge-simple: a
+node on no cycle is visited at most once per walk, so none of its edges
+can be taken twice.
+
 One search per method restores its logging statements and enumerates
 its paths.  It targets exit and every statement that prints a variable,
 keeps the last literal assigned to each variable, settles a statement
@@ -34,6 +42,8 @@ from __future__ import annotations
 
 import itertools
 import logging
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .errors import LogsynthError
@@ -96,8 +106,8 @@ class LogPath:
     regions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "callees", tuple(dict.fromkeys(
-            s.callee for s in self.steps if type(s) is CallStep)))
+        calls = [s.callee for s in self.steps if type(s) is CallStep]  # cheaper than a generator
+        object.__setattr__(self, "callees", tuple(dict.fromkeys(calls)) if calls else ())
         regions = self.steps  # without spans, the steps are the forest
         if self.spans:
             # how many regions open and close at each step: regions that
@@ -175,15 +185,30 @@ class PathStore:
 
 # ── Feasible walks over one execution graph ──────────────────────────
 
-def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId], preds, loops):
+def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId], preds, loops, cyclic):
     """Yield, at every arrival at a node of `targets`, the feasible
-    edge-simple walk from entry as a list of nodes, and the last literal
-    assigned to each variable on it.  Both change as the search goes on
-    past the arrival, so a caller copies what it keeps.  `preds` and
-    `loops` are the graph's `in_edges` and `natural_loops`, which the
-    caller builds once per search.  The search runs
-    on an explicit stack, so walk length is bounded by the graph and not
-    by the recursion limit.  Successors are explored true-guard-first.
+    edge-simple walk from entry as a list of nodes, the last literal
+    assigned to each variable on it, and `low`, the shortest length the
+    walk had since the previous arrival (0 at the first): its first `low`
+    nodes are those it had then.  The walk and the literals change as the
+    search goes on past the arrival, so a caller copies what it keeps.
+    `preds`, `loops` and `cyclic` are the graph's `in_edges` and what
+    `natural_loops` returns, which the caller builds once per search.
+    The search runs on an explicit stack, so walk length is bounded by the
+    graph and not by the recursion limit.  Successors are explored
+    true-guard-first.
+
+    Only a node on a cycle (`cyclic`) can be visited twice by one walk, so
+    only its out-edges could be taken twice: its frame draws them from
+    `_unused`, which keeps the (node, edge index) pair of each edge the
+    walk holds in one set.  Any other node is on the walk at most once, so
+    its frame iterates its out-edges as they are, without index or
+    bookkeeping, and the walk still takes no edge twice.  This is exact on
+    every graph, irreducible cycles, self-loops and parallel edges
+    included: `cyclic` holds every node of a strongly connected component
+    with a cycle, found by the depth-first search that finds the natural
+    loops, not only the nodes of natural loops, and parallel edges have
+    distinct indexes.
 
     Feasibility is decided during the search.  Each frame records what
     taking its edge taught about guard variables (var -> polarity) and the
@@ -210,16 +235,18 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId], preds, loops):
     # a literal guard tests the variable None, which is always true
     known: dict[str | None, bool] = {None: True}
     path = [cfg.entry]
-    used: set[tuple[int, int]] = set()  # (node, out-edge index)
-    # per frame: its untried out-edges, the used edge that entered it, and
-    # the (map, key, previous value or None) triples that undo its facts
-    stack = [(enumerate(succ.get(cfg.entry, ())), None, [])]
+    low = 0
+    used: set[tuple[ActivityId, int]] = set()  # (node on a cycle, out-edge index)
+    # per frame: its untried out-edges (of a node on a cycle, the unused
+    # ones) and the (map, key, previous value or None) triples that undo
+    # its facts
+    edges = succ.get(cfg.entry, ())
+    stack = [(_unused(cfg.entry, edges, used) if cfg.entry in cyclic else iter(edges), [])]
     while stack:
         node = path[-1]
-        edges, into, undo = stack[-1]
-        for i, (_, to, guard) in edges:
-            if (to in live and (node, i) not in used and
-                    (guard is None or known.get(guard.var, guard.value) == guard.value)):
+        edges, undo = stack[-1]
+        for _, to, guard in edges:
+            if to in live and (guard is None or known.get(guard.var, guard.value) == guard.value):
                 break
         else:
             if len(targets) != open_targets:  # some settled: prune to the rest
@@ -229,15 +256,14 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId], preds, loops):
                 live = sweep(preds, targets)
             stack.pop()
             path.pop()
-            used.discard(into)
+            if len(path) < low:
+                low = len(path)
             for held, key, old in reversed(undo):
                 if old is None:
                     del held[key]
                 else:
                     held[key] = old
             continue
-        key = (node, i)
-        used.add(key)
         path.append(to)
         undo = []  # the new frame's
         if guard is not None and guard.var not in known:
@@ -254,48 +280,111 @@ def _iter_walks(cfg: ExecutionGraph, targets: set[ActivityId], preds, loops):
             undo.append((consts, act.var, consts.get(act.var)))
             consts[act.var] = act.literal
         if to in targets:
-            yield path, consts
-        stack.append((enumerate(succ.get(to, ())), key, undo))
+            yield path, consts, low
+            low = len(path)
+        edges = succ.get(to, ())
+        stack.append((_unused(to, edges, used) if to in cyclic else iter(edges), undo))
+
+
+def _unused(node, edges, used):
+    """`node`'s out-edges that the walk has not taken, by index.  Each edge
+    is marked in `used` from when it is yielded until the next one is
+    asked for: the search asks only once it has refused the edge or has
+    backtracked out of the walk that took it."""
+    for i, edge in enumerate(edges):
+        key = (node, i)
+        if key not in used:
+            used.add(key)
+            yield edge
+            used.discard(key)
 
 
 # ── Enumerating log-related execution paths ──────────────────────────
 
-def _project(visits, plain, loops):
-    """One walk's projection, in one pass over its visits: the positions
-    of the visits to `plain`'s nodes (the recorded steps), the spans of
-    its loop regions, and whether the walk leaves some loop of `loops`
-    without ever entering its body.  A region opens when the walk enters
-    a head's body and closes when it is back at that head, dropping any
-    unclosed inner regions opened after it; a closed region that records
-    a step is kept as the (first, last) index of its steps, in the order
-    regions close.  A head has at most one open region, since the walk is
-    at the head just before it opens one."""
-    at: list[int] = []
-    spans: list[tuple[int, int]] = []
-    regions: list[tuple[ActivityId, int]] = []  # open: (head, len(at) at opening)
-    open_heads: set[ActivityId] = set()
-    entered: set[ActivityId] = set()
-    left: set[ActivityId] = set()
-    prev = None
-    for i, node in enumerate(visits):
-        if prev in loops:
-            if node in loops[prev]:
-                entered.add(prev)
-                regions.append((prev, len(at)))
-                open_heads.add(prev)
-            else:
-                left.add(prev)
-        if node in open_heads:
-            head = None
-            while head != node:
-                head, first = regions.pop()
-                open_heads.discard(head)
-            if first < len(at):
-                spans.append((first, len(at) - 1))
-        if node in plain:
-            at.append(i)
-        prev = node
-    return at, tuple(spans), not left <= entered
+class _Projection:
+    """The projection of the search's current walk, kept as stacks that
+    follow it: the visit index, step code and step of each recorded visit,
+    the ambiguous call sites among them, the spans of the loop regions it
+    closed, its open regions, and the heads whose body it entered and
+    those it left without entering.  `advance` cuts the stacks back to the
+    walk's unchanged prefix and extends them with its new visits only.
+
+    `recorded` maps each recorded node to its step code, its step, and at
+    an ambiguous call site the codes of every choice (else None); the
+    stacks hold any one of those choices there.  A region opens when the
+    walk enters a head's body and closes when it is back at that head,
+    dropping any unclosed inner regions opened after it; a closed region
+    that records a step is kept as the (first, last) index of its steps,
+    in the order regions close.  A head has at most one open region, since
+    the walk is at the head just before it opens one, so the open regions
+    are a map from head to the index of its first step, in opening order.
+    The walk leaves some loop without ever entering its body when a head
+    it left is none it entered."""
+
+    def __init__(self, recorded, loops):
+        self.recorded = recorded
+        self.loops = loops
+        self.at: list[int] = []
+        self.codes: list[int] = []
+        self.steps: list[Step] = []
+        self.choices: list[tuple[int, tuple[int, ...]]] = []  # (index in codes, codes)
+        self.spans: list[tuple[int, int]] = []
+        self.regions: dict[ActivityId, int] = {}
+        self.entered: list[ActivityId] = []
+        self.left: list[ActivityId] = []
+        # per change a loop event made, latest last: its visit index and a
+        # function and argument whose call undoes it
+        self.undo: list[tuple[int, Callable, object]] = []
+
+    def advance(self, visits, low: int) -> None:
+        """Make the stacks `visits`' projection, given that its first `low`
+        visits are those of the walk they project now."""
+        at = self.at
+        if at and at[-1] >= low:
+            k = bisect_left(at, low)
+            del at[k:], self.codes[k:], self.steps[k:]
+            choices = self.choices
+            while choices and choices[-1][0] >= k:
+                choices.pop()
+        undo = self.undo
+        while undo and undo[-1][0] >= low:
+            _, fn, arg = undo.pop()
+            fn(arg)
+        recorded, loops, regions = self.recorded, self.loops, self.regions
+        codes, steps, choices = self.codes, self.steps, self.choices
+        prev = visits[low - 1] if low else None
+        for i, node in enumerate(visits[low:], low):
+            if prev in loops:
+                if node in loops[prev]:
+                    self.entered.append(prev)
+                    regions[prev] = len(at)
+                    undo += (i, self.entered.pop, -1), (i, regions.pop, prev)
+                else:
+                    self.left.append(prev)
+                    undo.append((i, self.left.pop, -1))
+            if node in regions:
+                dropped = []
+                head = None
+                while head != node:
+                    head, first = regions.popitem()
+                    dropped.append((head, first))
+                # the dropped regions go back last, in opening order
+                undo.append((i, regions.update, dropped[::-1]))
+                if first < len(at):
+                    self.spans.append((first, len(at) - 1))
+                    undo.append((i, self.spans.pop, -1))
+            found = recorded.get(node)
+            if found is not None:
+                code, step, options = found
+                if options is not None:
+                    choices.append((len(codes), options))
+                at.append(i)
+                codes.append(code)
+                steps.append(step)
+            prev = node
+
+    def skips_loop(self) -> bool:
+        return bool(self.left) and not set(self.left).issubset(self.entered)
 
 
 def enumerate_logeps(
@@ -323,7 +412,8 @@ def enumerate_logeps(
     truncation warning, and the search goes on for the open statements; at
     most that many paths are kept, numbered from `first_id`.  The search
     builds the graph's `in_edges` and `natural_loops` once and hands them
-    to `_iter_walks` and `_project`; a graph with an only walk builds
+    to `_iter_walks` and `_Projection`, which follows the search's walk
+    from arrival to arrival at exit; a graph with an only walk builds
     neither, has no loops, and its paths have no spans."""
     cfg = method.cfg
     nodes = cfg.nodes
@@ -355,9 +445,9 @@ def enumerate_logeps(
         truncated = len(out) > budget
     else:
         # one scan numbers the LOG activities, finds each statement that
-        # prints variables, and gives each recorded node its step codes,
-        # one per choice: each distinct step is built once and named by
-        # its index in `built`
+        # prints variables, and gives each recorded node its step code and
+        # step, and its choices' codes at an ambiguous call site: each
+        # distinct step is built once and named by its index in `built`
         logs: list[ActivityId] = []
         index: dict[Step, int] = {}
         plain: dict[ActivityId, tuple[int, ...]] = {}
@@ -376,6 +466,8 @@ def enumerate_logeps(
             if steps:
                 plain[node] = tuple(index.setdefault(s, len(index)) for s in steps)
         built = list(index)
+        recorded = {node: (codes[0], built[codes[0]], codes if len(codes) > 1 else None)
+                    for node, codes in plain.items()}
         out: list[LogPath] = []
         seen: set[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]] = set()
         exit_ = cfg.exit
@@ -384,8 +476,12 @@ def enumerate_logeps(
         arrivals = dict.fromkeys(values, 0)
         walks = 0
         preds = in_edges(cfg)
-        loops = natural_loops(cfg, preds)
-        for visits, consts in _iter_walks(cfg, targets, preds, loops):
+        loops, cyclic = natural_loops(cfg, preds)
+        walk = _Projection(recorded, loops)
+        mark = 0  # the walk's first `mark` nodes are as `walk` projected them
+        for visits, consts, low in _iter_walks(cfg, targets, preds, loops, cyclic):
+            if low < mark:
+                mark = low
             node = visits[-1]
             if node != exit_:
                 held = values[node]
@@ -405,14 +501,22 @@ def enumerate_logeps(
             if walks > budget:  # more feasible walks than the cap: stop at exit
                 targets.discard(exit_)
                 continue
-            at, spans, skipped = _project(visits, plain, loops)
+            walk.advance(visits, mark)
+            mark = len(visits)
+            codes, steps, choices = walk.codes, walk.steps, walk.choices
+            spans, skipped = tuple(walk.spans), walk.skips_loop()
             # one variant per callee choice at each ambiguous call site
-            for codes in itertools.product(*[plain[visits[i]] for i in at]):
-                if (codes, spans, skipped) in seen:
+            picks = itertools.product(*[options for _, options in choices]) if choices else ((),)
+            for pick in picks:
+                for (j, _), code in zip(choices, pick):
+                    codes[j] = code
+                    steps[j] = built[code]
+                key = (tuple(codes), spans, skipped)
+                if key in seen:
                     continue
-                seen.add((codes, spans, skipped))
-                out.append(LogPath(first_id + len(out), method.id,
-                                   tuple(built[c] for c in codes), spans, skipped))
+                seen.add(key)
+                out.append(LogPath(first_id + len(out), method.id, tuple(steps),
+                                   spans, skipped))
                 if len(out) > budget:
                     targets.discard(exit_)
                     break

@@ -322,6 +322,17 @@ def _cycle_set(cfg: ExecutionGraph, head: int) -> set[int]:
     return loop
 
 
+def cycle_nodes(cfg: ExecutionGraph) -> set[int]:
+    """The nodes reachable from entry that lie on a cycle, from first
+    principles: a node is on one when it reaches itself again along some
+    out-edge."""
+    succ: dict[int, list[int]] = {}
+    for frm, to, _ in cfg.edges:
+        succ.setdefault(frm, []).append(to)
+    return {n for n in _sweep(cfg.entry, succ, banned=None)
+            if any(n in _sweep(m, succ, banned=None) for m in succ.get(n, ()))}
+
+
 def loops_by_removal(cfg: ExecutionGraph) -> dict[int, set[int]]:
     """Every loop head with its natural loop, from first principles: a
     branch is a head when removing it disconnects from entry some
@@ -431,8 +442,8 @@ def logeps_by_search(method, kept, cap: int, first_event: int = 0, first_id: int
     arrivals: dict[int, list[dict]] = {n: [] for n in logs}
     found: dict[tuple, None] = {}
     preds = in_edges(cfg)
-    for visits, consts in _iter_walks(cfg, {*logs, cfg.exit}, preds,
-                                      natural_loops(cfg, preds)):
+    for visits, consts, _ in _iter_walks(cfg, {*logs, cfg.exit}, preds,
+                                         *natural_loops(cfg, preds)):
         if visits[-1] != cfg.exit:
             arrivals[visits[-1]].append(dict(consts))
             continue

@@ -36,6 +36,7 @@ from .modelgen import (
     with_ambiguous_calls,
 )
 from .oracles import (
+    cycle_nodes,
     dfs_all_walks,
     loops_by_removal,
     split_fields_by_character,
@@ -434,12 +435,15 @@ def _random_graph(rng: random.Random) -> ExecutionGraph:
 
 
 def test_natural_loops_match_removal_oracle_on_random_graphs():
-    shapes = {"loops": 0, "self-loop heads": 0, "unreachable": 0}
+    shapes = {"loops": 0, "self-loop heads": 0, "unreachable": 0,
+              "cycle nodes in no loop": 0}
     for seed in range(400):
         cfg = _random_graph(random.Random(seed))
-        loops = natural_loops(cfg, in_edges(cfg))
+        loops, cyclic = natural_loops(cfg, in_edges(cfg))
         assert loops == loops_by_removal(cfg), seed
+        assert cyclic == cycle_nodes(cfg), seed
         shapes["loops"] += bool(loops)
+        shapes["cycle nodes in no loop"] += bool(cyclic.difference(*loops.values()))
         shapes["self-loop heads"] += any((h, h) == e[:2] for h in loops
                                          for e in cfg.edges)
         shapes["unreachable"] += len(cfg.reachable) < len(cfg.nodes)
@@ -523,11 +527,13 @@ def test_natural_loops_skip_irreducible_cycles():
              (2, 3, Guard("d", True)), (2, 4, Guard("d", False)),
              (3, 2, Guard("e", True)), (3, 3, Guard("e", False))}
     cfg = ExecutionGraph(nodes, frozenset(edges))
-    assert natural_loops(cfg, in_edges(cfg)) == loops_by_removal(cfg) == {3: {3}}
+    assert natural_loops(cfg, in_edges(cfg)) == (loops_by_removal(cfg), cycle_nodes(cfg)) \
+        == ({3: {3}}, {2, 3})
 
 
 def test_natural_loops_match_removal_oracle_on_structured_programs():
     for seed in range(40):
         model = parse_program(structured_program(random.Random(seed), 5))
         for m in model.methods.values():
-            assert natural_loops(m.cfg, in_edges(m.cfg)) == loops_by_removal(m.cfg), (seed, m.name)
+            assert natural_loops(m.cfg, in_edges(m.cfg)) == \
+                (loops_by_removal(m.cfg), cycle_nodes(m.cfg)), (seed, m.name)

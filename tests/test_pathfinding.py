@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -401,24 +403,41 @@ def test_path_sets_match_bruteforce_oracle():
     assert compared >= 40
 
 
+def _projections(walks, recorded, loops):
+    """Each walk's recorded positions, loop regions' spans and skipped-loop
+    flag, from one `_Projection` of the `recorded` nodes driven over
+    `walks` in order, each cut back to the prefix it shares with the walk
+    before it."""
+    walk = pathfinding._Projection(dict.fromkeys(recorded, (0, None, None)), loops)
+    before: list = []
+    for visits in walks:
+        low = 0
+        while low < min(len(before), len(visits)) and before[low] == visits[low]:
+            low += 1
+        walk.advance(visits, low)
+        before = visits
+        yield list(walk.at), tuple(walk.spans), walk.skips_loop()
+
+
 def _projections_agree(cfg: ExecutionGraph, kept: set[int]) -> tuple[int, int]:
-    """Require `_project` to find every feasible walk's recorded steps,
-    its loop regions' spans (as a multiset) and its skipped-loop flag as
-    `walk_spans` does; return how many walks have a span and how many
-    skip a loop.  A graph of more than 2,000 walks is passed over: the
-    oracle derives the loops again per walk."""
+    """Require the projection to find every feasible walk's recorded
+    steps, its loop regions' spans (as a multiset) and its skipped-loop
+    flag as `walk_spans` does, with the walks taken in breadth-first order
+    so that each cuts the one before back to their shared prefix; return
+    how many walks have a span and how many skip a loop.  A graph of more
+    than 2,000 walks is passed over: the oracle derives the loops again
+    per walk."""
     walks = bfs_all_walks(cfg)
     if len(walks) > 2000:
         return 0, 0
     recorded = {n for n, act in cfg.nodes.items() if type(act) is Log
                 or type(act) is Call and any(c in kept for c in act.callees)}
-    loops = natural_loops(cfg, in_edges(cfg))
+    loops, _ = natural_loops(cfg, in_edges(cfg))
+    feasible = [visits for visits in walks if assignment_feasible(cfg, visits)]
     marked = skipping = 0
-    for visits in walks:
-        if not assignment_feasible(cfg, visits):
-            continue
+    for visits, (at, spans, skipped) in zip(feasible, _projections(
+            [[n for n, _ in visits] for visits in feasible], recorded, loops)):
         walk = [n for n, _ in visits]
-        at, spans, skipped = pathfinding._project(walk, recorded, loops)
         assert at == [i for i, n in enumerate(walk) if n in recorded]
         expected_spans, expected_skip = walk_spans(cfg, visits, at)
         assert (sorted(spans), skipped) == (sorted(expected_spans), expected_skip), walk
@@ -439,9 +458,10 @@ def test_projection_matches_walk_oracle():
     edges = {(0, 1, None), (1, 2, Guard("c", True)), (1, 3, Guard("c", False)),
              (2, 1, None), (3, 4, None), (4, 1, Guard("d", True)), (4, 5, Guard("d", False))}
     cfg = ExecutionGraph(nodes, frozenset(edges))
-    loops = natural_loops(cfg, in_edges(cfg))
+    loops, _ = natural_loops(cfg, in_edges(cfg))
     assert loops == {1: {1, 2, 3, 4}}
-    assert pathfinding._project([0, 1, 2, 1, 3, 4, 5], {2, 3}, loops) == ([2, 4], ((0, 0),), False)
+    assert list(_projections([[0, 1, 2, 1, 3, 4, 5]], {2, 3}, loops)) == \
+        [([2, 4], ((0, 0),), False)]
     assert _projections_agree(cfg, set()) == (1, 0)
     # the inner loop (head 3) can jump back to the outer head: on the walk
     # 0 1 2 3 4 5 1 6 the outer region closes and drops the open inner one
@@ -451,10 +471,10 @@ def test_projection_matches_walk_oracle():
              (2, 3, None), (3, 4, Guard("d", True)), (3, 1, Guard("d", False)), (4, 5, None),
              (5, 3, Guard("e", True)), (5, 1, Guard("e", False))}
     cfg = ExecutionGraph(nodes, frozenset(edges))
-    loops = natural_loops(cfg, in_edges(cfg))
+    loops, _ = natural_loops(cfg, in_edges(cfg))
     assert loops == {1: {1, 2, 3, 4, 5}, 3: {3, 4, 5}}
-    assert pathfinding._project([0, 1, 2, 3, 4, 5, 1, 6], {2, 4}, loops) == \
-        ([2, 4], ((0, 1),), False)
+    assert list(_projections([[0, 1, 2, 3, 4, 5, 1, 6]], {2, 4}, loops)) == \
+        [([2, 4], ((0, 1),), False)]
     assert _projections_agree(cfg, set())[0] > 0
     # random graphs record no step, so they pin `skips_loop` on irreducible
     # cycles, self-loops and parallel edges; the programs pin the marks too
@@ -516,12 +536,17 @@ def test_enumeration_matches_ordered_dfs_oracle():
     assert min(shapes.values()) >= 25, shapes
 
 
-def _walks_to(cfg, target):
+def _walks_to(cfg, target, most: int | None = None):
     """The pruned search's walks to `target` alone, each copied when it
-    arrives."""
+    arrives, and the first `most` of them when given.  Each walk keeps the
+    nodes the previous one had up to the search's reported `low`."""
     preds = in_edges(cfg)
-    return [tuple(path) for path, _ in pathfinding._iter_walks(
-        cfg, {target}, preds, natural_loops(cfg, preds))]
+    walks: list[tuple] = []
+    for path, _, low in itertools.islice(pathfinding._iter_walks(
+            cfg, {target}, preds, *natural_loops(cfg, preds)), most):
+        assert tuple(path[:low]) == (walks[-1][:low] if walks else ())
+        walks.append(tuple(path))
+    return walks
 
 
 def test_pruned_walks_are_the_satisfiable_walks():
@@ -539,6 +564,42 @@ def test_pruned_walks_are_the_satisfiable_walks():
             assert _walks_to(cfg, target) == expected, (seed, target)
             pruned += target == cfg.exit and len(expected) < len(walks)
     assert pruned >= 50, pruned
+
+
+def _walk_count(cfg: ExecutionGraph, most: int) -> int:
+    """How many edge-simple walks of at least one edge leave entry, or
+    `most + 1` once there are more."""
+    succ: dict[int, list] = {}
+    for edge in cfg.edges:
+        succ.setdefault(edge[0], []).append(edge)
+    count = 0
+    stack = [(cfg.entry, frozenset())]
+    while stack and count <= most:
+        node, used = stack.pop()
+        for edge in succ.get(node, ()):
+            if edge not in used:
+                count += 1
+                stack.append((edge[1], used | {edge}))
+    return min(count, most + 1)
+
+
+def test_pruned_walks_are_the_satisfiable_walks_on_irreducible_graphs():
+    # irreducible cycles, self-loops and parallel guarded edges: a walk
+    # may come back to a node that is in no natural loop, so the search
+    # must keep its edges simple there too; a search that does not fails
+    # at the one walk past the oracle's instead of running without bound
+    pairs = revisiting = 0
+    for seed in range(400):
+        cfg = _random_graph(random.Random(seed))
+        if _walk_count(cfg, 3000) > 3000:
+            continue
+        for target in sorted(cfg.reachable - {cfg.entry}):
+            expected = [tuple(n for n, _ in visits) for visits in dfs_all_walks(cfg, target)
+                        if satisfiable(guard_trace(cfg, visits))]
+            assert _walks_to(cfg, target, len(expected) + 1) == expected, (seed, target)
+            pairs += 1
+            revisiting += any(len(set(walk)) < len(walk) for walk in expected)
+    assert revisiting >= 500, (pairs, revisiting)
 
 
 # ── Graphs with an only walk ─────────────────────────────────────────
@@ -762,6 +823,23 @@ def test_identical_model_gives_identical_dump(datanode_path):
         analysis = analyze_model(model)
         dumps.append(format_store_dump(analysis.store, model))
     assert dumps[0] == dumps[1]
+
+
+def test_store_dumps_keep_their_bytes_on_a_structured_corpus():
+    # 150 programs of 30 methods, every third with ambiguous dispatch,
+    # each at a cap of 2 paths and at the default; every one has loops
+    digest = hashlib.sha256()
+    for seed in range(150):
+        rng = random.Random(seed)
+        model = parse_program(structured_program(rng, 30))
+        if seed % 3 == 0:
+            model = with_ambiguous_calls(model, rng)
+        for limits in (PathLimits(2), PathLimits()):
+            store = analyze_model(model, limits=limits).store
+            assert any(p.spans for p in store.all_paths()), seed
+            digest.update(format_store_dump(store, model).encode())
+    assert digest.hexdigest() == \
+        "679e1f1e099349ce667f04490282510737bfb545343e640b8d9a51e8c76d8862"
 
 
 def test_path_cap_truncates_with_warning(caplog):
