@@ -29,10 +29,11 @@ region's repetition count is one `randint`.
 A call whose candidates are two or more paths that call nothing needs
 only its first pick.  Such a path cannot fail, since log steps and loop
 regions never refuse, and a completed call is closed, so the walk never
-backtracks into that call's order.  `_draw_first` makes every draw of
-the full order, leaving the RNG where `_draw_order` leaves it, but keeps
-only the first pick.  The root draw always builds the full order,
-because a root try can fail and move on to the next root.
+backtracks into that call's order.  `_draw_first` makes only the first
+draw of the full order; the others, which `_draw_rest` makes, cannot
+change a choice, so the walk queues them.  The root draw always builds
+the full order, because a root try can fail and move on to the next
+root.
 
 Most calls leave the walk no choice.  A call is *forced* when its
 callee is in no recursion cycle and has exactly one candidate path,
@@ -42,13 +43,20 @@ how far the RNG advances.  Whether a call is forced is decided the first
 time a walk makes it, its callees' calls first, and kept, so set-up work
 follows what the walks reach rather than the size of the store.  A walk
 takes a forced call in a single step: it appends the subtree's events and
-trace, expanded the first time the call is taken and kept, and skips the
-subtree's draws with `_skip_draws`.
-Each draw on one candidate repeats `getrandbits(1)`, the top bit of one
-32-bit Mersenne Twister word, until that bit is 0, and
-`getrandbits(32 * c)` returns the next c words with the first one lowest,
-so counting the set top bits of a batch tells how many draws still need
-a word.  The RNG ends in the state the one-by-one draws leave.
+trace, expanded the first time the call is taken and kept, and queues the
+subtree's draw count, added to the count of any forced call queued just
+before it.  `_skip_draws` makes those draws.  Each draw on one candidate
+repeats `getrandbits(1)`, the top bit of one 32-bit Mersenne Twister
+word, until that bit is 0, and `getrandbits(32 * c)` returns the next c
+words with the first one lowest, so counting the set top bits of a batch
+tells how many draws still need a word.
+
+Queued draws are made, in the order they were queued, just before the
+walk's next draw (a loop region's `randint`, or a choice call's order or
+first pick), so every choice reads the RNG in the state one-by-one draws
+leave.  A walk makes what is still queued when it ends, except in a
+dataset: nothing reads a sequence's RNG after its walk, so
+`generate_dataset` leaves undone the draws after the walk's last read.
 
 Every successful walk records its choice trace (path picks and loop
 repetition draws); `replay` re-derives the event list from a trace,
@@ -120,6 +128,8 @@ class GenParams:
             raise ConfigError("anomaly rate must be within [0, 1]")
         if self.max_loop_reps < 1:
             raise ConfigError("max loop repetitions must be >= 1")
+        if self.max_loop_reps > sys.maxsize:
+            raise ConfigError(f"max loop repetitions must be <= {sys.maxsize}")
         if self.max_recursion_depth < 0:
             raise ConfigError("max recursion depth must be >= 0")
         if not 0 <= self.seed < 2 ** 64:
@@ -164,11 +174,8 @@ def _draw_order(rng: random.Random, cands: tuple) -> Sequence:
 
 
 def _draw_first(rng: random.Random, cands: tuple) -> tuple:
-    """`_draw_order(rng, cands)[:1]` as a tuple.  It makes the same
-    `getrandbits` calls, so `rng` ends in the same state, but after the
-    first index it only rejects: no pool is updated and no order is
-    built.  The later draws go by bit length k, over every m in
-    [2**(k-1), top]."""
+    """`_draw_order(rng, cands)[:1]` as a tuple, from the first draw of
+    that order alone; `_draw_rest(rng, len(cands))` makes the others."""
     n = len(cands)
     if not n:
         return ()
@@ -177,15 +184,23 @@ def _draw_first(rng: random.Random, cands: tuple) -> tuple:
     j = getrandbits(k)
     while j >= n:
         j = getrandbits(k)
+    return (cands[j],)
+
+
+def _draw_rest(rng: random.Random, n: int) -> None:
+    """The draws of `_draw_order` on n candidates after its first: one
+    rejection draw below each m from n-1 down to 1.  They only reject: no
+    pool is updated and no order is built.  They go by bit length k, over
+    every m in [2**(k-1), top]."""
+    getrandbits = rng.getrandbits
     top = n - 1
-    while top:
+    while top > 0:
         k = top.bit_length()
         low = 1 << (k - 1)
         for m in range(top, low - 1, -1):
             while getrandbits(k) >= m:
                 pass
         top = low - 1
-    return (cands[j],)
 
 
 _TOP_BIT = b"\0\0\0\x80"  # the top bit of a little-endian 32-bit word
@@ -205,6 +220,16 @@ def _skip_draws(rng: random.Random, count: int) -> None:
     getrandbits = rng.getrandbits
     while count:
         count = (getrandbits(32 * count) & _top_bits(count)).bit_count()
+
+
+def _make_queued(rng: random.Random, rest: int, skips: int) -> None:
+    """A walk's queued draws, in the order it queued them: the draws after
+    its last first pick on `rest` candidates (none when `rest` is 0), then
+    `skips` one-candidate draws of the forced calls taken since."""
+    if rest:
+        _draw_rest(rng, rest)
+    if skips:
+        _skip_draws(rng, skips)
 
 
 class _Memo(dict):
@@ -303,8 +328,8 @@ class Walker:
         graph = self.call_graph
         return graph.scc_of[mid] if graph.in_cycle(mid) else None
 
-    def walk(self, entry: MethodId, mode: Label, rng: random.Random
-             ) -> tuple[tuple[EventId, ...], tuple]:
+    def walk(self, entry: MethodId, mode: Label, rng: random.Random,
+             discard: bool = False) -> tuple[tuple[EventId, ...], tuple]:
         """One complete walk; returns (events, choice trace).  It runs on
         two explicit stacks: `nodes` holds iterators over the regions of
         the paths being run, and `calls` the open calls with a choice.
@@ -312,7 +337,16 @@ class Walker:
         trace, hit) mark to restore before its next candidate, the
         recursion cycle whose count it raised (or None), and where its
         path sits on `nodes`.  A call step reads its policy from the
-        call table `self.calls`."""
+        call table `self.calls`.
+
+        The draws whose outcome no choice reads, those after a first
+        pick (`rest`) and those of the forced calls taken since (`skips`),
+        are queued and made, in order, just before the walk's next draw;
+        backtracking and root retries keep them queued.  When the walk
+        returns or raises it makes what is still queued, so `rng` ends
+        where one-by-one draws leave it, unless `discard` is true: a
+        caller that reads `rng` no more after this walk passes it, and the
+        draws after the walk's last read are then left undone."""
         anomaly = mode is Label.ANOMALY
         if anomaly and not self.anomaly_entry_ok(entry):
             raise UnreachableSeedError(
@@ -324,6 +358,7 @@ class Walker:
         max_reps = self.params.max_loop_reps
         randint = rng.randint
         entry_cycle = self._cycle(entry)
+        rest = skips = 0  # the queued draws
         for root in _draw_order(rng, self.candidates.get(entry, _NO_PATHS)[anomaly]):
             for _ in range(_ROOT_TRIES):
                 events: list[EventId] = []
@@ -340,6 +375,9 @@ class Walker:
                             continue
                         if type(node) is not CallStep:
                             # loop region: its nodes once per repetition
+                            if rest or skips:
+                                _make_queued(rng, rest, skips)
+                                rest = skips = 0
                             reps = randint(1, max_reps)
                             trace.append(("reps", reps))
                             nodes.append(chain.from_iterable(repeat(node, reps)))
@@ -349,7 +387,7 @@ class Walker:
                         # `hit` stays False)
                         call = call_of[node.callee, anomaly + hit]
                         if len(call) == 4:  # forced: its whole subtree at once
-                            _skip_draws(rng, call[0])
+                            skips += call[0]
                             hit = hit or call[1]
                             events += call[2]
                             trace += call[3]
@@ -360,8 +398,14 @@ class Walker:
                             if depth > max_depth:
                                 break  # refused by the recursion bound
                             active[scc] = depth + 1
-                        order = (_draw_first if first_only
-                                 else _draw_order)(rng, cands)
+                        if rest or skips:
+                            _make_queued(rng, rest, skips)
+                            rest = skips = 0
+                        if first_only:
+                            order = _draw_first(rng, cands)
+                            rest = len(cands)
+                        else:
+                            order = _draw_order(rng, cands)
                         calls.append((iter(order), len(events), len(trace), hit,
                                       scc, len(nodes)))
                         break
@@ -393,7 +437,11 @@ class Walker:
                         break  # nothing left to backtrack to: the next try
                 else:
                     if events and (hit or not anomaly):
+                        if not discard:
+                            _make_queued(rng, rest, skips)
                         return tuple(events), tuple(trace)
+        if not discard:
+            _make_queued(rng, rest, skips)
         raise ExhaustionError(
             f"walk from entry method '{self.model.methods[entry].name}' "
             f"({mode.value}) exhausted every choice"
@@ -406,7 +454,9 @@ class Walker:
         (its candidates, whether it keeps only its first pick, the
         recursion cycle it enters or None); it keeps only its first pick,
         drawn with `_draw_first`, when the list holds two or more paths,
-        none of which calls."""
+        none of which calls.  The walk queues the draws of a forced call,
+        and those `_draw_rest` makes after a first pick, until its next
+        draw."""
         decided = self._forced(key)
         if decided is None:
             callee, index = key
@@ -635,7 +685,8 @@ def generate_dataset(
                      else Label.NORMAL)
         entry = rng.choice(anomaly_entries if label is Label.ANOMALY
                            else normal_entries)
-        events, trace = walker.walk(entry, label, rng)
+        # nothing reads `rng` after its sequence's walk
+        events, trace = walker.walk(entry, label, rng, True)
         sequences.append(LogSequence(seq_id=seq_id, label=label,
                                      events=events, entry=entry))
         if traces is not None:

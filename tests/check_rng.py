@@ -2,11 +2,14 @@
 dependency outside the standard library (pytest does not collect it):
 
 - `_draw_order(rng, c)` equals `rng.sample(c, len(c))`;
-- `_draw_first(rng, c)` equals the first element of `_draw_order(rng, c)`;
+- `_draw_first(rng, c)` equals the first element of `_draw_order(rng, c)`,
+  and with `_draw_rest(rng, len(c))` after it makes the same draws;
 - `_skip_draws(rng, count)` equals `count` one-candidate draws;
 
-each leaving the RNG in the same state.  The dataset bytes depend on all
-three.  Run from the repository root:
+each leaving the RNG in the same state; and `_skip_draws(rng, a)` then
+`_skip_draws(rng, b)` leaves it where `_skip_draws(rng, a + b)` does,
+which lets a walk queue adjacent skips as one count.  The dataset bytes
+depend on all of these.  Run from the repository root:
 
     python3 tests/check_rng.py
 
@@ -22,7 +25,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from logsynth.generation import _draw_first, _draw_order, _skip_draws  # noqa: E402
+from logsynth.generation import (  # noqa: E402
+    _draw_first,
+    _draw_order,
+    _draw_rest,
+    _skip_draws,
+)
 
 SIZES = [*range(41), 63, 64, 65, 127, 128, 129, 1000, 3960, 4096, 4097]
 COUNTS = [*range(41), 1000, 12800]
@@ -39,6 +47,7 @@ def main() -> None:
             assert drawn.getstate() == sampled.getstate(), ("order", n, seed)
             first = random.Random(seed)
             assert _draw_first(first, cands) == tuple(order[:1]), ("first", n, seed)
+            _draw_rest(first, n)
             assert first.getstate() == drawn.getstate(), ("first", n, seed)
     for count in COUNTS:
         for seed in SEEDS:
@@ -48,7 +57,12 @@ def main() -> None:
                 while drawn.getrandbits(1):
                     pass
             assert skipped.getstate() == drawn.getstate(), ("skip", count, seed)
-    print(f"check_rng: draw order, first pick and skipped draws equal on "
+            merged = random.Random(seed)
+            _skip_draws(merged, count // 3)
+            _skip_draws(merged, count - count // 3)
+            assert merged.getstate() == drawn.getstate(), ("merged skip", count, seed)
+    print(f"check_rng: draw order, first pick and rest, and skipped and "
+          f"merged skipped draws equal on "
           f"{platform.python_implementation()} {platform.python_version()}")
 
 

@@ -247,6 +247,8 @@ def test_generate_checks_its_parameters_before_analysis(tmp_path, capsys, monkey
         (("--size", "5", "--anomaly-rate", "0.5"),
          "anomaly rate > 0 requires --annotations with seed paths"),
         (("--size", "5", "--max-loop-reps", "0"), "max loop repetitions must be >= 1"),
+        (("--size", "2", "--max-loop-reps", "99999999999999999999"),
+         f"max loop repetitions must be <= {sys.maxsize}"),
     ]:
         assert run(capsys, *base, *extra) == (1, "", f"error: {message}\n"), extra
     monkeypatch.setenv("LOGSYNTH_SEED", "x")

@@ -332,6 +332,7 @@ def test_draw_first_equals_first_drawn():
             first, ordered = random.Random(seed), random.Random(seed)
             assert generation._draw_first(first, cands) \
                 == tuple(generation._draw_order(ordered, cands))[:1], (n, seed)
+            generation._draw_rest(first, n)
             assert first.getstate() == ordered.getstate(), (n, seed)
 
 
@@ -448,12 +449,64 @@ def test_drawn_path_order_keeps_every_dataset(monkeypatch):
                                   lambda rng, c: rng.sample(c, len(c)))
                     patch.setattr(generation, "_draw_first",
                                   lambda rng, c: rng.sample(c, len(c))[:1])
+                    # the stand-in above already makes every draw
+                    patch.setattr(generation, "_draw_rest", lambda rng, n: None)
                     sampled = outcome(params, analysis, infection)
                 assert drawn == sampled, (seed, depth, rate)
                 if isinstance(drawn[0], list):
                     mix["datasets"] += 1
                     mix["anomaly datasets"] += rate > 0
     assert min(mix.values()) >= 10, mix
+
+
+class _CountingRandom(random.Random):
+    """A `random.Random` that counts its `getrandbits` calls."""
+
+    reads = 0
+
+    def getrandbits(self, k):
+        self.reads += 1
+        return super().getrandbits(k)
+
+
+def test_dataset_walks_make_only_the_draws_their_choices_read(monkeypatch):
+    # e's last step calls wide, whose 2**8 paths call nothing: a walk reads
+    # only wide's first pick, and the 255 draws after it are never read
+    branches = "".join(f'if (w{i}) {{ log(info, "w{i}"); }} ' for i in range(8))
+    analysis, infection = _annotated_analysis(
+        f'void e(){{ log(info, "e"); wide(); }} void wide(){{ {branches}}}')
+    mid = {m.name: m.id for m in analysis.model.methods.values()}
+    wide = analysis.store.by_method[mid["wide"]]
+    assert len(wide) == 2 ** 8
+    params = _params(size=40, entries=("e",))
+    args = (analysis.model, infection, analysis.store, analysis.pruned,
+            analysis.call_graph)
+    rngs = []
+
+    def counted_rng(seed, seq_id):
+        rngs.append(_CountingRandom(f"{seed}/{seq_id}"))
+        return rngs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generation, "sequence_rng", counted_rng)
+        counted = generate_dataset(params, *args)
+    assert counted == generate_dataset(params, *args)
+    assert len(rngs) == params.size
+    # each read is a rejection draw that fails with odds up to 1/2, so
+    # single sequences vary; the draws after wide's pick alone are 255
+    assert sum(rng.reads for rng in rngs) <= 16 * params.size, \
+        [rng.reads for rng in rngs]
+
+    # without the discard argument a walk ends where one-by-one draws leave
+    # its RNG: one draw for e's only path, then every draw of wide's order
+    walker = _walker(analysis, infection, params)
+    roots = analysis.store.by_method[mid["e"]]
+    for seq_id in range(params.size):
+        rng, drawn = sequence_rng(params.seed, seq_id), sequence_rng(params.seed, seq_id)
+        walker.walk(mid["e"], Label.NORMAL, rng)
+        drawn.sample(roots, len(roots))
+        drawn.sample(wide, len(wide))
+        assert rng.getstate() == drawn.getstate(), seq_id
 
 
 # ── Forced calls ─────────────────────────────────────────────────────
@@ -467,6 +520,17 @@ def test_skip_draws_equals_one_candidate_draws():
                 while drawn.getrandbits(1):
                     pass
             assert skipped.getstate() == drawn.getstate(), (count, seed)
+
+
+def test_queued_skips_add_up():
+    # a walk queues adjacent forced calls' draws as one count
+    for a, b in [(0, 0), (0, 5), (1, 1), (3, 40), (40, 3), (700, 300)]:
+        for seed in (0, 1, 7, 2024, 99991):
+            apart, merged = random.Random(seed), random.Random(seed)
+            generation._skip_draws(apart, a)
+            generation._skip_draws(apart, b)
+            generation._skip_draws(merged, a + b)
+            assert apart.getstate() == merged.getstate(), (a, b, seed)
 
 
 def test_calls_are_decided_as_walks_reach_them():
@@ -563,21 +627,34 @@ def _forced_mix(walker, mode, trace):
     return mix
 
 
-def _walk_outcome(walker, entry, mode, seed):
+def _walk_outcome(walker, entry, mode, seed, *discard):
     """A walk's (events, trace), or its error's type and message, and the
-    state its RNG ends in."""
+    state its RNG ends in; `discard` is passed on to the walk."""
     rng = random.Random(seed)
     try:
-        result = walker.walk(entry, mode, rng)
+        result = walker.walk(entry, mode, rng, *discard)
     except LogsynthError as exc:
         result = type(exc), str(exc)
     return result, rng.getstate()
 
 
-def test_forced_calls_keep_every_walk():
+def test_forced_calls_keep_every_walk(monkeypatch):
     models = 0
     mix = dict.fromkeys(["walks", "errors", "forced", "forced hits",
-                         "forced in loops"], 0)
+                         "forced in loops", "queued rests made",
+                         "queued skips made"], 0)
+    made = dict.fromkeys(["_draw_rest", "_skip_draws"], 0)
+
+    def counted(name):
+        draw = getattr(generation, name)
+
+        def count(rng, n):
+            made[name] += 1
+            return draw(rng, n)
+        return count
+
+    for name in made:
+        monkeypatch.setattr(generation, name, counted(name))
     for analysis, infection in _forced_corpus():
         models += 1
         args = (analysis.model, analysis.store, infection, analysis.call_graph)
@@ -591,6 +668,13 @@ def test_forced_calls_keep_every_walk():
                         taken = _walk_outcome(fast, entry, mode, seed)
                         assert taken == _walk_outcome(general, entry, mode, seed), \
                             (entry, mode, depth, seed)
+                        # a discarding walk makes only the queued draws a
+                        # later read needs, and keeps the outcome
+                        rests, skips = made["_draw_rest"], made["_skip_draws"]
+                        assert _walk_outcome(fast, entry, mode, seed, True)[0] \
+                            == taken[0], (entry, mode, depth, seed)
+                        mix["queued rests made"] += made["_draw_rest"] > rests
+                        mix["queued skips made"] += made["_skip_draws"] > skips
                         mix["walks"] += 1
                         if isinstance(taken[0][0], type):
                             mix["errors"] += 1
