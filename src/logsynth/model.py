@@ -38,7 +38,9 @@ exit, out-edges, and its only walk (when it has no choice) or else its
 reachable set, in one pass when it is constructed, and holds nothing
 more.  A branching graph's path search derives the in-edges, natural
 loops and cycle nodes it needs with `in_edges` and `natural_loops`, and
-keeps them only while it runs.
+keeps them only while it runs; `natural_loops` reads its loop candidates
+and cycle nodes off `strong_components`, the one Tarjan search that also
+condenses the call graph's recursion cycles.
 """
 
 from __future__ import annotations
@@ -276,6 +278,59 @@ def sweep(edges: Edges, starts, seen: set[ActivityId] | None = None) -> set[Acti
     return seen
 
 
+def strong_components(edges: Edges, starts) -> tuple[
+        list[list[ActivityId]], list[tuple[ActivityId, ActivityId]]]:
+    """Tarjan's strongly connected components of `starts` and the nodes
+    they reach along `edges`, a triple map like `sweep` takes, by one
+    depth-first search from each start not yet reached, in order.
+
+    Returns the components, each listed when the search closes it, so
+    every edge leads to a component listed no later; and the search's
+    back edges (u, v), those whose v is on the search path when u's edge
+    to it is met, in the order met.  Every cycle holds one, and a
+    self-edge is one."""
+    order: dict[ActivityId, int] = {}  # preorder number of every node seen
+    low: dict[ActivityId, int] = {}  # nodes whose component is still open -> low-link
+    open_nodes: list[ActivityId] = []  # Tarjan's stack: the nodes of open components
+    on_path: set[ActivityId] = set()
+    components: list[list[ActivityId]] = []
+    back: list[tuple[ActivityId, ActivityId]] = []
+    for start in starts:
+        if start in order:
+            continue
+        order[start] = low[start] = len(order)
+        on_path.add(start)
+        open_nodes.append(start)
+        stack = [(start, iter(edges.get(start, ())))]
+        while stack:
+            node, it = stack[-1]
+            for _, to, _ in it:
+                if to not in order:
+                    order[to] = low[to] = len(order)
+                    on_path.add(to)
+                    open_nodes.append(to)
+                    stack.append((to, iter(edges.get(to, ()))))
+                    break
+                if to in low:  # in an open component: the same as `node`'s
+                    if to in on_path:
+                        back.append((node, to))
+                    if order[to] < low[node]:
+                        low[node] = order[to]
+            else:
+                stack.pop()
+                on_path.discard(node)
+                if low[node] == order[node]:  # the root of a component: close it
+                    members, member = [], None
+                    while member != node:
+                        member = open_nodes.pop()
+                        del low[member]
+                        members.append(member)
+                    components.append(members)
+                elif low[node] < low[stack[-1][0]]:
+                    low[stack[-1][0]] = low[node]
+    return components, back
+
+
 def in_edges(graph: ExecutionGraph) -> Edges:
     """Each node's in-edges reversed, as (node, source, guard), in no
     fixed order; nodes without in-edges are absent."""
@@ -294,57 +349,30 @@ def natural_loops(graph: ExecutionGraph, preds) -> tuple[
 
     A loop head is a branch that dominates the source of one of its
     in-edges (the edge is then a back edge).  Such an edge returns to a
-    node on the stack of any depth-first search from entry, so only those
-    edges are candidates; a candidate head dominates a source exactly when
-    entry cannot reach the source once the head is removed.  Heads are
-    derived, never recorded per `while`, so a loop that cannot cycle
-    (unreachable, or a body that always returns) is a plain branch.
-    The same search finds the strongly connected components with Tarjan's
-    low-links: a node lies on a cycle when its component has another node
-    or it has an edge to itself.  That holds for irreducible cycles too,
+    node on the path of any depth-first search from entry, so the
+    candidates are the back edges of `strong_components`' search from
+    entry that lead to a branch; a candidate head dominates a source
+    exactly when entry cannot reach the source once the head is removed.
+    Heads are derived, never recorded per `while`, so a loop that cannot
+    cycle (unreachable, or a body that always returns) is a plain branch.
+    The same search's components give the cycle nodes: a node lies on a
+    cycle when its component has another node or it has an edge to
+    itself, which is a back edge.  That holds for irreducible cycles too,
     which have no head.  Time is linear per candidate head and memory
     holds one body set per head, so time is quadratic in the graph for
     many loops in sequence, and time and memory both are for deeply
     nested loops."""
     entry = graph.entry
     succ = graph.out_edges
-
+    components, back = strong_components(succ, [entry])
+    cyclic = {u for u, v in back if u == v}
+    for members in components:
+        if len(members) > 1:
+            cyclic.update(members)
     candidates: dict[ActivityId, list[ActivityId]] = {}  # head -> sources
-    order = {entry: 0}  # preorder number of every node seen
-    low = {entry: 0}  # nodes whose component is still open -> low-link
-    on_stack = {entry}
-    open_nodes = [entry]  # Tarjan's stack: the nodes of open components
-    cyclic: set[ActivityId] = set()
-    stack = [(entry, iter(succ.get(entry, ())))]
-    while stack:
-        node, it = stack[-1]
-        for _, to, _ in it:
-            if to not in order:
-                order[to] = low[to] = len(order)
-                on_stack.add(to)
-                open_nodes.append(to)
-                stack.append((to, iter(succ.get(to, ()))))
-                break
-            if to in low:  # in an open component: the same as `node`'s
-                if to in on_stack:
-                    if to == node:
-                        cyclic.add(node)
-                    if isinstance(graph.nodes.get(to), Branch):
-                        candidates.setdefault(to, []).append(node)
-                if order[to] < low[node]:
-                    low[node] = order[to]
-        else:
-            stack.pop()
-            on_stack.discard(node)
-            if low[node] == order[node]:  # the root of a component: close it
-                member = None
-                while member != node:
-                    member = open_nodes.pop()
-                    del low[member]
-                    if member != node:
-                        cyclic.update((member, node))
-            elif low[node] < low[stack[-1][0]]:
-                low[stack[-1][0]] = low[node]
+    for u, v in back:
+        if isinstance(graph.nodes.get(v), Branch):
+            candidates.setdefault(v, []).append(u)
 
     loops = {}
     for head in sorted(candidates):

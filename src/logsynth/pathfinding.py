@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import sys
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -135,6 +136,8 @@ class PathLimits:
     def __post_init__(self):
         if self.max_paths_per_method < 1:
             raise LogsynthError("max paths per method must be >= 1")
+        if self.max_paths_per_method > sys.maxsize - 1:  # islice stops at budget + 1
+            raise LogsynthError(f"max paths per method must be <= {sys.maxsize - 1}")
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Phase 1: derive the call graph and mark the methods that log.
 
 The call graph collapses call sites to distinct (caller, callee) pairs.
-Its strongly connected components are condensed so later passes can
+Its strongly connected components, found by `model.strong_components`
+(the Tarjan search that path finding runs on each branching execution
+graph) over the callees in id order, are condensed so later passes can
 treat the graph as acyclic; `CallGraph.in_cycle` holds for the methods
 in a component of size > 1 or with a self call.  A method is a LogMethod
 when its execution graph contains a logging activity, or a CALL naming
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LogsynthError, utf8_errors
-from .model import Call, Log, MethodId, ProgramModel
+from .model import Call, Log, MethodId, ProgramModel, strong_components
 
 
 @dataclass(frozen=True)
@@ -52,69 +54,20 @@ class CallGraph:
         return len(members) > 1 or (mid, mid) in self.edges
 
 
-def _tarjan_sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; emits components in reverse topological order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = succ.get(node, [])
-            while child_i < len(children):
-                child = children[child_i]
-                child_i += 1
-                if child not in index:
-                    work[-1] = (node, child_i)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
-
-
 def condense(nodes, edges) -> CallGraph:
     """Condense a raw (caller, callee) edge set into a CallGraph."""
     node_list = sorted(nodes)
     edge_pairs = sorted(set(edges))
-    succ: dict[int, list[int]] = {}
+    succ: dict[MethodId, list[tuple[MethodId, MethodId, None]]] = {}
     for caller, callee in edge_pairs:
-        succ.setdefault(caller, []).append(callee)
-    sccs = _tarjan_sccs(node_list, succ)
+        succ.setdefault(caller, []).append((caller, callee, None))
+    sccs = tuple(tuple(sorted(comp)) for comp in strong_components(succ, node_list)[0])
     scc_of = {m: i for i, comp in enumerate(sccs) for m in comp}
     return CallGraph(
         nodes=frozenset(node_list),
         edges=frozenset(edge_pairs),
         scc_of=scc_of,
-        sccs=tuple(tuple(c) for c in sccs),
+        sccs=sccs,
     )
 
 

@@ -28,10 +28,6 @@ class PrunedCallGraph:
     edges: frozenset[tuple[MethodId, MethodId]]
     classification: dict[MethodId, Classification]
 
-    def is_leaf(self, mid: MethodId) -> bool:
-        """No outgoing edges to kept methods."""
-        return not any(caller == mid for caller, _ in self.edges)
-
     def entry_candidates(self) -> list[MethodId]:
         """Kept methods nobody calls, in id order."""
         called = {callee for _, callee in self.edges}

@@ -329,7 +329,12 @@ def cycle_nodes(cfg: ExecutionGraph) -> set[int]:
     succ: dict[int, list[int]] = {}
     for frm, to, _ in cfg.edges:
         succ.setdefault(frm, []).append(to)
-    return {n for n in _sweep(cfg.entry, succ, banned=None)
+    return on_cycle(succ, _sweep(cfg.entry, succ, banned=None))
+
+
+def on_cycle(succ: dict[int, list[int]], nodes) -> set[int]:
+    """The `nodes` that reach themselves again along some edge of `succ`."""
+    return {n for n in nodes
             if any(n in _sweep(m, succ, banned=None) for m in succ.get(n, ()))}
 
 

@@ -86,13 +86,15 @@ def test_missing_model_file_exits_cleanly(tmp_path, capsys):
     assert "error:" in err and "nope.txt" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", str(sys.maxsize), str(2 ** 70)])
 def test_non_positive_max_paths_is_an_error(tmp_path, capsys, value):
+    # also a cap too large for the search's `budget + 1` to be an islice stop
     out = tmp_path / "art"
     code, _, err = run(capsys, "analyze", FIXTURE, "--out", str(out),
                        "--max-paths", value)
+    bound = ">= 1" if int(value) < 1 else f"<= {sys.maxsize - 1}"
     assert code == 1
-    assert "error: max paths per method must be >= 1" in err
+    assert err == f"error: max paths per method must be {bound}\n"
     assert not (out / "paths.txt").exists()
 
 

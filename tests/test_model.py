@@ -26,6 +26,7 @@ from logsynth.model import (
     model_sha256,
     natural_loops,
     save_model,
+    strong_components,
 )
 
 from .modelgen import (
@@ -36,9 +37,12 @@ from .modelgen import (
     with_ambiguous_calls,
 )
 from .oracles import (
+    _sweep,
     cycle_nodes,
     dfs_all_walks,
+    kosaraju_sccs,
     loops_by_removal,
+    on_cycle,
     split_fields_by_character,
     unescape_by_character,
 )
@@ -537,3 +541,51 @@ def test_natural_loops_match_removal_oracle_on_structured_programs():
         for m in model.methods.values():
             assert natural_loops(m.cfg, in_edges(m.cfg)) == \
                 (loops_by_removal(m.cfg), cycle_nodes(m.cfg)), (seed, m.name)
+
+
+def _random_triples(rng: random.Random):
+    """A node -> (node, successor, label) map over nodes 0..n-1 with
+    self-loops, parallel edges of distinct labels and unreached nodes,
+    and a few starts, repeats allowed."""
+    n = rng.randint(1, 14)
+    edges: dict[int, list[tuple[int, int, int]]] = {}
+    for _ in range(rng.randint(0, 3 * n)):
+        frm, to = rng.randrange(n), rng.randrange(n)
+        for label in range(rng.choice((1, 1, 1, 2))):
+            edges.setdefault(frm, []).append((frm, to, label))
+    return edges, [rng.randrange(n) for _ in range(rng.randint(1, 3))], n
+
+
+def test_strong_components_match_kosaraju_on_random_triple_maps():
+    shapes = {"multi-node": 0, "self-loop": 0, "parallel": 0, "unreached": 0,
+              "several roots": 0}
+    for seed in range(600):
+        edges, starts, n = _random_triples(random.Random(seed))
+        succ = {u: [v for _, v, _ in out] for u, out in edges.items()}
+        reached = set().union(*(_sweep(s, succ, banned=None) for s in starts))
+        components, back = strong_components(edges, starts)
+
+        assert sum(map(len, components)) == len(reached), seed
+        assert {frozenset(c) for c in components} == kosaraju_sccs(
+            sorted(reached), [(u, v) for u in reached for v in succ.get(u, ())]), seed
+        index = {m: i for i, comp in enumerate(components) for m in comp}
+        assert all(index[v] <= index[u] for u in reached for v in succ.get(u, ())), seed
+        assert all(v in succ[u] and index[u] == index[v] for u, v in back), seed
+        cyclic = {u for u, v in back if u == v}.union(
+            *(comp for comp in components if len(comp) > 1))
+        assert cyclic == on_cycle(succ, reached), seed
+
+        shapes["multi-node"] += any(len(comp) > 1 for comp in components)
+        shapes["self-loop"] += any(u == v for u, v in back)
+        shapes["parallel"] += any(len(set(vs)) < len(vs) for vs in succ.values())
+        shapes["unreached"] += len(reached) < n
+        shapes["several roots"] += any(index[starts[0]] < index[s] for s in starts)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_strong_components_of_a_long_cycle_need_no_recursion():
+    n = 50_000
+    ring = {u: ((u, (u + 1) % n, None),) for u in range(n)}
+    components, back = strong_components(ring, [0])
+    assert [sorted(comp) for comp in components] == [list(range(n))]
+    assert back == [(n - 1, 0)]

@@ -222,9 +222,10 @@ def test_restore_matches_walk_oracle():
 def test_strategies_on_golden_fixture(datanode_analysis):
     model = datanode_analysis.model
     pruned = datanode_analysis.pruned
+    callers = {caller for caller, _ in pruned.edges}
     kinds = {
         model.methods[mid].name: (mid in datanode_analysis.log_methods,
-                                  pruned.is_leaf(mid))
+                                  mid not in callers)
         for mid in sorted(pruned.kept)
     }
     assert kinds == {
@@ -240,8 +241,9 @@ def test_strategy_exclusivity_on_fuzzed_programs():
     for seed in range(40):
         rng = random.Random(seed)
         model, analysis = _analysis(structured_method_program(rng, rng.randint(0, 6)))
+        callers = {caller for caller, _ in analysis.pruned.edges}
         for mid in analysis.pruned.kept:
-            assert mid in analysis.log_methods or not analysis.pruned.is_leaf(mid)
+            assert mid in analysis.log_methods or mid in callers
 
 
 # ── Enumeration ──────────────────────────────────────────────────────

@@ -115,8 +115,5 @@ def test_classification_dump_format(datanode_model):
     ]
 
 
-def test_leaf_and_entry_helpers(datanode_analysis):
-    pruned = datanode_analysis.pruned
-    assert pruned.is_leaf(1) and pruned.is_leaf(3)
-    assert not pruned.is_leaf(0) and not pruned.is_leaf(2)
-    assert pruned.entry_candidates() == [0]
+def test_entry_candidates_helper(datanode_analysis):
+    assert datanode_analysis.pruned.entry_candidates() == [0]
