@@ -28,7 +28,7 @@ from .generation import (
 from .labeling import AnnotationSet, export_worksheet, import_annotations, propagate
 from .metrics import d_coverage, logging_coverage
 from .model import dumps_model
-from .pathfinding import PathLimits, format_store_dump
+from .pathfinding import PathLimits, store_dump_lines
 from .pipeline import analyze_model, load_input, summarize
 from .probing import LoggingApiConfig, build_call_graph, mark_log_methods
 from .pruning import format_classification, prune
@@ -131,9 +131,8 @@ def _cmd_analyze(args) -> int:
     # `load_input` validated the model, so it is written without a second check
     (out / "model.txt").write_text(dumps_model(analysis.model), encoding="utf-8",
                                    newline="\n")
-    (out / "paths.txt").write_text(
-        format_store_dump(analysis.store, analysis.model), encoding="utf-8"
-    )
+    with open(out / "paths.txt", "w", encoding="utf-8") as dump:
+        dump.writelines(store_dump_lines(analysis.store, analysis.model))
     print(summarize(analysis))
     return 0
 
@@ -148,7 +147,7 @@ def _cmd_prune(args) -> int:
 
 def _cmd_paths(args) -> int:
     analysis = _analysis_from(args)
-    sys.stdout.write(format_store_dump(analysis.store, analysis.model))
+    sys.stdout.writelines(store_dump_lines(analysis.store, analysis.model))
     return 0
 
 

@@ -16,7 +16,7 @@ regions replay 1..max_loop_reps times with fresh choices per
 repetition, and calls into recursion cycles are bounded by
 max_recursion_depth re-entries.  A walk's call depth is bounded by
 memory, not by Python's recursion limit.  Nothing is rebuilt per step:
-a path's loop regions are built once with the path (`LogPath.regions`),
+a path's loop forest is built when a walk first runs it (`Walker.regions`),
 and each call, named by its callee and candidate index, is decided the
 first time a walk makes it (`Walker.calls`).
 
@@ -245,6 +245,24 @@ class _Memo(dict):
         return value
 
 
+def loop_forest(path: LogPath) -> tuple:
+    """`path`'s steps as a forest in which a loop region is a tuple of its
+    nodes and any other node is a step.  Spans close inner first, so a
+    closing region takes the top-level nodes from its first step to its
+    last, each kept by the step it begins at."""
+    steps = path.steps
+    if not path.spans:
+        return steps
+    top = {i: (i, s) for i, s in enumerate(steps)}  # first step -> (last step, node)
+    for first, last in path.spans:
+        nodes, end = [], first - 1
+        while end != last:
+            end, node = top.pop(end + 1)
+            nodes.append(node)
+        top[first] = (last, tuple(nodes))
+    return tuple(top[i][1] for i in sorted(top))
+
+
 class Walker:
     """Shared walk state over the stored paths and infection map.
 
@@ -262,8 +280,10 @@ class Walker:
     count, whether it hits a seed, the callee's trace record, and its
     plan: the path's event ids and forced child keys.  `calls` holds each
     call's policy by the same key, fixed by `_call` the first time a walk
-    makes that call.  Entry admissibility and recursion cycles are
-    answered per query, from the candidates and the call graph."""
+    makes that call.  `regions` holds each walked path's `loop_forest` by
+    path id, built the first time a walk runs the path.  Entry
+    admissibility and recursion cycles are answered per query, from the
+    candidates and the call graph."""
 
     def __init__(self, model: ProgramModel, store: PathStore,
                  infection: InfectionMap, call_graph: CallGraph,
@@ -274,8 +294,9 @@ class Walker:
         self.params = params
         self.call_graph = call_graph
         seed, clean = Status.SEED, Status.CLEAN
+        fanout = store.fanout.get
         clean_completable = self.clean_completable = store.least_fixpoint({
-            p.id: len(p.callees) for p in store.all_paths()
+            p.id: fanout(p.id, 0) for p in store.all_paths()
             if status[p.id] is not seed
         })
         candidates: dict[MethodId, tuple[tuple[LogPath, ...], ...]] = {}
@@ -299,6 +320,7 @@ class Walker:
             )
         self.forced: dict[tuple[MethodId, int], tuple | None] = {}
         self.calls = _Memo(self._call)
+        self.regions = _Memo(lambda pid: loop_forest(store.path(pid)))
 
     # entry admissibility per mode
     def normal_entry_ok(self, mid: MethodId) -> bool:
@@ -311,12 +333,12 @@ class Walker:
         seen, todo = {mid}, [mid]
         while todo:
             for path in candidates.get(todo.pop(), _NO_PATHS)[0]:
-                if any(type(s) is LogStep for s in path.steps):
-                    return True
-                for callee in path.callees:
-                    if callee not in seen:
-                        seen.add(callee)
-                        todo.append(callee)
+                for step in path.steps:
+                    if type(step) is LogStep:
+                        return True
+                    if step.callee not in seen:
+                        seen.add(step.callee)
+                        todo.append(step.callee)
         return False
 
     def anomaly_entry_ok(self, mid: MethodId) -> bool:
@@ -353,7 +375,7 @@ class Walker:
                 f"no seed is reachable from entry method "
                 f"'{self.model.methods[entry].name}'"
             )
-        status, seed, call_of = self.status, Status.SEED, self.calls
+        status, seed, call_of, regions = self.status, Status.SEED, self.calls, self.regions
         max_depth = self.params.max_recursion_depth
         max_reps = self.params.max_loop_reps
         randint = rng.randint
@@ -366,7 +388,7 @@ class Walker:
                 hit = status[root.id] is seed
                 # a cyclic entry's walk is inside its cycle already
                 active = {} if entry_cycle is None else {entry_cycle: 1}
-                nodes = [iter(root.regions)]
+                nodes = [iter(regions[root.id])]
                 calls: list[tuple] = []
                 while nodes:
                     for node in nodes[-1]:
@@ -428,7 +450,7 @@ class Walker:
                         if path is not None:
                             hit = hit or status[path.id] is seed
                             trace.append(("ep", path.method, path.id))
-                            nodes.append(iter(path.regions))
+                            nodes.append(iter(regions[path.id]))
                             break
                         calls.pop()
                         if scc is not None:
@@ -461,7 +483,7 @@ class Walker:
         if decided is None:
             callee, index = key
             cands = self.candidates.get(callee, _NO_PATHS)[index]
-            return (cands, len(cands) > 1 and not any(p.callees for p in cands),
+            return (cands, len(cands) > 1 and not any(p.id in self.store.fanout for p in cands),
                     self._cycle(callee))
         forced = self.forced
         draws, hit, record, plan = decided
@@ -536,53 +558,40 @@ class Walker:
 
     def replay(self, entry: MethodId, trace: tuple) -> tuple[EventId, ...]:
         """Re-derive a walk's event list from its recorded choices, on an
-        explicit stack of node iterators.  Raises LogsynthError when the
-        trace is not a legal chaining."""
-        cursor = _TraceCursor(trace)
+        explicit stack of node iterators: a path's nodes for each 'ep'
+        record, a loop region's once per repetition of its 'reps' record.
+        Raises LogsynthError when the trace is not a legal chaining."""
+        records = enumerate(trace)
+
+        def take(kind: str) -> tuple:
+            at, record = next(records, (len(trace), None))
+            if record is None or record[0] != kind:
+                raise LogsynthError(f"trace expected a {kind!r} record at {at}")
+            return record
+
+        def nodes_of(mid: MethodId):
+            _, rec_mid, pid = take("ep")
+            if rec_mid != mid:
+                raise LogsynthError(f"trace chose a path of method {rec_mid}, expected {mid}")
+            if self.store.path(pid).method != mid:
+                raise LogsynthError(f"path {pid} does not belong to method {mid}")
+            return iter(self.regions[pid])
+
         events: list[EventId] = []
-        stack = [self._replay_path(entry, cursor)]
+        stack = [nodes_of(entry)]
         while stack:
             for node in stack[-1]:
-                if isinstance(node, LogStep):
+                if type(node) is LogStep:
                     events.append(node.event)
                     continue
-                if isinstance(node, CallStep):
-                    stack.append(self._replay_path(node.callee, cursor))
-                else:  # loop region: its nodes once per recorded repetition
-                    _, reps = cursor.take("reps")
-                    stack.append(chain.from_iterable(repeat(node, reps)))
+                stack.append(nodes_of(node.callee) if type(node) is CallStep
+                             else chain.from_iterable(repeat(node, take("reps")[1])))
                 break
             else:
                 stack.pop()
-        if not cursor.done():
+        if next(records, None) is not None:
             raise LogsynthError("trace has unconsumed choices")
         return tuple(events)
-
-    def _replay_path(self, mid: MethodId, cursor: "_TraceCursor"):
-        """The nodes of the path the trace chose next, for method `mid`."""
-        kind, rec_mid, pid = cursor.take("ep")
-        if rec_mid != mid:
-            raise LogsynthError(f"trace chose a path of method {rec_mid}, expected {mid}")
-        path = self.store.path(pid)
-        if path.method != mid:
-            raise LogsynthError(f"path {pid} does not belong to method {mid}")
-        return iter(path.regions)
-
-
-class _TraceCursor:
-    def __init__(self, trace):
-        self.trace = trace
-        self.pos = 0
-
-    def take(self, kind):
-        if self.pos >= len(self.trace) or self.trace[self.pos][0] != kind:
-            raise LogsynthError(f"trace expected a {kind!r} record at {self.pos}")
-        rec = self.trace[self.pos]
-        self.pos += 1
-        return rec
-
-    def done(self):
-        return self.pos == len(self.trace)
 
 
 # ── Sequence and dataset generation ──────────────────────────────────

@@ -44,8 +44,8 @@ import itertools
 import logging
 import sys
 from bisect import bisect_left
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, replace
 
 from .errors import LogsynthError
 from .model import (
@@ -85,48 +85,23 @@ class CallStep:
 Step = LogStep | CallStep
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogPath:
     """One log-related execution path of a method.  `spans` holds the
     (first, last) step index of each loop region, in the order the walk
     closed them, inner first; regions nest or are disjoint, and nested
-    ones may share boundary steps."""
+    ones may share boundary steps.
+
+    A path holds these fields only; the walker builds its loop forest
+    (`generation.Walker.regions`) and the store indexes its callees.
+    Slots spare it an instance dict, which slowed full collections; a
+    frozen dataclass would build it at 4x the cost."""
 
     id: int
     method: MethodId
     steps: tuple[Step, ...]
     spans: tuple[tuple[int, int], ...] = ()
     skips_loop: bool = False
-    # found once when the path is built, as plain fields (caching them on
-    # first read would give each path its own instance dict, which made
-    # every full collection slower): `callees`, the distinct methods the
-    # path calls in first-call order, and `regions`, the steps as a forest
-    # in which a loop region is a tuple of its nodes and any other node is
-    # a step
-    callees: tuple[MethodId, ...] = field(init=False, repr=False, compare=False)
-    regions: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        calls = [s.callee for s in self.steps if type(s) is CallStep]  # cheaper than a generator
-        object.__setattr__(self, "callees", tuple(dict.fromkeys(calls)) if calls else ())
-        regions = self.steps  # without spans, the steps are the forest
-        if self.spans:
-            # how many regions open and close at each step: regions that
-            # share a step nest, so the last one opened closes first
-            opens = [0] * len(regions)
-            closes = opens[:]
-            for first, last in self.spans:
-                opens[first] += 1
-                closes[last] += 1
-            stack: list[list] = [[]]
-            for step, o, c in zip(regions, opens, closes):
-                stack += [[] for _ in range(o)]
-                stack[-1].append(step)
-                for _ in range(c):
-                    region = tuple(stack.pop())
-                    stack[-1].append(region)
-            regions = tuple(stack[0])
-        object.__setattr__(self, "regions", regions)
 
 
 @dataclass(frozen=True)
@@ -149,11 +124,17 @@ class PathStore:
         self._paths = tuple(p for mid in sorted(self.by_method)
                             for p in self.by_method[mid])
         self._by_id = {p.id: p for p in self._paths}
-        # callee method -> the paths calling it, once per distinct callee
+        # callee method -> the paths calling it, once per distinct callee,
+        # and `fanout`: calling path id -> how many distinct methods it calls
         self._callers: dict[MethodId, list[int]] = {}
+        self.fanout: dict[int, int] = {}
         for p in self._paths:
-            for callee in p.callees:
-                self._callers.setdefault(callee, []).append(p.id)
+            calls = [s.callee for s in p.steps if type(s) is CallStep]  # cheaper than a generator
+            if calls:
+                callees = dict.fromkeys(calls)
+                self.fanout[p.id] = len(callees)
+                for callee in callees:
+                    self._callers.setdefault(callee, []).append(p.id)
 
     def path(self, ep_id: int) -> LogPath:
         return self._by_id[ep_id]
@@ -575,33 +556,44 @@ def build_store(
 _SUFFIX = ("", ":S", ":E", ":SE")  # by bits: 1 a region's first step, 2 its last
 
 
-def format_store_dump(store: PathStore, model: ProgramModel) -> str:
-    """Inspection dump: the event table and every path's steps, the first
-    and last step of each loop region marked `:S` and `:E` (`:SE` when
-    one step is both).  A method's paths share its step objects, so each
-    step's text is built once and kept by the step's `id`, which the
-    store keeps alive for the whole dump."""
-    lines = []
+def store_dump_lines(store: PathStore, model: ProgramModel) -> Iterator[str]:
+    """The inspection dump's lines, each with its newline: the event table
+    and every path's steps, the first and last step of each loop region
+    marked `:S` and `:E` (`:SE` when one step is both).  A method's paths
+    share its step objects, so each step's text with each suffix is built
+    once and kept by the step's `id`, which the store keeps alive."""
     for eid in sorted(store.events):
         ev = store.events[eid]
-        lines.append(f"EV {eid} {ev.level} {ev.template}")
+        yield f"EV {eid} {ev.level} {ev.template}\n"
     names = {mid: m.name for mid, m in model.methods.items()}
-    texts: dict[int, str] = {}
+
+    def text_of(s: Step) -> str:
+        return f"L:{s.event}" if type(s) is LogStep else f"C:{names[s.callee]}"
+
+    texts: tuple[dict[int, str], ...] = ({}, {}, {}, {})  # by suffix bits
+    plain = texts[0]
     for path in store.all_paths():
-        steps = [f"EP {path.id} {names[path.method]}"]
-        for s in path.steps:
-            text = texts.get(id(s))
-            if text is None:
-                text = texts[id(s)] = (
-                    f"L:{s.event}" if type(s) is LogStep
-                    else f"C:{names[s.callee]}")
-            steps.append(text)
-        if path.spans:
-            marks: dict[int, int] = {}
+        words = [f"EP {path.id} {names[path.method]}"]
+        if not path.spans:
+            for s in path.steps:
+                text = plain.get(id(s))
+                if text is None:
+                    text = plain[id(s)] = text_of(s)
+                words.append(text)
+        else:
+            marks = [0] * len(path.steps)
             for first, last in path.spans:
-                marks[first] = marks.get(first, 0) | 1
-                marks[last] = marks.get(last, 0) | 2
-            for j, bits in marks.items():
-                steps[j + 1] += _SUFFIX[bits]
-        lines.append(" ".join(steps))
-    return "\n".join(lines) + "\n"
+                marks[first] |= 1
+                marks[last] |= 2
+            for s, bits in zip(path.steps, marks):
+                memo = texts[bits]
+                text = memo.get(id(s))
+                if text is None:
+                    text = memo[id(s)] = text_of(s) + _SUFFIX[bits]
+                words.append(text)
+        yield " ".join(words) + "\n"
+
+
+def format_store_dump(store: PathStore, model: ProgramModel) -> str:
+    """The inspection dump as one string: `store_dump_lines` joined."""
+    return "".join(store_dump_lines(store, model))

@@ -371,6 +371,28 @@ def marks_of(spans, n: int) -> list[Mark]:
             else Mark.END if j in ends else Mark.NONE for j in range(n)]
 
 
+def forest_by_counts(steps, spans) -> tuple:
+    """A path's steps as a forest in which a loop region is a tuple of its
+    nodes and any other node is a step, read off how many regions open
+    and close at each step: regions that share a step nest, so the last
+    one opened closes first.  Without spans, the steps are the forest."""
+    if not spans:
+        return steps
+    opens = [0] * len(steps)
+    closes = opens[:]
+    for first, last in spans:
+        opens[first] += 1
+        closes[last] += 1
+    stack: list[list] = [[]]
+    for step, o, c in zip(steps, opens, closes):
+        stack += [[] for _ in range(o)]
+        stack[-1].append(step)
+        for _ in range(c):
+            region = tuple(stack.pop())
+            stack[-1].append(region)
+    return tuple(stack[0])
+
+
 def walk_spans(cfg: ExecutionGraph, visits, at: list[int]) -> tuple[list[tuple[int, int]], bool]:
     """A walk's loop regions and skipped-loop flag, from consecutive head
     occurrences, given the visit indexes `at` of its recorded steps: for

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 
 import pytest
 
@@ -24,8 +24,11 @@ from logsynth.generation import (
     write_dataset,
 )
 from logsynth.labeling import AnnotationSet, Status, propagate
-from logsynth.model import loads_model
-from logsynth.pathfinding import CallStep, LogStep
+from logsynth.model import (
+    AssignAct, ExecutionGraph, Literal, Log, LoggingStatement, MethodNode, ProgramModel,
+    loads_model,
+)
+from logsynth.pathfinding import CallStep, LogStep, PathLimits
 from logsynth.pipeline import analyze_model
 
 from .conftest import (
@@ -41,7 +44,8 @@ from .modelgen import (
     structured_program,
     with_ambiguous_calls,
 )
-from .oracles import walk_space
+from .oracles import forest_by_counts, walk_space
+from .test_model import _random_graph
 
 
 def _params(**kw) -> GenParams:
@@ -187,6 +191,46 @@ def test_walk_space_with_nested_regions_sharing_a_step(source, sequences):
     observed = _observed_walks(analysis, infection, 0, Label.NORMAL, params)
     assert observed == legal
     assert len(legal) == sequences
+
+
+def _forest_corpus():
+    """Analyses with loop regions: structured programs, and random graphs
+    (irreducible cycles, self-loops, parallel guarded edges) whose
+    assignments are turned into logging statements."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        model = parse_program(structured_program(rng, 6))
+        yield "program", analyze_model(model)
+    for seed in range(300):
+        cfg = _random_graph(random.Random(seed))
+        nodes = {aid: Log(LoggingStatement("info", (Literal(f"s{aid}"),)))
+                 if type(act) is AssignAct else act for aid, act in cfg.nodes.items()}
+        model = ProgramModel({0: MethodNode(0, "m", ExecutionGraph(nodes, cfg.edges))})
+        yield "random graph", analyze_model(model, limits=PathLimits(64))
+
+
+def test_walker_forests_match_the_reference_forests():
+    # the walker builds a path's forest from its spans, closing order;
+    # the reference reads it off per-step open and close counts
+    shapes = dict.fromkeys(["program spans", "random graph spans", "nested",
+                            "shared boundary"], 0)
+    for kind, analysis in _forest_corpus():
+        infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+        walker = _walker(analysis, infection, _params())
+        for path in analysis.store.all_paths():
+            forest = walker.regions[path.id]
+            assert forest == forest_by_counts(path.steps, path.spans), (kind, path)
+            if not path.spans:
+                assert forest is path.steps
+                continue
+            assert walker.regions[path.id] is forest  # built once
+            shapes[f"{kind} spans"] += 1
+            shapes["nested"] += any(type(node) is tuple and any(type(inner) is tuple
+                                                                for inner in node)
+                                    for node in forest)
+            shapes["shared boundary"] += any(set(a) & set(b)
+                                             for a, b in combinations(path.spans, 2))
+    assert min(shapes.values()) >= 20, shapes
 
 
 def test_walk_space_with_recursive_seed_chain():
@@ -596,7 +640,7 @@ def _forced_mix(walker, mode, trace):
         _, _, pid = trace[pos]
         pos += 1
         hit = hit or walker.status[pid] is Status.SEED
-        return iter(walker.store.path(pid).regions)
+        return iter(walker.regions[pid])
 
     stack = [(path_nodes(), False)]  # (node iterator, inside a loop)
     while stack:

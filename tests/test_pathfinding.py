@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +20,7 @@ from logsynth.pathfinding import (
     format_store_dump,
     restore_statement,
 )
-from logsynth.generation import GenParams, generate_dataset
+from logsynth.generation import GenParams, Walker, generate_dataset
 from logsynth.labeling import AnnotationSet, export_worksheet, propagate
 from logsynth.pipeline import analyze_model
 from logsynth.probing import build_call_graph, mark_log_methods
@@ -844,6 +846,39 @@ def test_store_dumps_keep_their_bytes_on_a_structured_corpus():
         "679e1f1e099349ce667f04490282510737bfb545343e640b8d9a51e8c76d8862"
 
 
+def _retained_store(source: str):
+    """The store of `source`'s one method and the bytes it holds, counted
+    by tracemalloc from before the store is built to after."""
+    model = parse_program(source)
+    pruned = prune(build_call_graph(model), mark_log_methods(model))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = build_store(model, pruned)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return store, held
+
+
+def test_loop_paths_hold_little_more_than_branch_paths():
+    # n sequential whiles on distinct conditions have the paths and steps
+    # of n such ifs, plus one span per loop a path enters: a stored path
+    # holds its fields only, so the store stays within a small factor
+    n = 40  # 4,096 paths at the default cap, as for any n >= 12
+    stores = {}
+    for keyword in ("if", "while"):
+        stores[keyword] = _retained_store("void m(){ " + " ".join(
+            f'{keyword} (c{i}) {{ log(info, "s{i}"); }}' for i in range(n)) + " }")
+    (ifs, if_bytes), (whiles, while_bytes) = stores["if"], stores["while"]
+    assert len(ifs.all_paths()) == len(whiles.all_paths()) == 4096
+    assert [p.steps for p in ifs.all_paths()] == [p.steps for p in whiles.all_paths()]
+    assert all(len(p.spans) == len(p.steps) for p in whiles.all_paths())
+    assert while_bytes <= 2.5 * if_bytes, (while_bytes, if_bytes)
+    assert not hasattr(whiles.all_paths()[0], "__dict__")
+
+
 def test_path_cap_truncates_with_warning(caplog):
     body = "".join(f'if (c{i}) {{ log(info, "L{i}"); }}\n' for i in range(5))
     model = parse_program(f"void m(){{\n{body}}}")
@@ -907,6 +942,14 @@ def test_return_inside_loop_gets_no_marks():
     assert completing.spans == ((0, 0),)
 
 
+def _walked_forest(analysis, path):
+    """The loop forest a walker runs `path` by."""
+    infection = propagate(analysis.store, AnnotationSet(frozenset(), frozenset()))
+    walker = Walker(analysis.model, analysis.store, infection, analysis.call_graph,
+                    GenParams(size=1, anomaly_rate=0.0))
+    return walker.regions[path.id]
+
+
 def test_nested_regions_sharing_a_boundary_step_keep_their_nesting():
     # the inner loop's region ends on the outer one's last step, and in
     # the second method starts on its first step too: the spans keep both
@@ -916,12 +959,12 @@ def test_nested_regions_sharing_a_boundary_step_keep_their_nesting():
     path = analysis.store.by_method[0][0]
     b, a2 = path.steps
     assert path.spans == ((1, 1), (0, 1))
-    assert path.regions == ((b, (a2,)),)
+    assert _walked_forest(analysis, path) == ((b, (a2,)),)
     assert "EP 0 k L:0:S L:1:SE" in format_store_dump(analysis.store, model).splitlines()
     _, analysis = _analysis('void k(){ while(c){ while(d){ log(info, "a"); } } }')
     path = analysis.store.by_method[0][0]
     assert path.spans == ((0, 0), (0, 0))
-    assert path.regions == (((path.steps[0],),),)
+    assert _walked_forest(analysis, path) == (((path.steps[0],),),)
 
 
 def test_restore_loop_local_assignment_is_ambiguous():
