@@ -245,7 +245,7 @@ class _Memo(dict):
         return value
 
 
-def loop_forest(path: LogPath) -> tuple:
+def _loop_forest(path: LogPath) -> tuple:
     """`path`'s steps as a forest in which a loop region is a tuple of its
     nodes and any other node is a step.  Spans close inner first, so a
     closing region takes the top-level nodes from its first step to its
@@ -280,7 +280,7 @@ class Walker:
     count, whether it hits a seed, the callee's trace record, and its
     plan: the path's event ids and forced child keys.  `calls` holds each
     call's policy by the same key, fixed by `_call` the first time a walk
-    makes that call.  `regions` holds each walked path's `loop_forest` by
+    makes that call.  `regions` holds each walked path's `_loop_forest` by
     path id, built the first time a walk runs the path.  Entry
     admissibility and recursion cycles are answered per query, from the
     candidates and the call graph."""
@@ -320,7 +320,7 @@ class Walker:
             )
         self.forced: dict[tuple[MethodId, int], tuple | None] = {}
         self.calls = _Memo(self._call)
-        self.regions = _Memo(lambda pid: loop_forest(store.path(pid)))
+        self.regions = _Memo(lambda pid: _loop_forest(store.path(pid)))
 
     # entry admissibility per mode
     def normal_entry_ok(self, mid: MethodId) -> bool:
